@@ -55,7 +55,6 @@ from .geometry import (
     rainbow_faces,
     random_balanced_config,
     random_prime_power_config,
-    search_balanced,
     search_tverberg,
     search_tverberg_all,
     solve_balanced_caps,

@@ -27,6 +27,8 @@ class ChessboardSpec:
     col_caps: tuple
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.m, self.n, *self.row_caps, *self.col_caps)):
+            raise InputError("board sizes and capacities must be integers")
         if self.m < 1 or self.n < 1:
             raise InputError("board must have at least one row and one column")
         if len(self.row_caps) != self.n:

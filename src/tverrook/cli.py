@@ -1,8 +1,23 @@
 """Command-line entry point: every verification and search as a subcommand.
 
-Reports are JSON-only on stdout; human-readable rendering goes to stderr.
-Exit codes: 0 verified/found, 1 refuted, 2 exhausted (free mode), 3 input
-error, 4 resource guard tripped.
+The subcommands are the rows of one table, ``COMMANDS``.  A row gives the
+words of its subcommand, their arguments and help, whether the report
+echoes ``--seed``, and two functions:
+
+* a **loader**, ``load(args) -> (payload, loaded)``, turns argv and JSON
+  input into typed objects (``loaded``, a tuple) and returns them with the
+  payload that ``input_digest`` hashes.  A ``KeyError``, ``TypeError``,
+  ``ValueError`` or ``OverflowError`` (``int`` of an infinite float) raised
+  while loading is an input error;
+* a **runner**, ``run(*loaded) -> (verdict, details, certificate, summary)``,
+  does the work.  The summary is the human-readable line for stderr.
+
+``build_parser`` builds the argument parser from the table.
+``run_command`` runs the selected row: digest, timing, the ``--out``
+certificate file, the JSON report on stdout, the summary on stderr and the
+exit code.  ``main`` turns input errors and tripped guards into error
+reports.  Exit codes: 0 verified/found, 1 refuted, 2 exhausted (free mode),
+3 input error, 4 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -12,6 +27,7 @@ import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
 from .errors import InputError, ResourceLimitError
@@ -22,65 +38,6 @@ EXIT_EXHAUSTED = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
-
-def _digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _caps_list(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"malformed capacity list {text!r}") from exc
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON input {path}: {exc}") from exc
-
-
-def _spec_from_args(args) -> chessboard.ChessboardSpec:
-    cols = _caps_list(args.cols)
-    rows = args.rows if args.rows is not None else sum(cols) + 1
-    return chessboard.one_row_spec(cols, n=rows)
-
-
-class Run:
-    """Collects the report for one subcommand invocation."""
-
-    def __init__(self, subcommand: str, payload, seed=None):
-        self.report = {
-            "subcommand": subcommand,
-            "input_digest": _digest(payload),
-            "verdict": "error",
-            "certificate_path": None,
-            "elapsed_seconds": None,
-            "seed": seed,
-        }
-        self.start = time.monotonic()
-
-    def finish(self, verdict: str, details: dict, certificate=None, out: str | None = None):
-        self.report["verdict"] = verdict
-        self.report["details"] = details
-        if certificate is not None and verdict in ("verified", "found"):
-            if out:
-                with open(out, "w") as fh:
-                    json.dump(certificate, fh, indent=2)
-                self.report["certificate_path"] = out
-            else:
-                self.report["certificate"] = certificate
-        self.report["elapsed_seconds"] = round(time.monotonic() - self.start, 6)
-        return self.report
-
-
-def _emit(report: dict, human: str) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(human, file=sys.stderr)
-
-
 VERDICT_EXIT = {
     "verified": EXIT_OK,
     "found": EXIT_OK,
@@ -89,135 +46,71 @@ VERDICT_EXIT = {
 }
 
 
-def cmd_chessboard_build(args) -> int:
-    spec = _spec_from_args(args)
-    run = Run("chessboard build", spec.to_json())
-    K = chessboard.build_chessboard(spec)
-    details = {
-        "spec": spec.to_json(),
-        "vertices": len(K.vertices),
-        "facets": len(K.facets),
-        "dimension": K.dimension,
-    }
-    report = run.finish("verified", details, certificate=K.to_json(), out=args.out)
-    _emit(report, f"built complex: {details['facets']} facets, dimension {details['dimension']}")
-    return VERDICT_EXIT[report["verdict"]]
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def cmd_chessboard_check(args) -> int:
-    spec = _spec_from_args(args)
-    run = Run("chessboard check", spec.to_json())
-    K = chessboard.build_chessboard(spec)
-    rep = chessboard.check_pseudomanifold(K)
-    details = {"spec": spec.to_json(), "report": rep.to_json()}
-    verdict = "verified" if rep.all_ok else "refuted"
-    report = run.finish(verdict, details, certificate=rep.to_json(), out=args.out)
-    _emit(report, f"pseudomanifold check: {verdict}")
-    return VERDICT_EXIT[verdict]
+def _caps_list(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
 
-def cmd_orient(args) -> int:
-    spec = _spec_from_args(args)
-    run = Run("orient", spec.to_json())
-    K = chessboard.build_chessboard(spec)
-    tau = chessboard.orient(spec, K)
-    boundary_zero = chessboard.verify_orientation(spec, tau)
-    certificate = {"chain": [{"facet": list(f), "sign": s} for f, s in sorted(tau.items())]}
-    details = {"facets": len(tau), "boundary_zero": boundary_zero}
-    verdict = "verified" if boundary_zero else "refuted"
-    report = run.finish(verdict, details, certificate=certificate, out=args.out)
-    _emit(report, f"orientation on {len(tau)} facets, boundary zero: {boundary_zero}")
-    return VERDICT_EXIT[verdict]
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read JSON input {path}: {exc}") from exc
 
 
-def cmd_collapse_degree(args) -> int:
+def _verdict(ok: bool) -> str:
+    return "verified" if ok else "refuted"
+
+
+# ---------------------------------------------------------------- loaders
+
+
+def _load_flags(*names):
+    """Loader of integer flags that are also the digest payload."""
+
+    def load(args):
+        values = {name: getattr(args, name) for name in names}
+        return values, tuple(values.values())
+
+    return load
+
+
+def _load_board(args):
+    cols = _caps_list(args.cols)
+    rows = args.rows if args.rows is not None else sum(cols) + 1
+    spec = chessboard.one_row_spec(cols, n=rows)
+    return spec.to_json(), (spec,)
+
+
+def _load_collapse(args):
     caps = _caps_list(args.caps)
     theta_vals = _caps_list(args.theta)
     theta = maps.CollapseTheta(len(caps), max(theta_vals), theta_vals)
-    run = Run("collapse degree", {"caps": list(caps), "theta": list(theta_vals)})
-    formula = maps.degree_formula(caps, theta)
-    source = chessboard.one_row_spec(caps)
-    counting = maps.degree_by_counting(theta, source)
-    verdict = "verified" if formula == counting else "refuted"
-    details = {
-        "degree_formula": str(formula),
-        "degree_by_counting": str(counting),
-        "target_caps": list(theta.collapse_caps(caps)),
-    }
-    report = run.finish(verdict, details, certificate=details, out=args.out)
-    _emit(report, f"degree = {formula} (counting: {counting}) -> {verdict}")
-    return VERDICT_EXIT[verdict]
+    return {"caps": list(caps), "theta": list(theta_vals)}, (caps, theta)
 
 
-def cmd_valuation(args) -> int:
-    run = Run("valuation", {"p": args.p, "m": args.m})
-    value = maps.legendre_valuation(args.p, args.m)
-    details = {"p": args.p, "m": args.m, "ord_p_m_factorial": value}
-    report = run.finish("verified", details, certificate=details, out=args.out)
-    _emit(report, f"ord_{args.p}({args.m}!) = {value}")
-    return EXIT_OK
-
-
-def cmd_obstruction(args) -> int:
-    run = Run("obstruction", {"p": args.p, "k": args.k, "d": args.d})
-    rep = maps.obstruction_report(args.p, args.k, args.d)
-    verdict = "verified" if rep.verdict else "refuted"
-    report = run.finish(verdict, rep.to_json(), certificate=rep.to_json(), out=args.out)
-    lines = [f"degree {rep.degree} mod {args.p} = {rep.degree_mod_p}"]
-    lines += [
-        f"  {s.descriptor}: dim fixed chessboard {s.dim_fixed_source} <= "
-        f"dim fixed sphere {s.dim_fixed_target}: {s.inequality_holds}"
-        for s in rep.subgroup_results
-    ]
-    _emit(report, "\n".join(lines))
-    return VERDICT_EXIT[verdict]
-
-
-def cmd_homology(args) -> int:
+def _load_complex(args):
     data = _load_json(args.json)
-    run = Run("homology", data)
-    K = simplicial.Complex.from_json(data)
-    profile = homology.betti_and_torsion(K)
-    details = {"profile": profile.to_json()}
-    report = run.finish("verified", details, certificate=details, out=args.out)
-    _emit(report, f"reduced Betti numbers: {list(profile.betti)}")
-    return EXIT_OK
+    return data, (simplicial.Complex.from_json(data),)
 
 
-def cmd_connectivity(args) -> int:
+def _load_connectivity(args):
     data = _load_json(args.json)
-    run = Run("connectivity", {"complex": data, "level": args.level})
-    K = simplicial.Complex.from_json(data)
-    ok = homology.homological_connectivity(K, args.level)
-    details = {"level": args.level, "homologically_connected": ok}
-    verdict = "verified" if ok else "refuted"
-    report = run.finish(verdict, details, certificate=details, out=args.out)
-    _emit(report, f"homological {args.level}-connectivity: {ok}")
-    return VERDICT_EXIT[verdict]
+    return {"complex": data, "level": args.level}, (simplicial.Complex.from_json(data), args.level)
 
 
-def cmd_fixed_points(args) -> int:
+def _load_fixed_points(args):
     data = _load_json(args.json)
-    run = Run("fixed-points", data)
-    try:
-        spec = chessboard.ChessboardSpec.from_json(data["spec"])
-        generators = data["generators"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"fixed-points input needs 'spec' and 'generators': {exc}") from exc
-    H = chessboard.Subgroup.from_generators(spec.n, [tuple(g) for g in generators])
-    fixed = chessboard.fixed_subcomplex(spec, H)
-    details = {
-        "order": H.order,
-        "orbits": [list(o) for o in H.orbits],
-        "fixed_complex": fixed.to_json(),
-        "dimension": fixed.dimension,
-    }
-    report = run.finish("verified", details, certificate=fixed.to_json(), out=args.out)
-    _emit(report, f"fixed subcomplex: dimension {fixed.dimension}, {len(fixed.facets)} facets")
-    return EXIT_OK
+    spec = chessboard.ChessboardSpec.from_json(data["spec"])
+    generators = [chessboard.RowPermutation(tuple(g)) for g in data["generators"]]
+    return data, (spec, generators)
 
 
-def _instance_from_json(data: dict) -> tuple:
+def _instance_from_json(data: dict) -> geometry.TverbergInstance:
     config = geometry.PointConfig.from_json(data)
     caps = None
     if data.get("dim_caps"):
@@ -225,59 +118,155 @@ def _instance_from_json(data: dict) -> tuple:
         caps = geometry.DimCaps(
             int(dc["k"]), int(dc["s"]), dc.get("policy", geometry.POLICY_SHIFTED)
         )
-    instance = geometry.TverbergInstance(
+    return geometry.TverbergInstance(
         config,
         int(data["r"]),
         data.get("mode", "free"),
         caps,
         data.get("disjointness", "multiset-proper"),
     )
-    return instance, int(data.get("constraint_count", 0))
 
 
-def _search_outcome(run: Run, instance, result, out):
+def _load_tverberg(args):
+    data = _load_json(args.json)
+    return data, (_instance_from_json(data), int(data.get("constraint_count", 0)))
+
+
+def _load_balanced(args):
+    data = _load_json(args.json)
+    defaulted = {"mode": "balanced-1.6", "disjointness": "vertex-disjoint", **data}
+    return data, (_instance_from_json(defaulted), 0)
+
+
+def _load_lift(args):
+    data = _load_json(args.json)
+    config = geometry.PointConfig.from_json(data["config"])
+    solution = geometry.TverbergSolution.from_json(data["solution"])
+    return data, (config, solution, int(data["r"]))
+
+
+def _load_example_a(args):
+    epsilon = geometry.parse_rational(args.epsilon)
+    payload = {"p": args.p, "k": args.k, "d": args.d, "epsilon": str(epsilon), "seed": args.seed}
+    return payload, (args.p, args.k, args.d, epsilon, args.seed)
+
+
+def _load_unavoidable(args):
+    data = _load_json(args.json)
+    V = constraints.Multiset.from_json(data["multiset"])
+    r = int(data["r"])
+    if "avoid_set" in data:
+        return data, (V, r, simplicial.as_simplex(data["avoid_set"]), None)
+    if "complex" in data:
+        return data, (V, r, None, simplicial.Complex.from_json(data["complex"]))
+    raise InputError("unavoidable input needs either 'complex' or 'avoid_set'")
+
+
+def _load_constrain(args):
+    data = _load_json(args.json)
+    K = simplicial.Complex.from_json(data["complex"])
+    return data, (K, [simplicial.as_simplex(s) for s in data["avoid_sets"]])
+
+
+# ---------------------------------------------------------------- runners
+
+
+def _chessboard_build(spec):
+    K = chessboard.build_chessboard(spec)
+    details = {
+        "spec": spec.to_json(),
+        "vertices": len(K.vertices),
+        "facets": len(K.facets),
+        "dimension": K.dimension,
+    }
+    summary = f"built complex: {len(K.facets)} facets, dimension {K.dimension}"
+    return "verified", details, K.to_json(), summary
+
+
+def _chessboard_check(spec):
+    rep = chessboard.check_pseudomanifold(chessboard.build_chessboard(spec))
+    verdict = _verdict(rep.all_ok)
+    details = {"spec": spec.to_json(), "report": rep.to_json()}
+    return verdict, details, rep.to_json(), f"pseudomanifold check: {verdict}"
+
+
+def _orient(spec):
+    tau = chessboard.orient(spec, chessboard.build_chessboard(spec))
+    boundary_zero = chessboard.verify_orientation(spec, tau)
+    certificate = {"chain": [{"facet": list(f), "sign": s} for f, s in sorted(tau.items())]}
+    details = {"facets": len(tau), "boundary_zero": boundary_zero}
+    summary = f"orientation on {len(tau)} facets, boundary zero: {boundary_zero}"
+    return _verdict(boundary_zero), details, certificate, summary
+
+
+def _collapse_degree(caps, theta):
+    formula = maps.degree_formula(caps, theta)
+    counting = maps.degree_by_counting(theta, chessboard.one_row_spec(caps))
+    verdict = _verdict(formula == counting)
+    details = {
+        "degree_formula": str(formula),
+        "degree_by_counting": str(counting),
+        "target_caps": list(theta.collapse_caps(caps)),
+    }
+    return verdict, details, details, f"degree = {formula} (counting: {counting}) -> {verdict}"
+
+
+def _valuation(p, m):
+    value = maps.legendre_valuation(p, m)
+    details = {"p": p, "m": m, "ord_p_m_factorial": value}
+    return "verified", details, details, f"ord_{p}({m}!) = {value}"
+
+
+def _obstruction(p, k, d):
+    rep = maps.obstruction_report(p, k, d)
+    lines = [f"degree {rep.degree} mod {p} = {rep.degree_mod_p}"]
+    lines += [
+        f"  {s.descriptor}: dim fixed chessboard {s.dim_fixed_source} <= "
+        f"dim fixed sphere {s.dim_fixed_target}: {s.inequality_holds}"
+        for s in rep.subgroup_results
+    ]
+    return _verdict(rep.verdict), rep.to_json(), rep.to_json(), "\n".join(lines)
+
+
+def _homology(K):
+    profile = homology.betti_and_torsion(K)
+    details = {"profile": profile.to_json()}
+    return "verified", details, details, f"reduced Betti numbers: {list(profile.betti)}"
+
+
+def _connectivity(K, level):
+    ok = homology.homological_connectivity(K, level)
+    details = {"level": level, "homologically_connected": ok}
+    return _verdict(ok), details, details, f"homological {level}-connectivity: {ok}"
+
+
+def _fixed_points(spec, generators):
+    H = chessboard.Subgroup.from_generators(spec.n, generators)
+    fixed = chessboard.fixed_subcomplex(spec, H)
+    details = {
+        "order": H.order,
+        "orbits": [list(o) for o in H.orbits],
+        "fixed_complex": fixed.to_json(),
+        "dimension": fixed.dimension,
+    }
+    summary = f"fixed subcomplex: dimension {fixed.dimension}, {len(fixed.facets)} facets"
+    return "verified", details, fixed.to_json(), summary
+
+
+def _search(instance, constraint_count):
+    result = geometry.search_tverberg(instance, constraint_count=constraint_count)
     if isinstance(result, geometry.Exhausted):
         verdict = "exhausted" if instance.mode == "free" else "refuted"
         details = {"candidates_examined": result.candidates_examined, "mode": instance.mode}
-        report = run.finish(verdict, details)
-        _emit(report, f"exhausted after {result.candidates_examined} candidates")
-        return EXIT_EXHAUSTED if verdict == "exhausted" else EXIT_REFUTED
+        return verdict, details, None, f"exhausted after {result.candidates_examined} candidates"
     details = {"faces": [list(f) for f in result.faces], "mode": instance.mode}
     if result.policy:
         details["policy"] = result.policy
-    report = run.finish("found", details, certificate=result.to_json(), out=out)
-    _emit(report, f"found solution with witness {[geometry.format_rational(c) for c in result.witness]}")
-    return EXIT_OK
+    witness = [geometry.format_rational(c) for c in result.witness]
+    return "found", details, result.to_json(), f"found solution with witness {witness}"
 
 
-def cmd_tverberg_search(args) -> int:
-    data = _load_json(args.json)
-    run = Run("tverberg search", data, seed=args.seed)
-    instance, c = _instance_from_json(data)
-    result = geometry.search_tverberg(instance, constraint_count=c)
-    return _search_outcome(run, instance, result, args.out)
-
-
-def cmd_balanced_search(args) -> int:
-    data = _load_json(args.json)
-    run = Run("balanced search", data, seed=args.seed)
-    data = dict(data)
-    data.setdefault("mode", "balanced-1.6")
-    data.setdefault("disjointness", "vertex-disjoint")
-    instance, _ = _instance_from_json(data)
-    result = geometry.search_balanced(instance)
-    return _search_outcome(run, instance, result, args.out)
-
-
-def cmd_lift(args) -> int:
-    data = _load_json(args.json)
-    run = Run("lift", data)
-    try:
-        config = geometry.PointConfig.from_json(data["config"])
-        solution = geometry.TverbergSolution.from_json(data["solution"])
-        r = int(data["r"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"lift input needs 'config', 'solution', 'r': {exc}") from exc
+def _lift(config, solution, r):
     lifted = geometry.lift_to_vertex_disjoint(config, solution, r)
     certificate = {
         "config": lifted.config.to_json(),
@@ -285,72 +274,94 @@ def cmd_lift(args) -> int:
         "projection": {str(k): v for k, v in sorted(lifted.projection.items())},
     }
     details = {"lifted_faces": [list(f) for f in lifted.solution.faces]}
-    report = run.finish("verified", details, certificate=certificate, out=args.out)
-    _emit(report, f"lifted to {len(lifted.solution.faces)} pairwise disjoint faces")
-    return EXIT_OK
+    summary = f"lifted to {len(lifted.solution.faces)} pairwise disjoint faces"
+    return "verified", details, certificate, summary
 
 
-def cmd_example_a(args) -> int:
-    epsilon = geometry.parse_rational(args.epsilon)
-    run = Run(
-        "example-a",
-        {"p": args.p, "k": args.k, "d": args.d, "epsilon": str(epsilon), "seed": args.seed},
-        seed=args.seed,
-    )
-    config, instance = geometry.build_example_a(args.p, args.k, args.d, epsilon, args.seed)
+def _example_a(p, k, d, epsilon, seed):
+    config, instance = geometry.build_example_a(p, k, d, epsilon, seed)
     result = geometry.search_tverberg(instance)
     if isinstance(result, geometry.Exhausted):
-        report = run.finish("refuted", {"candidates_examined": result.candidates_examined})
-        _emit(report, "example configuration unexpectedly exhausted")
-        return EXIT_REFUTED
+        details = {"candidates_examined": result.candidates_examined}
+        return "refuted", details, None, "example configuration unexpectedly exhausted"
     certificate = {"config": config.to_json(), "solution": result.to_json()}
     details = {"witness": [geometry.format_rational(c) for c in result.witness]}
-    report = run.finish("found", details, certificate=certificate, out=args.out)
-    _emit(report, f"witness: {details['witness']}")
-    return EXIT_OK
+    return "found", details, certificate, f"witness: {details['witness']}"
 
 
-def cmd_unavoidable_check(args) -> int:
-    data = _load_json(args.json)
-    run = Run("unavoidable check", data)
-    try:
-        V = constraints.Multiset.from_json(data["multiset"])
-        r = int(data["r"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"unavoidable input needs 'multiset' and 'r': {exc}") from exc
-    if "avoid_set" in data:
-        verdict_obj = constraints.check_face_avoidance_unavoidable(V, data["avoid_set"], r)
-        details = verdict_obj.to_json()
-        ok = verdict_obj.unavoidable
-    elif "complex" in data:
-        K = simplicial.Complex.from_json(data["complex"])
-        verdict_obj = constraints.is_unavoidable(K, r, V)
-        details = verdict_obj.to_json()
-        ok = verdict_obj.unavoidable
+def _unavoidable(V, r, avoid_set, K):
+    if avoid_set is not None:
+        verdict = constraints.check_face_avoidance_unavoidable(V, avoid_set, r)
     else:
-        raise InputError("unavoidable input needs either 'complex' or 'avoid_set'")
-    verdict = "verified" if ok else "refuted"
-    report = run.finish(verdict, details, certificate=details, out=args.out)
-    _emit(report, f"unavoidable: {ok}")
-    return VERDICT_EXIT[verdict]
+        verdict = constraints.is_unavoidable(K, r, V)
+    details = verdict.to_json()
+    return _verdict(verdict.unavoidable), details, details, f"unavoidable: {verdict.unavoidable}"
 
 
-def cmd_constrain(args) -> int:
-    data = _load_json(args.json)
-    run = Run("constrain", data)
-    try:
-        K = simplicial.Complex.from_json(data["complex"])
-        avoid_sets = [list(s) for s in data["avoid_sets"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"constrain input needs 'complex' and 'avoid_sets': {exc}") from exc
+def _constrain(K, avoid_sets):
     constrained = constraints.constrain_complex(K, avoid_sets)
-    details = {
-        "facets": len(constrained.facets),
-        "dimension": constrained.dimension,
-    }
-    report = run.finish("verified", details, certificate=constrained.to_json(), out=args.out)
-    _emit(report, f"constrained complex: {details['facets']} facets")
-    return EXIT_OK
+    details = {"facets": len(constrained.facets), "dimension": constrained.dimension}
+    summary = f"constrained complex: {details['facets']} facets"
+    return "verified", details, constrained.to_json(), summary
+
+
+# ---------------------------------------------------------------- the table
+
+
+class Command(NamedTuple):
+    words: tuple  # ("tverberg", "search"): a group word and an action, or one word
+    help: str  # help of the first word
+    args: tuple  # (flag, add_argument keyword arguments) pairs; every row also takes --out
+    load: Callable
+    run: Callable
+    echoes_seed: bool = False
+
+
+def _required_ints(*names) -> tuple:
+    return tuple((f"--{name}", {"type": int, "required": True}) for name in names)
+
+
+BOARD_ARGS = (
+    ("--cols", {"required": True, "help": "comma-separated column caps"}),
+    ("--rows", {"type": int, "default": None, "help": "row count (default sum(cols)+1)"}),
+)
+JSON_ARGS = (("--json", {"required": True}),)
+
+COMMANDS = (
+    Command(("chessboard", "build"), "build or audit a chessboard complex", BOARD_ARGS,
+            _load_board, _chessboard_build),
+    Command(("chessboard", "check"), "build or audit a chessboard complex", BOARD_ARGS,
+            _load_board, _chessboard_check),
+    Command(("orient",), "fundamental class of a pseudomanifold-family complex", BOARD_ARGS,
+            _load_board, _orient),
+    Command(("collapse", "degree"), "column-collapse maps",
+            (("--caps", {"required": True, "help": "source column caps"}),
+             ("--theta", {"required": True, "help": "comma-separated theta values, 1-based"})),
+            _load_collapse, _collapse_degree),
+    Command(("valuation",), "ord_p(m!)", _required_ints("p", "m"),
+            _load_flags("p", "m"), _valuation),
+    Command(("obstruction",), "degree mod p and fixed-point dimensions",
+            _required_ints("p", "k", "d"), _load_flags("p", "k", "d"), _obstruction),
+    Command(("homology",), "reduced integral homology of a complex", JSON_ARGS,
+            _load_complex, _homology),
+    Command(("connectivity",), "homological connectivity check",
+            JSON_ARGS + _required_ints("level"), _load_connectivity, _connectivity),
+    Command(("fixed-points",), "fixed subcomplex of a row subgroup", JSON_ARGS,
+            _load_fixed_points, _fixed_points),
+    Command(("tverberg", "search"), "rainbow Tverberg partition search", JSON_ARGS,
+            _load_tverberg, _search, echoes_seed=True),
+    Command(("balanced", "search"), "balanced search with dimension caps", JSON_ARGS,
+            _load_balanced, _search, echoes_seed=True),
+    Command(("lift",), "lift a solution to pairwise vertex-disjoint faces", JSON_ARGS,
+            _load_lift, _lift),
+    Command(("example-a",), "clustered simplex-plus-barycenter example",
+            _required_ints("p", "k", "d") + (("--epsilon", {"default": "0"}),),
+            _load_example_a, _example_a, echoes_seed=True),
+    Command(("unavoidable", "check"), "unavoidability of a complex", JSON_ARGS,
+            _load_unavoidable, _unavoidable),
+    Command(("constrain",), "full subcomplex avoiding given vertex sets", JSON_ARGS,
+            _load_constrain, _constrain),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,123 +370,76 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chessboard pseudomanifolds, collapse degrees, and Tverberg partition search.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness (printed)")
-    parser.add_argument("--workers", type=int, default=1, help="search parallelism bound")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    chess = sub.add_parser("chessboard", help="build or audit a chessboard complex")
-    chess_sub = chess.add_subparsers(dest="action", required=True)
-    for action, fn in (("build", cmd_chessboard_build), ("check", cmd_chessboard_check)):
-        p = chess_sub.add_parser(action)
-        p.add_argument("--cols", required=True, help="comma-separated column caps")
-        p.add_argument("--rows", type=int, default=None, help="row count (default sum(cols)+1)")
+    groups: dict = {}
+    for command in COMMANDS:
+        word, *action = command.words
+        if action:
+            if word not in groups:
+                group = sub.add_parser(word, help=command.help)
+                groups[word] = group.add_subparsers(dest="action", required=True)
+            p = groups[word].add_parser(action[0])
+        else:
+            p = sub.add_parser(word, help=command.help)
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("orient", help="fundamental class of a pseudomanifold-family complex")
-    p.add_argument("--cols", required=True)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_orient)
-
-    collapse = sub.add_parser("collapse", help="column-collapse maps")
-    collapse_sub = collapse.add_subparsers(dest="action", required=True)
-    p = collapse_sub.add_parser("degree")
-    p.add_argument("--caps", required=True, help="source column caps")
-    p.add_argument("--theta", required=True, help="comma-separated theta values, 1-based")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_collapse_degree)
-
-    p = sub.add_parser("valuation", help="ord_p(m!)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_valuation)
-
-    p = sub.add_parser("obstruction", help="degree mod p and fixed-point dimensions")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_obstruction)
-
-    for name, fn in (("homology", cmd_homology),):
-        p = sub.add_parser(name, help="reduced integral homology of a complex")
-        p.add_argument("--json", required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("connectivity", help="homological connectivity check")
-    p.add_argument("--json", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_connectivity)
-
-    p = sub.add_parser("fixed-points", help="fixed subcomplex of a row subgroup")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fixed_points)
-
-    tver = sub.add_parser("tverberg", help="rainbow Tverberg partition search")
-    tver_sub = tver.add_subparsers(dest="action", required=True)
-    p = tver_sub.add_parser("search")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_tverberg_search)
-
-    bal = sub.add_parser("balanced", help="balanced search with dimension caps")
-    bal_sub = bal.add_subparsers(dest="action", required=True)
-    p = bal_sub.add_parser("search")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_balanced_search)
-
-    p = sub.add_parser("lift", help="lift a solution to pairwise vertex-disjoint faces")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("example-a", help="clustered simplex-plus-barycenter example")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--epsilon", default="0")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_example_a)
-
-    unav = sub.add_parser("unavoidable", help="unavoidability of a complex")
-    unav_sub = unav.add_subparsers(dest="action", required=True)
-    p = unav_sub.add_parser("check")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_unavoidable_check)
-
-    p = sub.add_parser("constrain", help="full subcomplex avoiding given vertex sets")
-    p.add_argument("--json", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_constrain)
-
+        p.set_defaults(row=command)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run_command(command: Command, args) -> int:
+    """Load, run and report one row; exceptions other than input errors pass."""
+    name = " ".join(command.words)
     try:
-        args = parser.parse_args(argv)
+        payload, loaded = command.load(args)
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {name} input: {type(exc).__name__}: {exc}") from exc
+    report = {
+        "subcommand": name,
+        "input_digest": _digest(payload),
+        "certificate_path": None,
+        "seed": args.seed if command.echoes_seed else None,
+    }
+    start = time.monotonic()
+    verdict, details, certificate, summary = command.run(*loaded)
+    report["verdict"] = verdict
+    report["details"] = details
+    if certificate is not None and verdict in ("verified", "found"):
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    json.dump(certificate, fh, indent=2)
+            except OSError as exc:
+                raise InputError(f"cannot write certificate {args.out}: {exc}") from exc
+            report["certificate_path"] = args.out
+        else:
+            report["certificate"] = certificate
+    report["elapsed_seconds"] = round(time.monotonic() - start, 6)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    print(summary, file=sys.stderr)
+    return VERDICT_EXIT[verdict]
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    if args.workers < 1:
-        print(json.dumps({"verdict": "error", "message": "--workers must be >= 1"}))
-        return EXIT_INPUT
     try:
-        return args.func(args)
+        return run_command(args.row, args)
     except InputError as exc:
-        print(json.dumps({"verdict": "error", "message": str(exc)}))
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, "input error", EXIT_INPUT)
     except ResourceLimitError as exc:
-        print(json.dumps({"verdict": "error", "message": str(exc)}))
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _error(exc, "resource guard", EXIT_RESOURCE)
+
+
+def _error(exc: Exception, label: str, code: int) -> int:
+    print(json.dumps({"verdict": "error", "message": str(exc)}))
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, guard_from_env
 from .simplicial import Complex, antichain
 
 COLLECTION_GUARD_ENV = "TVERROOK_COLLECTION_GUARD"
@@ -60,7 +59,7 @@ class Multiset:
         try:
             mapping = {int(v): int(mu) for v, mu in data["multiplicity"].items()}
             vertices = set(data["vertices"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed multiset JSON: {exc}") from exc
         if set(mapping) != vertices:
             raise InputError("multiset vertices and multiplicity keys disagree")
@@ -94,11 +93,6 @@ class UnavoidabilityVerdict:
         return out
 
 
-def collection_guard() -> int:
-    value = os.environ.get(COLLECTION_GUARD_ENV)
-    return int(value) if value else DEFAULT_COLLECTION_GUARD
-
-
 def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) -> UnavoidabilityVerdict:
     """Exhaustive search for a proper r-collection avoiding K entirely.
 
@@ -109,7 +103,11 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
     """
     if not K.universe <= V.universe:
         raise InputError("the complex universe must lie inside the multiset universe")
-    limit = guard if guard is not None else collection_guard()
+    if r < 1:
+        raise InputError(f"need at least r = 1 members, got {r}")
+    limit = guard if guard is not None else guard_from_env(
+        COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
+    )
     vertices = sorted(V.universe)
     non_faces = [
         subset

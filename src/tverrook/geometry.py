@@ -9,6 +9,7 @@ substitution, independently of the LP.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -121,12 +122,8 @@ class DimCaps:
 
     @property
     def max_dim(self) -> int:
+        """Largest face dimension allowed; at most s faces may have it."""
         return self.k + 1 if self.policy == POLICY_SHIFTED else self.k
-
-    @property
-    def capped_dim(self) -> int:
-        """Dimension of which at most s faces may occur."""
-        return self.max_dim
 
 
 @dataclass(frozen=True)
@@ -175,11 +172,16 @@ def prime_power_root(r: int):
     return None
 
 
-def _validate_prime_power(config: PointConfig, r: int) -> None:
+def _prime_power_parts(r: int) -> tuple:
+    """(p, k) with r = p^k; InputError when r is not a prime power."""
     pk = prime_power_root(r)
     if pk is None:
         raise InputError(f"r = {r} is not a prime power")
-    p, k = pk
+    return pk
+
+
+def _validate_prime_power(config: PointConfig, r: int) -> None:
+    p, k = _prime_power_parts(r)
     d = config.d
     if config.num_colors != d + 2:
         raise InputError(f"expected {d + 2} color classes, got {config.num_colors}")
@@ -197,10 +199,7 @@ def _validate_prime_power(config: PointConfig, r: int) -> None:
 
 
 def _validate_equal_classes(config: PointConfig, r: int) -> None:
-    pk = prime_power_root(r)
-    if pk is None:
-        raise InputError(f"r = {r} is not a prime power")
-    p, k = pk
+    p, k = _prime_power_parts(r)
     d = config.d
     if config.num_colors != d + 2:
         raise InputError(f"expected {d + 2} color classes, got {config.num_colors}")
@@ -246,10 +245,7 @@ def _can_pack(weights: list, bins: int, cap: int) -> bool:
 
 def _validate_generalized(config: PointConfig, r: int, c: int) -> None:
     """Enlargement check: config + c removed sets of weight <= r-1 fill V."""
-    pk = prime_power_root(r)
-    if pk is None:
-        raise InputError(f"r = {r} is not a prime power")
-    p, k = pk
+    p, k = _prime_power_parts(r)
     if c < 1:
         raise InputError("generalized mode needs the constraint count c >= 1")
     d = config.d
@@ -412,8 +408,10 @@ def respects_multiplicities(config: PointConfig, faces) -> bool:
 
 def verify_solution(config: PointConfig, solution: TverbergSolution) -> bool:
     """Re-check a certificate by direct substitution, independent of the LP."""
+    if len(solution.faces) != len(solution.certificates) or len(solution.witness) != config.d:
+        return False
     for face, cert in zip(solution.faces, solution.certificates):
-        if len(face) != len(cert):
+        if len(face) != len(cert) or not all(0 <= v < len(config.points) for v in face):
             return False
         if any(c < 0 for c in cert) or sum(cert) != 1:
             return False
@@ -496,7 +494,7 @@ def _search(instance: TverbergInstance, find_all: bool):
                 dim = len(f) - 1
                 if dim > caps.max_dim:
                     continue
-                extra = 1 if dim == caps.capped_dim else 0
+                extra = 1 if dim == caps.max_dim else 0
                 if capped_used + extra > caps.s:
                     continue
             if disjoint:
@@ -529,7 +527,14 @@ def _search(instance: TverbergInstance, find_all: bool):
 
 
 def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
-    """First certified solution in canonical order, or Exhausted."""
+    """First certified solution in canonical order, or Exhausted.
+
+    A balanced instance without dimension caps gets the caps that solve
+    r*k + s = (r-1)*d under the shifted policy, which the result records.
+    """
+    if instance.mode == "balanced-1.6" and instance.dim_caps is None:
+        k, s = solve_balanced_caps(instance.r, instance.config.d)
+        instance = dataclasses.replace(instance, dim_caps=DimCaps(k, s))
     instance.validate(constraint_count)
     solutions, examined = _search(instance, find_all=False)
     if solutions:
@@ -544,23 +549,6 @@ def search_tverberg_all(instance: TverbergInstance):
     """Every solution of the pruned search (used by the oracle-equivalence tests)."""
     solutions, _ = _search(instance, find_all=True)
     return [s.faces for s in solutions]
-
-
-def search_balanced(instance: TverbergInstance):
-    """Balanced search with dimension caps; the policy is recorded on the result."""
-    if instance.dim_caps is None:
-        k, s = solve_balanced_caps(instance.r, instance.config.d)
-        instance = TverbergInstance(
-            instance.config, instance.r, instance.mode, DimCaps(k, s), instance.disjointness
-        )
-    instance.validate()
-    solutions, examined = _search(instance, find_all=False)
-    if solutions:
-        sol = solutions[0]
-        if not verify_solution(instance.config, sol):
-            raise AssertionError("LP produced a certificate that failed re-substitution")
-        return sol
-    return Exhausted(examined)
 
 
 @dataclass(frozen=True)
@@ -581,7 +569,11 @@ def lift_to_vertex_disjoint(
     witness transfers verbatim because fiber vertices keep the coordinates
     of their images.
     """
+    if not verify_solution(config, solution):
+        raise InputError("the solution fails re-substitution on the configuration")
     d = config.d
+    if config.num_colors != d + 2 or len(config.color_class(d + 1)) != 1:
+        raise InputError(f"lifting needs {d + 2} color classes, the last a single vertex")
     r_prime = r - 1
     class_mults = []
     for color in range(d + 1):
@@ -645,11 +637,6 @@ def lift_to_vertex_disjoint(
         raise AssertionError("lifted certificate failed re-substitution")
     projection = {lv: v for v, lvs in fiber_of.items() for lv in lvs}
     return LiftResult(lifted_config, lifted_solution, projection)
-
-
-def project_faces(lifted_faces, projection: dict):
-    """Map lifted faces back to abridged vertex tuples (repetitions collapse)."""
-    return tuple(tuple(sorted({projection[v] for v in f})) for f in lifted_faces)
 
 
 def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), seed: int = 0):

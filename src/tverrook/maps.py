@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .chessboard import (
@@ -24,7 +23,7 @@ from .chessboard import (
     orient,
     sphere_spec,
 )
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, guard_from_env
 
 OBSTRUCTION_GUARD_ENV = "TVERROOK_OBSTRUCTION_GUARD"
 DEFAULT_OBSTRUCTION_GUARD = 16
@@ -151,7 +150,12 @@ def degree_formula(caps, theta: CollapseTheta) -> int:
 
 
 def degree_by_counting(theta: CollapseTheta, source: ChessboardSpec) -> int:
-    """Signed count of source facets over one fixed target facet.
+    """Signed count of source facets over one fixed target facet."""
+    return sum(preimage_signs(theta, source))
+
+
+def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> list:
+    """Orientation signs of the source facets over one fixed target facet.
 
     Independent of `degree_formula`: enumerates the actual preimage of the
     lexicographically first target facet with orientation signs on both ends.
@@ -166,28 +170,6 @@ def degree_by_counting(theta: CollapseTheta, source: ChessboardSpec) -> int:
     vm = _cell_map(theta, source, target)
 
     # the image of a sorted facet is sorted (rows are preserved and distinct)
-    target_facet = tuple(vm[v] for v in K.facets[0])
-    all_rows = set(range(1, source.n + 1))
-    used = {target.cell_coords(v)[1] for v in target_facet}
-    (omitted,) = all_rows - used
-    tau_target_value = (-1) ** (omitted - 1)
-
-    total = 0
-    tset = frozenset(target_facet)
-    for facet in K.facets:
-        if frozenset(vm[v] for v in facet) == tset:
-            total += tau_src[facet] * tau_target_value
-    return total
-
-
-def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> list:
-    """Per-preimage-facet orientation signs over the fixed target facet."""
-    target = ChessboardSpec(
-        theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
-    )
-    K = build_chessboard(source)
-    tau_src = orient(source, K)
-    vm = _cell_map(theta, source, target)
     target_facet = tuple(vm[v] for v in K.facets[0])
     used = {target.cell_coords(v)[1] for v in target_facet}
     (omitted,) = set(range(1, source.n + 1)) - used
@@ -331,11 +313,6 @@ class ObstructionReport:
         }
 
 
-def obstruction_guard() -> int:
-    value = os.environ.get(OBSTRUCTION_GUARD_ENV)
-    return int(value) if value else DEFAULT_OBSTRUCTION_GUARD
-
-
 def obstruction_report(p: int, k: int, d: int, guard: int | None = None) -> ObstructionReport:
     """The two computable obstruction ingredients for r = p^k parts.
 
@@ -346,7 +323,9 @@ def obstruction_report(p: int, k: int, d: int, guard: int | None = None) -> Obst
         raise InputError(f"{p} is not prime")
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
-    limit = guard if guard is not None else obstruction_guard()
+    limit = guard if guard is not None else guard_from_env(
+        OBSTRUCTION_GUARD_ENV, DEFAULT_OBSTRUCTION_GUARD
+    )
     r = p**k
     if r > limit:
         raise ResourceLimitError(f"p^k = {r} exceeds the guard ({limit})")

@@ -38,7 +38,7 @@ def naive_search_all(instance):
             dims = [len(f) - 1 for f in tup]
             if any(dim > caps.max_dim for dim in dims):
                 return False
-            if sum(1 for dim in dims if dim == caps.capped_dim) > caps.s:
+            if sum(1 for dim in dims if dim == caps.max_dim) > caps.s:
                 return False
         return True
 

@@ -39,7 +39,6 @@ from tverrook import (
     random_balanced_config,
     random_prime_power_config,
     regular_action_subgroup,
-    search_balanced,
     search_tverberg,
     search_tverberg_all,
     sphere_spec,
@@ -267,7 +266,7 @@ def test_criterion_11_balanced_policies():
     with budget(300):
         for seed in range(100):
             config = random_balanced_config(2, 2, seed)
-            shifted = search_balanced(
+            shifted = search_tverberg(
                 TverbergInstance(
                     config, 2, mode="balanced-1.6",
                     dim_caps=DimCaps(1, 0), disjointness="vertex-disjoint",
@@ -280,7 +279,7 @@ def test_criterion_11_balanced_policies():
             assert sorted(len(f) for f in shifted.faces) == [2, 2], seed
             assert not set(shifted.faces[0]) & set(shifted.faces[1])
             assert verify_solution(config, shifted)
-            literal = search_balanced(
+            literal = search_tverberg(
                 TverbergInstance(
                     config, 2, mode="balanced-1.6",
                     dim_caps=DimCaps(1, 0, policy="literal-k"),

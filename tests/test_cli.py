@@ -1,5 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tverrook import build_chessboard, standard_spec
 from tverrook.cli import main
@@ -28,6 +34,31 @@ def radon_instance():
         "r": 2,
         "mode": "free",
     }
+
+
+BALANCED = {
+    "d": 2,
+    "points": [
+        {"coords": ["0", "0"], "color": 0, "multiplicity": 1},
+        {"coords": ["2", "0"], "color": 1, "multiplicity": 1},
+        {"coords": ["2", "2"], "color": 2, "multiplicity": 1},
+        {"coords": ["0", "2"], "color": 3, "multiplicity": 1},
+        {"coords": ["1", "1"], "color": 4, "multiplicity": 1},
+    ],
+    "r": 2,
+}
+PRIME_POWER = {
+    "d": 1,
+    "points": [
+        {"coords": ["0"], "color": 0, "multiplicity": 1},
+        {"coords": ["1/10"], "color": 0, "multiplicity": 2},
+        {"coords": ["1"], "color": 1, "multiplicity": 1},
+        {"coords": ["9/10"], "color": 1, "multiplicity": 2},
+        {"coords": ["1/2"], "color": 2, "multiplicity": 1},
+    ],
+    "r": 4,
+    "mode": "prime-power-1.3",
+}
 
 
 def test_chessboard_check_verified(capsys):
@@ -163,18 +194,7 @@ def test_unknown_flag_is_input_error(capsys):
 
 
 def test_balanced_search(capsys, tmp_path):
-    data = {
-        "d": 2,
-        "points": [
-            {"coords": ["0", "0"], "color": 0, "multiplicity": 1},
-            {"coords": ["2", "0"], "color": 1, "multiplicity": 1},
-            {"coords": ["2", "2"], "color": 2, "multiplicity": 1},
-            {"coords": ["0", "2"], "color": 3, "multiplicity": 1},
-            {"coords": ["1", "1"], "color": 4, "multiplicity": 1},
-        ],
-        "r": 2,
-    }
-    path = write_json(tmp_path, "bal.json", data)
+    path = write_json(tmp_path, "bal.json", BALANCED)
     code, report, _ = run(capsys, "balanced", "search", "--json", path)
     assert code == 0
     assert report["certificate"]["witness"] == ["1", "1"]
@@ -182,22 +202,10 @@ def test_balanced_search(capsys, tmp_path):
 
 
 def test_lift_roundtrip(capsys, tmp_path):
-    inst = {
-        "d": 1,
-        "points": [
-            {"coords": ["0"], "color": 0, "multiplicity": 1},
-            {"coords": ["1/10"], "color": 0, "multiplicity": 2},
-            {"coords": ["1"], "color": 1, "multiplicity": 1},
-            {"coords": ["9/10"], "color": 1, "multiplicity": 2},
-            {"coords": ["1/2"], "color": 2, "multiplicity": 1},
-        ],
-        "r": 4,
-        "mode": "prime-power-1.3",
-    }
-    path = write_json(tmp_path, "inst.json", inst)
+    path = write_json(tmp_path, "inst.json", PRIME_POWER)
     code, report, _ = run(capsys, "tverberg", "search", "--json", path)
     assert code == 0
-    lift_input = {"config": inst, "solution": report["certificate"], "r": 4}
+    lift_input = {"config": PRIME_POWER, "solution": report["certificate"], "r": 4}
     path = write_json(tmp_path, "lift.json", lift_input)
     code, report, _ = run(capsys, "lift", "--json", path)
     assert code == 0
@@ -256,6 +264,149 @@ def test_seed_is_reported(capsys, tmp_path):
     assert report["seed"] == 9
 
 
-def test_invalid_workers(capsys):
-    code = main(["--workers", "0", "valuation", "--p", "2", "--m", "4"])
+UNAVOIDABLE_INPUT = {
+    "multiset": {"vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1, "2": 1}},
+    "r": 2,
+    "avoid_set": [0],
+}
+RADON_SOLUTION = {
+    "faces": [[2], [0, 1]],
+    "witness": ["1/2"],
+    "certificates": [["1"], ["1/2", "1/2"]],
+}
+# The Radon points with the exceptional (last) point twice.
+RADON_TWO_EXCEPTIONAL = radon_instance()
+RADON_TWO_EXCEPTIONAL["points"].append(RADON_TWO_EXCEPTIONAL["points"][2])
+
+
+# Malformed inputs and guard variables: each is an input error, never a traceback.
+@pytest.mark.parametrize(
+    "argv, data, env",
+    [
+        (["tverberg", "search"], dict(radon_instance(), r="x"), {}),
+        (["balanced", "search"], dict(radon_instance(), dim_caps={"k": 1}), {}),
+        (["homology"], {"universe": [0, 1, 2], "facets": [[0, "a"]]}, {}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r="two"), {}),
+        (["balanced", "search"], [radon_instance()], {}),
+        (["obstruction", "--p", "2", "--k", "2", "--d", "1"], None,
+         {"TVERROOK_OBSTRUCTION_GUARD": "abc"}),
+        (["unavoidable", "check"], UNAVOIDABLE_INPUT, {"TVERROOK_COLLECTION_GUARD": "abc"}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=-1), {}),
+        (["fixed-points"], {
+            "spec": {"m": 2, "n": 4.0, "row_caps": [1, 1, 1, 1], "col_caps": [1, 2]},
+            "generators": [[2, 1, 4, 3]],
+        }, {}),
+        (["lift"], {"config": radon_instance(), "r": 2,
+                    "solution": dict(RADON_SOLUTION, faces=[[0, 1]])}, {}),
+        (["lift"], {"config": RADON_TWO_EXCEPTIONAL, "r": 2, "solution": RADON_SOLUTION}, {}),
+        (["valuation", "--p", "2", "--m", "8", "--out", "/no/such/dir/cert.json"], None, {}),
+    ],
+    ids=[
+        "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
+        "balanced-top-level-list", "obstruction-guard-not-integer", "collection-guard-not-integer",
+        "unavoidable-r-negative", "board-size-not-integer", "lift-solution-not-verified",
+        "lift-two-exceptional-vertices", "out-not-writable",
+    ],
+)
+def test_malformed_input_is_input_error(capsys, tmp_path, monkeypatch, argv, data, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if data is not None:
+        argv = argv + ["--json", write_json(tmp_path, "in.json", data)]
+    code, report, err = run(capsys, *argv)
     assert code == 3
+    assert report["verdict"] == "error"
+    assert "Traceback" not in err
+
+
+COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
+LIFT_SOLUTION = {
+    "faces": [[4], [0, 2], [1, 3], [1, 3]],
+    "witness": ["1/2"],
+    "certificates": [["1"], ["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"]],
+}
+
+# Valid inputs of every subcommand that reads JSON.  Values stay small: the
+# property is about malformed input, not about instances too large to run.
+VALID_INPUTS = [
+    (["homology"], COMPLEX),
+    (["connectivity", "--level", "0"], COMPLEX),
+    (["constrain"], {"complex": COMPLEX, "avoid_sets": [[1]]}),
+    (["fixed-points"], {
+        "spec": {"m": 2, "n": 4, "row_caps": [1, 1, 1, 1], "col_caps": [1, 2]},
+        "generators": [[2, 1, 4, 3]],
+    }),
+    (["tverberg", "search"], radon_instance()),
+    (["tverberg", "search"], PRIME_POWER),
+    (["balanced", "search"], BALANCED),
+    (["lift"], {"config": PRIME_POWER, "solution": LIFT_SOLUTION, "r": 4}),
+    (["unavoidable", "check"], UNAVOIDABLE_INPUT),
+    (["unavoidable", "check"], {
+        "multiset": UNAVOIDABLE_INPUT["multiset"], "r": 2,
+        "complex": {"universe": [0, 1, 2], "facets": [[0, 1]]},
+    }),
+]
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(-4, 4),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["", "x", "1/2", "1/0", "2", "free", "prime-power-1.3", "balanced-1.6",
+                     "literal-k", "vertex-disjoint"]),
+)
+KEYS = st.sampled_from(["0", "1", "r", "d", "k", "s", "m", "n", "coords", "color", "points"])
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one to three nodes replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(VALUES)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, base", VALID_INPUTS, ids=[" ".join(argv) for argv, _ in VALID_INPUTS]
+)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_json_never_reaches_a_traceback(tmp_path, argv, base, data):
+    doc = data.draw(mutated(base), label="input")
+    argv = argv + ["--json", write_json(tmp_path, "in.json", doc)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert 0 <= code <= 4
+    report = json.loads(out.getvalue())
+    assert (report["verdict"] == "error") == (code >= 3)

@@ -17,7 +17,6 @@ from tverrook import (
     rainbow_faces,
     random_balanced_config,
     random_prime_power_config,
-    search_balanced,
     search_tverberg,
     search_tverberg_all,
     solve_balanced_caps,
@@ -189,7 +188,7 @@ def test_balanced_square_with_center():
         d=2,
     )
     instance = TverbergInstance(config, 2, mode="balanced-1.6", disjointness="vertex-disjoint")
-    sol = search_balanced(instance)
+    sol = search_tverberg(instance)
     assert isinstance(sol, TverbergSolution)
     assert sol.witness == (F(1), F(1))
     assert sol.policy == "shifted-k-plus-1"
@@ -203,14 +202,14 @@ def test_balanced_policies_disagree_generically():
     shifted = TverbergInstance(
         config, 2, mode="balanced-1.6", dim_caps=DimCaps(1, 0), disjointness="vertex-disjoint"
     )
-    sol = search_balanced(shifted)
+    sol = search_tverberg(shifted)
     assert isinstance(sol, TverbergSolution)
     assert all(len(f) <= 2 for f in sol.faces)
     literal = TverbergInstance(
         config, 2, mode="balanced-1.6",
         dim_caps=DimCaps(1, 0, policy="literal-k"), disjointness="vertex-disjoint",
     )
-    assert isinstance(search_balanced(literal), Exhausted)
+    assert isinstance(search_tverberg(literal), Exhausted)
 
 
 def test_balanced_rejects_oversized_class():
@@ -219,7 +218,7 @@ def test_balanced_rejects_oversized_class():
         d=2,
     )
     with pytest.raises(InputError):
-        search_balanced(
+        search_tverberg(
             TverbergInstance(config, 2, mode="balanced-1.6", disjointness="vertex-disjoint")
         )
 
