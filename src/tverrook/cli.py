@@ -12,7 +12,7 @@ echoes ``--seed``, and two functions:
 * a **runner**, ``run(*loaded) -> (verdict, details, certificate, summary)``,
   does the work.  The summary is the human-readable line for stderr.
 
-``build_parser`` builds the argument parser from the table.
+``build_parser`` builds the argument parser from the table, once per process.
 ``run_command`` runs the selected row: digest, timing, the ``--out``
 certificate file, the JSON report on stdout, the summary on stderr and the
 exit code.  ``main`` turns input errors and tripped guards into error
@@ -23,6 +23,7 @@ reports.  Exit codes: 0 verified/found, 1 refuted, 2 exhausted (free mode),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -30,7 +31,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, json_int
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -116,11 +117,13 @@ def _instance_from_json(data: dict) -> geometry.TverbergInstance:
     if data.get("dim_caps"):
         dc = data["dim_caps"]
         caps = geometry.DimCaps(
-            int(dc["k"]), int(dc["s"]), dc.get("policy", geometry.POLICY_SHIFTED)
+            json_int(dc["k"], "dim_caps.k"),
+            json_int(dc["s"], "dim_caps.s"),
+            dc.get("policy", geometry.POLICY_SHIFTED),
         )
     return geometry.TverbergInstance(
         config,
-        int(data["r"]),
+        json_int(data["r"], "r"),
         data.get("mode", "free"),
         caps,
         data.get("disjointness", "multiset-proper"),
@@ -129,7 +132,8 @@ def _instance_from_json(data: dict) -> geometry.TverbergInstance:
 
 def _load_tverberg(args):
     data = _load_json(args.json)
-    return data, (_instance_from_json(data), int(data.get("constraint_count", 0)))
+    instance = _instance_from_json(data)
+    return data, (instance, json_int(data.get("constraint_count", 0), "constraint_count"))
 
 
 def _load_balanced(args):
@@ -142,7 +146,7 @@ def _load_lift(args):
     data = _load_json(args.json)
     config = geometry.PointConfig.from_json(data["config"])
     solution = geometry.TverbergSolution.from_json(data["solution"])
-    return data, (config, solution, int(data["r"]))
+    return data, (config, solution, json_int(data["r"], "r"))
 
 
 def _load_example_a(args):
@@ -154,7 +158,7 @@ def _load_example_a(args):
 def _load_unavoidable(args):
     data = _load_json(args.json)
     V = constraints.Multiset.from_json(data["multiset"])
-    r = int(data["r"])
+    r = json_int(data["r"], "r")
     if "avoid_set" in data:
         return data, (V, r, simplicial.as_simplex(data["avoid_set"]), None)
     if "complex" in data:
@@ -364,7 +368,14 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole table, built once per process.
+
+    Every call returns the same parser; ``parse_args`` reads it and writes
+    only the namespace it returns, so no state passes from one call to the
+    next.
+    """
     parser = argparse.ArgumentParser(
         prog="tverrook",
         description="Chessboard pseudomanifolds, collapse degrees, and Tverberg partition search.",

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, ResourceLimitError, guard_from_env
+from .errors import InputError, ResourceLimitError, guard_from_env, json_int
 from .simplicial import Complex, antichain
 
 COLLECTION_GUARD_ENV = "TVERROOK_COLLECTION_GUARD"
@@ -57,7 +57,7 @@ class Multiset:
     @classmethod
     def from_json(cls, data: dict) -> "Multiset":
         try:
-            mapping = {int(v): int(mu) for v, mu in data["multiplicity"].items()}
+            mapping = {int(v): json_int(mu, "multiplicity") for v, mu in data["multiplicity"].items()}
             vertices = set(data["vertices"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed multiset JSON: {exc}") from exc

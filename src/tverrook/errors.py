@@ -23,3 +23,10 @@ def guard_from_env(name: str, default: int) -> int:
         return int(value)
     except ValueError as exc:
         raise InputError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer (not a bool, float or string), else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

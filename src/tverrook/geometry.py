@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, json_int
 from .exactlp import solve_equality_feasibility
 from .maps import CollapseTheta, is_prime, multiplicity_vector
 
@@ -100,12 +100,12 @@ class PointConfig:
             points = tuple(
                 ColoredPoint(
                     tuple(parse_rational(c) for c in pt["coords"]),
-                    int(pt["color"]),
-                    int(pt.get("multiplicity", 1)),
+                    json_int(pt["color"], "point color"),
+                    json_int(pt.get("multiplicity", 1), "point multiplicity"),
                 )
                 for pt in data["points"]
             )
-            return cls(int(data["d"]), points)
+            return cls(json_int(data["d"], "ambient dimension d"), points)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed point config JSON: {exc}") from exc
 

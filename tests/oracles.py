@@ -1,8 +1,13 @@
-"""Independent brute-force enumerators used as test oracles."""
+"""Independent reference implementations used as test oracles: brute-force
+enumerators and the `Fraction` phase-1 LP that `tverrook.exactlp` replaced."""
 
 import itertools
+from fractions import Fraction
 
 from tverrook import hulls_intersect
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def naive_rainbow_faces(config):
@@ -49,3 +54,73 @@ def naive_search_all(instance):
         if hulls_intersect(config, tup) is not None:
             solutions.append(tuple(tup))
     return solutions
+
+
+def fraction_equality_feasibility(A: list, b: list):
+    """Phase-1 simplex with Bland's rule on a `Fraction` tableau: x >= 0 with Ax = b, or None.
+
+    The reference for `tverrook.exactlp.solve_equality_feasibility`, which
+    must return the same point (or None) on every system.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    # rows with negative right-hand side are negated so artificials start feasible
+    T = []
+    rhs = []
+    for row, bi in zip(A, b):
+        if bi < 0:
+            T.append([-v for v in row])
+            rhs.append(-bi)
+        else:
+            T.append(list(row))
+            rhs.append(bi)
+
+    # columns n..n+m-1 are artificials; basis starts as the artificials
+    for i in range(m):
+        T[i].extend(_ONE if j == i else _ZERO for j in range(m))
+    basis = list(range(n, n + m))
+
+    # phase-1 objective: minimize the sum of artificials.
+    # reduced-cost row for the current (artificial) basis
+    cost = [_ZERO] * (n + m)
+    for j in range(n + m):
+        cost[j] = (_ONE if j >= n else _ZERO) - sum(T[i][j] for i in range(m))
+    value = -sum(rhs)
+
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        # Bland: smallest ratio, ties broken by smallest basis variable index
+        leaving = None
+        best = None
+        for i in range(m):
+            coeff = T[i][entering]
+            if coeff > 0:
+                ratio = rhs[i] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            raise AssertionError("phase-1 objective is bounded; unbounded pivot is impossible")
+        piv = T[leaving][entering]
+        T[leaving] = [v / piv for v in T[leaving]]
+        rhs[leaving] /= piv
+        for i in range(m):
+            if i != leaving and T[i][entering]:
+                factor = T[i][entering]
+                T[i] = [v - factor * w for v, w in zip(T[i], T[leaving])]
+                rhs[i] -= factor * rhs[leaving]
+        if cost[entering]:
+            factor = cost[entering]
+            cost = [v - factor * w for v, w in zip(cost, T[leaving])]
+            value -= factor * rhs[leaving]
+        basis[leaving] = entering
+
+    if value != 0:
+        return None
+    x = [_ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rhs[i]
+    return x

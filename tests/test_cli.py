@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tverrook import build_chessboard, standard_spec
-from tverrook.cli import main
+from oracles import fraction_equality_feasibility
+from tverrook import build_chessboard, geometry, standard_spec
+from tverrook.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -264,6 +265,40 @@ def test_seed_is_reported(capsys, tmp_path):
     assert report["seed"] == 9
 
 
+def test_parser_state_does_not_pass_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    example = ["example-a", "--p", "2", "--k", "2", "--d", "2"]
+    path = write_json(tmp_path, "inst.json", radon_instance())
+    _, report, _ = run(capsys, "--seed", "5", *example, "--epsilon", "1/100")
+    assert report["seed"] == 5
+    _, report, _ = run(capsys, *example)
+    assert report["seed"] == 0
+    code, report, _ = run(capsys, "--seed", "7", "tverberg", "search", "--json", path)
+    assert (code, report["seed"], report["subcommand"]) == (0, 7, "tverberg search")
+    code, report, _ = run(capsys, "valuation", "--p", "2", "--m", "8")
+    assert (code, report["seed"], report["details"]["ord_p_m_factorial"]) == (0, None, 7)
+    code, report, _ = run(capsys, "tverberg", "search", "--json", path)
+    assert (code, report["seed"]) == (0, 0)
+    assert main(["example-a", "--p", "2"]) == 3
+    capsys.readouterr()
+    _, report, _ = run(capsys, *example)
+    assert (report["seed"], report["subcommand"]) == (0, "example-a")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_example_a_matches_fraction_lp_oracle(capsys, monkeypatch, seed):
+    argv = ["--seed", str(seed), "example-a", "--p", "2", "--k", "2", "--d", "2",
+            "--epsilon", "1/100"]
+    outputs = []
+    for solver in (geometry.solve_equality_feasibility, fraction_equality_feasibility):
+        monkeypatch.setattr(geometry, "solve_equality_feasibility", solver)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.out.splitlines() if '"elapsed_seconds"' not in line]
+        outputs.append(("\n".join(lines), captured.err))
+    assert outputs[0] == outputs[1]
+
+
 UNAVOIDABLE_INPUT = {
     "multiset": {"vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1, "2": 1}},
     "r": 2,
@@ -277,6 +312,11 @@ RADON_SOLUTION = {
 # The Radon points with the exceptional (last) point twice.
 RADON_TWO_EXCEPTIONAL = radon_instance()
 RADON_TWO_EXCEPTIONAL["points"].append(RADON_TWO_EXCEPTIONAL["points"][2])
+LIFT_SOLUTION = {
+    "faces": [[4], [0, 2], [1, 3], [1, 3]],
+    "witness": ["1/2"],
+    "certificates": [["1"], ["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"]],
+}
 
 
 # Malformed inputs and guard variables: each is an input error, never a traceback.
@@ -300,12 +340,28 @@ RADON_TWO_EXCEPTIONAL["points"].append(RADON_TWO_EXCEPTIONAL["points"][2])
                     "solution": dict(RADON_SOLUTION, faces=[[0, 1]])}, {}),
         (["lift"], {"config": RADON_TWO_EXCEPTIONAL, "r": 2, "solution": RADON_SOLUTION}, {}),
         (["valuation", "--p", "2", "--m", "8", "--out", "/no/such/dir/cert.json"], None, {}),
+        (["tverberg", "search"], dict(radon_instance(), r=2.9), {}),
+        (["tverberg", "search"], dict(radon_instance(), d=True), {}),
+        (["tverberg", "search"], dict(radon_instance(), d=1.0), {}),
+        (["tverberg", "search"], dict(radon_instance(), points=[
+            dict(pt, color=pt["color"] + 0.7) for pt in radon_instance()["points"]]), {}),
+        (["tverberg", "search"], dict(radon_instance(), points=[
+            dict(pt, multiplicity=1.5) for pt in radon_instance()["points"]]), {}),
+        (["tverberg", "search"], dict(radon_instance(), constraint_count=0.5), {}),
+        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1.5, "s": 1}), {}),
+        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1, "s": "1"}), {}),
+        (["lift"], {"config": PRIME_POWER, "solution": LIFT_SOLUTION, "r": 4.0}, {}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=2.5), {}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
+            "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1.9, "2": 1}}), {}),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
         "balanced-top-level-list", "obstruction-guard-not-integer", "collection-guard-not-integer",
         "unavoidable-r-negative", "board-size-not-integer", "lift-solution-not-verified",
-        "lift-two-exceptional-vertices", "out-not-writable",
+        "lift-two-exceptional-vertices", "out-not-writable", "r-float", "d-bool", "d-float",
+        "color-float", "multiplicity-float", "constraint-count-float", "dim-caps-k-float",
+        "dim-caps-s-string", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, monkeypatch, argv, data, env):
@@ -320,11 +376,6 @@ def test_malformed_input_is_input_error(capsys, tmp_path, monkeypatch, argv, dat
 
 
 COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
-LIFT_SOLUTION = {
-    "faces": [[4], [0, 2], [1, 3], [1, 3]],
-    "witness": ["1/2"],
-    "certificates": [["1"], ["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"]],
-}
 
 # Valid inputs of every subcommand that reads JSON.  Values stay small: the
 # property is about malformed input, not about instances too large to run.
