@@ -4,7 +4,8 @@ The package has three layers:
 
 * combinatorics — ``simplicial`` (complexes as facet antichains),
   ``chessboard`` (multiple chessboard complexes, orientations, symmetry),
-  ``homology`` (reduced integral homology via Smith normal form), and
+  ``homology`` (reduced integral homology by sparse unit elimination and
+  Smith normal form), and
   ``maps`` (column-collapse maps, degrees, mod-p obstruction reports);
 * geometry — exact rational point configurations and the rainbow
   Tverberg partition search (``geometry``, ``exactlp``);

@@ -234,8 +234,9 @@ def _obstruction(p, k, d):
 
 def _homology(K):
     profile = homology.betti_and_torsion(K)
-    details = {"profile": profile.to_json()}
-    return "verified", details, details, f"reduced Betti numbers: {list(profile.betti)}"
+    certificate = {"profile": profile.to_json()}
+    details = {**certificate, "stats": {"boundary": list(profile.boundary)}}
+    return "verified", details, certificate, f"reduced Betti numbers: {list(profile.betti)}"
 
 
 def _connectivity(K, level):

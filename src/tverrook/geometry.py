@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, json_int
+from .errors import InputError, ResourceLimitError, json_int
 from .exactlp import solve_equality_feasibility
 from .maps import CollapseTheta, is_prime, multiplicity_vector
 
@@ -27,6 +27,10 @@ MODES = (
     "balanced-1.6",
     "free",
 )
+
+# The search recurses once per part, so r is capped well below Python's
+# recursion limit.
+MAX_PARTS = 64
 
 POLICY_SHIFTED = "shifted-k-plus-1"
 POLICY_LITERAL = "literal-k"
@@ -460,6 +464,8 @@ def _search(instance: TverbergInstance, find_all: bool):
     """
     config = instance.config
     r = instance.r
+    if r > MAX_PARTS:
+        raise ResourceLimitError(f"search depth r = {r} exceeds the cap ({MAX_PARTS})")
     faces = rainbow_faces(config)
     boxes = [_box(config, f) for f in faces]
     disjoint = instance.disjointness == "vertex-disjoint"

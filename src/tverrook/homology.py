@@ -1,14 +1,21 @@
-"""Reduced integral simplicial homology via Smith normal form.
+"""Reduced integral simplicial homology by sparse unit elimination, then
+Smith normal form on what is left.
 
 Boundary matrices use the sorted-vertex sign convention and include the
 augmentation map to the empty simplex, so all Betti numbers are reduced.
-Smith normal form is computed by exact integer elimination with minimal
-absolute-value pivoting; arbitrary-precision integers throughout.
+Each boundary map is built as sparse columns ``{row: +-1}``.  Its unit
+(+-1) entries are eliminated first, one pivot at a time, choosing the
+smallest Markowitz fill (r-1)(c-1) (ties: lowest column, then lowest row);
+each elimination is an integer unimodular move that contributes one
+invariant factor 1 (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35,
+1998).  The dense Smith normal form, exact integer elimination with minimal
+absolute-value pivoting, then runs only on the remainder, which carries all
+the torsion.  Arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 from .simplicial import Complex, faces_by_dimension
@@ -86,21 +93,127 @@ def smith_invariants(matrix: list) -> list:
     return invariants
 
 
+def _boundary_columns(by_dim: dict, q: int) -> list:
+    """Sparse columns of the boundary map from q-faces to (q-1)-faces.
+
+    Column j is ``{i: +-1}`` over the (q-1)-faces i of the j-th q-face, both
+    indexed in the sorted order of ``faces_by_dimension``.
+    """
+    index = {face: i for i, face in enumerate(by_dim.get(q - 1, []))}
+    return [
+        {index[face[:idx] + face[idx + 1:]]: -1 if idx % 2 else 1 for idx in range(len(face))}
+        for face in by_dim.get(q, [])
+    ]
+
+
 def boundary_matrix(K: Complex, q: int) -> list:
-    """Matrix of the boundary map from q-faces to (q-1)-faces.
+    """Dense matrix of the boundary map from q-faces to (q-1)-faces.
 
     For q = 0 this is the augmentation map onto the empty simplex.
     """
     by_dim = faces_by_dimension(K)
-    top = by_dim.get(q, [])
-    bottom = by_dim.get(q - 1, [])
-    index = {face: i for i, face in enumerate(bottom)}
-    matrix = [[0] * len(top) for _ in bottom]
-    for col, face in enumerate(top):
-        for idx in range(len(face)):
-            sub = face[:idx] + face[idx + 1:]
-            matrix[index[sub]][col] += (-1) ** idx
+    columns = _boundary_columns(by_dim, q)
+    matrix = [[0] * len(columns) for _ in by_dim.get(q - 1, [])]
+    for col, column in enumerate(columns):
+        for row, value in column.items():
+            matrix[row][col] = value
     return matrix
+
+
+def eliminate_units(columns: list, n_rows: int):
+    """Eliminate +-1 pivots of a sparse integer matrix.
+
+    Returns ``(units, remainder)``: the number of pivots eliminated, each an
+    invariant factor 1, and the dense matrix of the rows and columns left
+    nonzero, whose Smith invariants are the rest.  A pivot (i, j) of value
+    u clears row i by the column moves ``col_k -= a_ik * u * col_j``; then
+    row i and column j are dropped.  The next pivot is the unit entry of
+    least fill (r_i - 1)(c_j - 1), ties to the lowest column, then row.
+    The column dicts are updated in place.
+
+    The heap keeps, for every unit entry, an item whose cost is at most the
+    entry's current cost: an entry is pushed again when its value changes or
+    a line through it shrinks.  A popped item whose entry is gone or no
+    longer a unit is dropped; one below the current cost (a line grew) is
+    pushed back at that cost; one above it is a duplicate and is dropped.
+    So the first item popped at its entry's current cost is the least.
+    """
+    from heapq import heapify, heappop, heappush  # here: only homology needs them
+
+    cols = list(columns)  # None once a column is eliminated
+    rows = [set() for _ in range(n_rows)]  # row -> columns with an entry there
+    for j, column in enumerate(cols):
+        for i in column:
+            rows[i].add(j)
+    heap = [
+        ((len(rows[i]) - 1) * (len(column) - 1), j, i)
+        for j, column in enumerate(cols)
+        for i, v in column.items()
+        if v == 1 or v == -1
+    ]
+    heapify(heap)
+    units = 0
+    # each pivot removes a row and a column, so at most this many
+    rank_cap = min(n_rows, len(cols))
+    while heap and units < rank_cap:
+        cost, j, i = heappop(heap)
+        pivot_col = cols[j]
+        if pivot_col is None or pivot_col.get(i) not in (1, -1):
+            continue
+        now = (len(rows[i]) - 1) * (len(pivot_col) - 1)
+        if now != cost:
+            if now > cost:
+                heappush(heap, (now, j, i))
+            continue
+        units += 1
+        cols[j] = None
+        u = pivot_col.pop(i)
+        row_len = {}
+        for r in pivot_col:
+            row_len[r] = len(rows[r])
+            rows[r].discard(j)
+        others = rows[i]
+        others.discard(j)
+        rows[i] = set()
+        shrunk = set()
+        for k in others:
+            target = cols[k]
+            col_len = len(target)
+            factor = target.pop(i) * u
+            for r, v in pivot_col.items():
+                new = target.get(r, 0) - factor * v
+                if not new:
+                    del target[r]
+                    rows[r].discard(k)
+                else:
+                    if r not in target:
+                        rows[r].add(k)
+                    target[r] = new
+            if len(target) < col_len:
+                shrunk.add(k)
+        # Push the final cost of every unit entry that changed in value (they
+        # lie on the rows of column j) or lies on a line that shrank.
+        for k in others:
+            target = cols[k]
+            c = len(target) - 1
+            for r in target if k in shrunk else pivot_col:
+                v = target.get(r)
+                if v == 1 or v == -1:
+                    heappush(heap, ((len(rows[r]) - 1) * c, k, r))
+        for r in pivot_col:
+            if len(rows[r]) < row_len[r]:
+                c = len(rows[r]) - 1
+                for k in rows[r]:
+                    v = cols[k][r]
+                    if v == 1 or v == -1:
+                        heappush(heap, (c * (len(cols[k]) - 1), k, r))
+    live_rows = {r: a for a, r in enumerate(r for r in range(n_rows) if rows[r])}
+    live_cols = [column for column in cols if column]
+    remainder = [[0] * len(live_cols) for _ in live_rows]
+    for b, column in enumerate(live_cols):
+        for r, v in column.items():
+            remainder[live_rows[r]][b] = v
+    return units, remainder
 
 
 @dataclass(frozen=True)
@@ -110,6 +223,9 @@ class HomologyProfile:
     betti: tuple
     torsion: tuple  # tuple of tuples of invariant factors > 1
     reduced: bool = True
+    # what elimination did to each boundary map, one row per q:
+    # {"q", "rows", "cols", "units", "remainder": [rows, cols]}
+    boundary: tuple = field(default=(), compare=False)
 
     def betti_number(self, q: int) -> int:
         return self.betti[q] if 0 <= q < len(self.betti) else 0
@@ -130,21 +246,24 @@ def betti_and_torsion(K: Complex) -> HomologyProfile:
         raise InputError("homology requires a nonempty complex")
     by_dim = faces_by_dimension(K)
     dim = K.dimension
-    counts = {q: len(by_dim.get(q, [])) for q in range(dim + 1)}
 
-    invariants = {}
-    ranks = {}
-    for q in range(dim + 2):
-        inv = smith_invariants(boundary_matrix(K, q)) if q <= dim else []
-        invariants[q] = inv
-        ranks[q] = len(inv)
-
-    betti = []
-    torsion = []
+    ranks = [0] * (dim + 2)
+    torsion_by_map = [()] * (dim + 2)
+    boundary = []
     for q in range(dim + 1):
-        betti.append(counts[q] - ranks[q] - ranks[q + 1])
-        torsion.append(tuple(d for d in invariants[q + 1] if d > 1))
-    return HomologyProfile(tuple(betti), tuple(torsion))
+        columns = _boundary_columns(by_dim, q)
+        n_rows = len(by_dim[q - 1])
+        units, remainder = eliminate_units(columns, n_rows)
+        inv = smith_invariants(remainder)
+        ranks[q] = units + len(inv)
+        torsion_by_map[q] = tuple(d for d in inv if d > 1)
+        shape = [len(remainder), len(remainder[0]) if remainder else 0]
+        boundary.append(
+            {"q": q, "rows": n_rows, "cols": len(columns), "units": units, "remainder": shape}
+        )
+
+    betti = tuple(len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(dim + 1))
+    return HomologyProfile(betti, tuple(torsion_by_map[1:]), boundary=tuple(boundary))
 
 
 def homological_connectivity(K: Complex, c: int) -> bool:

@@ -1,10 +1,18 @@
 """Independent reference implementations used as test oracles: brute-force
-enumerators and the `Fraction` phase-1 LP that `tverrook.exactlp` replaced."""
+enumerators, the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, and
+the whole-matrix Smith normal form homology that sparse unit elimination
+replaced in `tverrook.homology`."""
 
 import itertools
 from fractions import Fraction
 
-from tverrook import hulls_intersect
+from tverrook import (
+    HomologyProfile,
+    boundary_matrix,
+    faces_by_dimension,
+    hulls_intersect,
+    smith_invariants,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -124,3 +132,19 @@ def fraction_equality_feasibility(A: list, b: list):
         if var < n:
             x[var] = rhs[i]
     return x
+
+
+def dense_betti_and_torsion(K):
+    """Reduced integral homology from the dense Smith form of each whole boundary matrix.
+
+    The reference for `tverrook.betti_and_torsion`, which must give the same
+    Betti numbers and torsion on every complex.
+    """
+    by_dim = faces_by_dimension(K)
+    dim = K.dimension
+    invariants = [smith_invariants(boundary_matrix(K, q)) for q in range(dim + 1)] + [[]]
+    betti = tuple(
+        len(by_dim[q]) - len(invariants[q]) - len(invariants[q + 1]) for q in range(dim + 1)
+    )
+    torsion = tuple(tuple(d for d in invariants[q + 1] if d > 1) for q in range(dim + 1))
+    return HomologyProfile(betti, torsion)

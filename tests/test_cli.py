@@ -125,6 +125,19 @@ def test_obstruction_guard_exit_code(capsys, monkeypatch):
     assert report["verdict"] == "error"
 
 
+def test_search_depth_guard_exit_code(capsys, tmp_path):
+    # r parts need r nested levels of the search: a huge r is refused up
+    # front (exit 4), not left to end in a RecursionError (exit 1).
+    instance = radon_instance()
+    instance["r"] = 3000
+    instance["points"][0]["multiplicity"] = 5000
+    path = write_json(tmp_path, "inst.json", instance)
+    code, report, _ = run(capsys, "tverberg", "search", "--json", path)
+    assert code == 4
+    assert report["verdict"] == "error"
+    assert "3000" in report["message"]
+
+
 def test_homology(capsys, tmp_path):
     K = build_chessboard(standard_spec(3, 4))
     path = write_json(tmp_path, "cx.json", K.to_json())
@@ -135,6 +148,16 @@ def test_homology(capsys, tmp_path):
         {"q": 1, "betti": 2, "torsion": []},
         {"q": 2, "betti": 1, "torsion": []},
     ]
+    # Every rank of M(3,4) is carried by unit pivots: no remainder reaches SNF.
+    assert report["details"]["stats"]["boundary"] == [
+        {"q": 0, "rows": 1, "cols": 12, "units": 1, "remainder": [0, 0]},
+        {"q": 1, "rows": 12, "cols": 36, "units": 11, "remainder": [0, 0]},
+        {"q": 2, "rows": 36, "cols": 24, "units": 23, "remainder": [0, 0]},
+    ]
+    _, again, _ = run(capsys, "homology", "--json", path)
+    report.pop("elapsed_seconds")
+    again.pop("elapsed_seconds")
+    assert again == report
 
 
 def test_connectivity_exit_codes(capsys, tmp_path):

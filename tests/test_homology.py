@@ -1,3 +1,4 @@
+import math
 import random
 
 from tverrook import (
@@ -144,3 +145,31 @@ def test_face_counts_feed_euler():
     K = build_chessboard(standard_spec(3, 4))
     counts = face_counts(K)
     assert counts[1] == 3 * 4 * 3  # edges: ordered pairs of non-attacking rooks / 2 = 36
+
+
+def reduced_euler_closed_form(m, n):
+    """Sum over k of (-1)^(k-1) C(m,k) C(n,k) k!: the faces of M(m,n) with k rooks."""
+    return sum((-1) ** (k - 1) * math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+               for k in range(min(m, n) + 1))
+
+
+def test_5_5_board_has_3_torsion():
+    # Shareshian-Wachs, Adv. Math. 212 (2007): H_2(M(5,5)) = Z/3.
+    K = build_chessboard(standard_spec(5, 5))
+    profile = betti_and_torsion(K)
+    assert profile.betti == (0, 0, 0, 56, 0)
+    assert profile.torsion == ((), (), (3,), (), ())
+    chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
+    assert chi == reduced_euler_closed_form(5, 5) == euler_characteristic(K, reduced=True) == -56
+    # Unit elimination leaves a remainder for the dense Smith form only in
+    # the boundary map from 3-faces, and that remainder carries the Z/3.
+    assert [r["remainder"] for r in profile.boundary] == [[0, 0], [0, 0], [0, 0], [8, 24], [0, 0]]
+
+
+def test_5_6_board_is_torsion_free():
+    K = build_chessboard(standard_spec(5, 6))
+    profile = betti_and_torsion(K)
+    assert profile.betti == (0, 0, 0, 152, 1)
+    assert profile.torsion == ((), (), (), (), ())
+    chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
+    assert chi == reduced_euler_closed_form(5, 6) == euler_characteristic(K, reduced=True) == -151
