@@ -4,17 +4,28 @@ Columns carry the capacity vector L (at most l_j rooks in column j), rows
 carry the capacity vector K (at most k_i rooks in row i); the main family
 has all row capacities equal to 1.  Cells are numbered row-major:
 id = (row - 1) * m + (col - 1), with 1-based rows and columns.
+
+One enumerator, `_maximal_placements`, lists the facets of every complex
+here.  Row i takes at most k_i distinct columns and uses a weight w_i of
+each column it takes; `build_chessboard` gives every row weight 1, and
+`fixed_subcomplex` makes one row of cap 1 per orbit, weighted by the orbit
+size.  A placement is maximal iff every row that is not full left each
+column it skipped with less spare capacity than w_i.  Rows are filled in
+order and a branch is cut once the spare capacity the remaining rows must
+still use up exceeds what they can take, so only maximal placements are
+completed, and they come out lex sorted.  More than `MAX_FACETS` facets
+raise `ResourceLimitError`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
-from .simplicial import Complex, antichain, chain_boundary
+from .simplicial import Complex, chain_boundary
 
 SUBGROUP_ELEMENT_CAP = 100_000
+MAX_FACETS = 100_000
 
 
 @dataclass(frozen=True)
@@ -84,112 +95,77 @@ def sphere_spec(n: int) -> ChessboardSpec:
     return ChessboardSpec(1, n, (1,) * n, (n - 1,))
 
 
-def _multiset_permutations(counts: list):
-    """All distinct sequences using counts[j] copies of each symbol j."""
-    total = sum(counts)
-    seq = []
+def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
+    """Every maximal placement on n = len(row_caps) rows and m columns, lex sorted.
 
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for j in range(len(counts)):
-            if counts[j] > 0:
-                counts[j] -= 1
-                seq.append(j)
-                yield from rec()
-                seq.pop()
-                counts[j] += 1
-
-    yield from rec()
-
-
-def _facets_pm_family(spec: ChessboardSpec) -> list:
-    """Facets when n = sum(col_caps) + 1: omit one row, fill every column."""
-    facets = []
-    for omitted in range(1, spec.n + 1):
-        rows = [r for r in range(1, spec.n + 1) if r != omitted]
-        for cols in _multiset_permutations(list(spec.col_caps)):
-            facets.append(tuple(spec.cell(j + 1, r) for j, r in zip(cols, rows)))
-    return facets
-
-
-def _facets_one_rook_rows(spec: ChessboardSpec) -> list:
-    """Maximal placements when every row cap is 1.
-
-    A placement is maximal iff no row is unused or no column has spare
-    capacity.  Rows are assigned in order; each takes a column or stays empty.
+    Row i takes at most row_caps[i] distinct columns, and each column it
+    takes uses weights[i] of that column's capacity.  A placement is the
+    tuple of its cell ids i * m + j.  Rows are filled in order, each trying
+    its columns in ascending order before it ends, so the placements come
+    out in lex order.  A branch is cut as soon as the remaining rows cannot
+    make it maximal (see the module docstring).  The next row is reached by
+    looping, not recursing, so the recursion depth is a placement's size.
     """
-    m, n = spec.m, spec.n
-    caps = list(spec.col_caps)
+    n = len(row_caps)
+    reach = [0] * (n + 1)  # reach[i]: capacity rows i.. can still use
+    for i in reversed(range(n)):
+        reach[i] = reach[i + 1] + min(row_caps[i], m) * weights[i]
+    spare = list(col_caps)
     facets = []
-    placement = []
 
-    def rec(row, unused_rows, spare):
-        if row > n:
-            if unused_rows == 0 or spare == 0:
-                facets.append(tuple(placement))
-            return
-        for j in range(m):
-            if caps[j] > 0:
-                caps[j] -= 1
-                placement.append(spec.cell(j + 1, row))
-                rec(row + 1, unused_rows, spare - 1)
-                placement.pop()
-                caps[j] += 1
-        rec(row + 1, unused_rows + 1, spare)
+    def extend(i, start, taken, limit, excess, prefix):
+        # limit[j]: the most spare capacity column j may keep in a maximal
+        # placement; excess: how far the columns are above their limits in all
+        while True:
+            w = weights[i]
+            if taken < row_caps[i]:
+                base = i * m
+                for j in range(start, m):
+                    s = spare[j]
+                    if s >= w:
+                        spare[j] = s - w
+                        cut = max(0, min(w, s - limit[j]))
+                        extend(i, j + 1, taken + 1, limit, excess - cut, prefix + (base + j,))
+                        spare[j] = s
+                if excess > reach[i + 1]:  # ending the row short only adds to the excess
+                    return
+                own = prefix[len(prefix) - taken:]
+                limit = [
+                    l if l < w or base + j in own else w - 1 for j, l in enumerate(limit)
+                ]
+                excess = sum(s - l for s, l in zip(spare, limit) if s > l)
+            if excess > reach[i + 1]:
+                return
+            if i + 1 == n:
+                facets.append(prefix)
+                if len(facets) > MAX_FACETS:
+                    raise ResourceLimitError(f"more than MAX_FACETS = {MAX_FACETS} facets")
+                return
+            i, start, taken = i + 1, 0, 0
 
-    rec(1, 0, sum(caps))
-    return facets
-
-
-def _facets_general(spec: ChessboardSpec) -> list:
-    """Maximal placements for arbitrary caps, by cell-wise enumeration."""
-    m, n = spec.m, spec.n
-    if m * n > 42:
-        raise ResourceLimitError(f"general chessboard enumeration capped at 42 cells, got {m * n}")
-    row_left = list(spec.row_caps)
-    col_left = list(spec.col_caps)
-    cells = [(spec.cell(j + 1, i + 1), j, i) for i in range(n) for j in range(m)]
-    facets = []
-    placement = []
-
-    def maximal() -> bool:
-        chosen = set(placement)
-        return all(
-            vid in chosen or row_left[i] == 0 or col_left[j] == 0 for vid, j, i in cells
-        )
-
-    def rec(idx):
-        if idx == len(cells):
-            if maximal():
-                facets.append(tuple(placement))
-            return
-        vid, j, i = cells[idx]
-        if row_left[i] > 0 and col_left[j] > 0:
-            row_left[i] -= 1
-            col_left[j] -= 1
-            placement.append(vid)
-            rec(idx + 1)
-            placement.pop()
-            row_left[i] += 1
-            col_left[j] += 1
-        rec(idx + 1)
-
-    rec(0)
-    return facets
+    extend(0, 0, 0, list(col_caps), 0, ())
+    return tuple(facets)
 
 
 def build_chessboard(spec: ChessboardSpec) -> Complex:
     """The complex of rook placements respecting both capacity vectors."""
-    if spec.is_pseudomanifold_family():
-        facets = _facets_pm_family(spec)
-    elif all(c == 1 for c in spec.row_caps):
-        facets = _facets_one_rook_rows(spec)
-    else:
-        facets = _facets_general(spec)
-    universe = frozenset(range(spec.m * spec.n))
-    return Complex(universe, antichain(facets))
+    facets = _maximal_placements(spec.m, spec.col_caps, spec.row_caps, (1,) * spec.n)
+    return Complex(frozenset(range(spec.m * spec.n)), facets)
+
+
+def _union_find(size: int, pairs) -> list:
+    """The root of each of range(size) once every pair is joined into one class."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(size)]
 
 
 @dataclass(frozen=True)
@@ -228,20 +204,10 @@ def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
     offending = tuple(sorted(r for r, fs in ridge_incidence.items() if len(fs) != 2))
     ridge_degrees_ok = not offending
 
-    # union-find over facets sharing a ridge
-    parent = list(range(len(facets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fs in ridge_incidence.values():
-        r0 = find(fs[0])
-        for other in fs[1:]:
-            parent[find(other)] = r0
-    strongly_connected = len({find(i) for i in range(len(facets))}) == 1
+    roots = _union_find(
+        len(facets), ((fs[0], other) for fs in ridge_incidence.values() for other in fs[1:])
+    )
+    strongly_connected = len(set(roots)) == 1
 
     return PseudomanifoldReport(pure, ridge_degrees_ok, strongly_connected, offending)
 
@@ -287,12 +253,7 @@ class RowPermutation:
     @property
     def parity(self) -> int:
         """+1 for even permutations, -1 for odd."""
-        inversions = sum(
-            1
-            for a, b in itertools.combinations(range(self.n), 2)
-            if self.mapping[a] > self.mapping[b]
-        )
-        return -1 if inversions % 2 else 1
+        return _sort_sign(self.mapping)
 
     def compose(self, other: "RowPermutation") -> "RowPermutation":
         """self after other: (self * other)(i) = self(other(i))."""
@@ -384,21 +345,10 @@ class Subgroup:
                     frontier.append(nxt)
         element_perms = tuple(RowPermutation(e) for e in sorted(elements))
 
-        # orbit partition of [n]
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in element_perms:
-            for i in range(1, n + 1):
-                parent[find(i)] = find(g(i))
+        roots = _union_find(n + 1, ((i, g(i)) for g in element_perms for i in range(1, n + 1)))
         groups: dict = {}
         for i in range(1, n + 1):
-            groups.setdefault(find(i), []).append(i)
+            groups.setdefault(roots[i], []).append(i)
         orbits = tuple(sorted(tuple(sorted(o)) for o in groups.values()))
         return cls(gens, element_perms, orbits)
 
@@ -421,54 +371,18 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
     Vertices are orbit barycenters b(i, j) for column i and orbit O_j,
     admissible iff |O_j| <= l_i, numbered (j-1)*m + (i-1).  A face uses each
     orbit in at most one column, with per-column orbit sizes summing to at
-    most the column capacity.
+    most the column capacity: a placement with one row per orbit, of row
+    cap 1 and weight |O_j|.
     """
     if not all(c == 1 for c in spec.row_caps):
         raise InputError("fixed subcomplex is defined for row caps all 1")
-    orbits = H.orbits
-    sizes = [len(o) for o in orbits]
-    m, t = spec.m, len(orbits)
-
-    def vid(col: int, orb: int) -> int:  # 1-based col, 1-based orbit index
-        return (orb - 1) * m + (col - 1)
-
-    admissible = [
-        vid(i, j)
-        for j in range(1, t + 1)
-        for i in range(1, m + 1)
-        if sizes[j - 1] <= spec.col_caps[i - 1]
-    ]
-
-    col_left = list(spec.col_caps)
-    facets = []
-    chosen = []
-
-    def maximal() -> bool:
-        used_orbits = {v // m for v in chosen}
-        for j in range(t):
-            if j in used_orbits:
-                continue
-            if any(col_left[i] >= sizes[j] for i in range(m)):
-                return False
-        return True
-
-    def rec(orb):
-        if orb > t:
-            if maximal():
-                facets.append(tuple(sorted(chosen)))
-            return
-        size = sizes[orb - 1]
-        for i in range(1, m + 1):
-            if col_left[i - 1] >= size:
-                col_left[i - 1] -= size
-                chosen.append(vid(i, orb))
-                rec(orb + 1)
-                chosen.pop()
-                col_left[i - 1] += size
-        rec(orb + 1)
-
-    rec(1)
-    return Complex(frozenset(admissible), antichain(facets))
+    m = spec.m
+    sizes = [len(o) for o in H.orbits]
+    admissible = frozenset(
+        j * m + i for j, size in enumerate(sizes) for i in range(m) if size <= spec.col_caps[i]
+    )
+    facets = _maximal_placements(m, spec.col_caps, (1,) * len(sizes), sizes)
+    return Complex(admissible, facets)
 
 
 def verify_orientation(spec: ChessboardSpec, tau: dict) -> bool:

@@ -9,7 +9,6 @@ facet `()` and dimension -1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -158,7 +157,6 @@ def skeleton(K: Complex, k: int) -> Complex:
     return Complex(K.universe, antichain(faces))
 
 
-@functools.lru_cache(maxsize=None)
 def faces_by_dimension(K: Complex) -> dict:
     """All faces of K grouped by dimension (including the empty simplex)."""
     by_dim: dict = {}

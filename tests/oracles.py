@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles: brute-force
-enumerators, the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, and
-the whole-matrix Smith normal form homology that sparse unit elimination
+enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
+the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, and the
+whole-matrix Smith normal form homology that sparse unit elimination
 replaced in `tverrook.homology`."""
 
 import itertools
@@ -16,6 +17,63 @@ from tverrook import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _maximal_faces(vertices, admissible):
+    """The maximal subsets of `vertices` that satisfy `admissible`, lex sorted.
+
+    Every subset is tested; admissibility is closed under taking subsets, so
+    a face is maximal iff no single vertex can be added to it.
+    """
+    faces = {
+        s
+        for k in range(len(vertices) + 1)
+        for s in itertools.combinations(vertices, k)
+        if admissible(s)
+    }
+    return sorted(
+        f for f in faces
+        if not any(tuple(sorted(f + (v,))) in faces for v in vertices if v not in f)
+    )
+
+
+def brute_force_facets(spec):
+    """Facets of `build_chessboard(spec)`: all rook placements, cell by cell."""
+
+    def admissible(cells):
+        coords = [spec.cell_coords(v) for v in cells]
+        return all(
+            sum(1 for c, _ in coords if c == col) <= cap
+            for col, cap in enumerate(spec.col_caps, start=1)
+        ) and all(
+            sum(1 for _, r in coords if r == row) <= cap
+            for row, cap in enumerate(spec.row_caps, start=1)
+        )
+
+    return _maximal_faces(list(range(spec.m * spec.n)), admissible)
+
+
+def brute_force_fixed_subcomplex(spec, orbits):
+    """Universe and facets of `fixed_subcomplex` for a subgroup with these orbits.
+
+    Vertex (j - 1) * m + (i - 1) is the barycenter of orbit j in column i,
+    admissible iff |O_j| <= l_i.  A face uses each orbit at most once and
+    puts orbits of total size at most l_i in column i.
+    """
+    m = spec.m
+    sizes = [len(o) for o in orbits]
+    universe = [
+        j * m + i for j in range(len(orbits)) for i in range(m) if sizes[j] <= spec.col_caps[i]
+    ]
+
+    def admissible(vertices):
+        used = [v // m for v in vertices]
+        load = [0] * m
+        for v in vertices:
+            load[v % m] += sizes[v // m]
+        return len(used) == len(set(used)) and all(x <= c for x, c in zip(load, spec.col_caps))
+
+    return frozenset(universe), _maximal_faces(universe, admissible)
 
 
 def naive_rainbow_faces(config):

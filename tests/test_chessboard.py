@@ -2,10 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_force_facets, brute_force_fixed_subcomplex
 from tverrook import (
     ChessboardSpec,
     InputError,
+    ResourceLimitError,
     RowPermutation,
     Subgroup,
     act_row_permutation,
@@ -13,6 +17,7 @@ from tverrook import (
     build_chessboard,
     build_complex,
     chain_boundary,
+    chessboard,
     check_pseudomanifold,
     fixed_subcomplex,
     link,
@@ -23,7 +28,6 @@ from tverrook import (
     trivial_subgroup,
     verify_orientation,
 )
-from tverrook.chessboard import _facets_general, _facets_one_rook_rows
 
 
 def compositions(total, parts=None):
@@ -73,27 +77,6 @@ def test_bad_spec_rejected():
         ChessboardSpec(1, 2, (1, -1), (1,))
 
 
-def brute_force_facets(spec):
-    """Oracle: enumerate all rook placements cell by cell, keep the maximal ones."""
-    cells = list(range(spec.m * spec.n))
-
-    def admissible(subset):
-        for col in range(1, spec.m + 1):
-            if sum(1 for v in subset if spec.cell_coords(v)[0] == col) > spec.col_caps[col - 1]:
-                return False
-        for row in range(1, spec.n + 1):
-            if sum(1 for v in subset if spec.cell_coords(v)[1] == row) > spec.row_caps[row - 1]:
-                return False
-        return True
-
-    faces = [s for k in range(len(cells) + 1)
-             for s in itertools.combinations(cells, k) if admissible(s)]
-    face_set = set(faces)
-    maximal = [f for f in faces
-               if not any(set(f) < set(g) for g in face_set if len(g) == len(f) + 1)]
-    return sorted(maximal)
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -103,11 +86,28 @@ def brute_force_facets(spec):
         one_row_spec((2, 2)),
         ChessboardSpec(2, 3, (1, 2, 1), (2, 2)),
         ChessboardSpec(2, 2, (1, 1), (1, 1)),
+        one_row_spec((1, 1, 2)),
+        one_row_spec((3,)),
+        ChessboardSpec(3, 3, (2, 3, 1), (1, 2, 2)),
+        ChessboardSpec(3, 2, (3, 2), (2, 1, 1)),
+        ChessboardSpec(2, 4, (2, 0, 2, 1), (2, 3)),
+        ChessboardSpec(3, 3, (1, 1, 1), (0, 2, 0)),
+        ChessboardSpec(2, 2, (0, 0), (1, 1)),
+        ChessboardSpec(2, 3, (1, 1, 1), (0, 0)),
     ],
 )
 def test_facets_match_brute_force(spec):
     K = build_chessboard(spec)
+    assert K.universe == frozenset(range(spec.m * spec.n))
     assert list(K.facets) == brute_force_facets(spec)
+
+
+def test_facet_cap_counts_facets(monkeypatch):
+    monkeypatch.setattr(chessboard, "MAX_FACETS", 24)
+    assert len(build_chessboard(standard_spec(3, 4)).facets) == 24
+    monkeypatch.setattr(chessboard, "MAX_FACETS", 23)
+    with pytest.raises(ResourceLimitError):
+        build_chessboard(standard_spec(3, 4))
 
 
 def test_standard_2_3_is_a_hexagon():
@@ -141,14 +141,6 @@ def test_facet_count_formula(col_caps):
     expected = n * math.factorial(n - 1) // math.prod(math.factorial(l) for l in col_caps)
     assert len(K.facets) == expected
     assert K.dimension == n - 2
-
-
-def test_fast_generator_agrees_with_general_one():
-    for col_caps in [(1, 2), (2, 2), (1, 1, 2), (3,)]:
-        spec = one_row_spec(col_caps)
-        assert sorted(_facets_one_rook_rows(spec)) == sorted(_facets_general(spec))
-        K = build_chessboard(spec)
-        assert sorted(K.facets) == sorted(_facets_general(spec))
 
 
 def test_pseudomanifold_refuted_off_family():
@@ -281,3 +273,42 @@ def test_fixed_complex_dimension_inequality():
         cap = fixed_subcomplex(sphere, H).dimension
         for spec in specs:
             assert fixed_subcomplex(spec, H).dimension <= cap
+
+
+@st.composite
+def small_boards(draw):
+    """Boards with m * n <= 12 and capacities 0..3."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12 // m))
+    caps = st.integers(0, 3)
+    row_caps = draw(st.lists(caps, min_size=n, max_size=n))
+    col_caps = draw(st.lists(caps, min_size=m, max_size=m))
+    return ChessboardSpec(m, n, tuple(row_caps), tuple(col_caps))
+
+
+@st.composite
+def boards_with_row_subgroups(draw):
+    """One-rook-per-row boards with m * n <= 12 and n <= 6, and a subgroup of row
+    permutations (two random permutations of more rows mostly generate a
+    symmetric group too large to close)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(6, 12 // m)))
+    col_caps = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    generators = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=2))
+    return one_row_spec(col_caps, n=n), Subgroup.from_generators(n, generators)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=small_boards())
+def test_random_board_facets_match_brute_force(spec):
+    assert list(build_chessboard(spec).facets) == brute_force_facets(spec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=boards_with_row_subgroups())
+def test_random_fixed_subcomplex_matches_brute_force(case):
+    spec, H = case
+    F = fixed_subcomplex(spec, H)
+    universe, facets = brute_force_fixed_subcomplex(spec, H.orbits)
+    assert F.universe == universe
+    assert list(F.facets) == facets

@@ -125,6 +125,23 @@ def test_obstruction_guard_exit_code(capsys, monkeypatch):
     assert report["verdict"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # passes the obstruction guard (p^k = 16), but the fixed subcomplex
+        # of the trivial subgroup has 10.8M facets
+        ("obstruction", "--p", "2", "--k", "4", "--d", "1"),
+        # 12 * 11! facets
+        ("chessboard", "build", "--cols", "1,1,1,1,1,1,1,1,1,1,1"),
+    ],
+)
+def test_facet_cap_exit_code(capsys, argv):
+    code, report, _ = run(capsys, *argv)
+    assert code == 4
+    assert report["verdict"] == "error"
+    assert "facets" in report["message"]
+
+
 def test_search_depth_guard_exit_code(capsys, tmp_path):
     # r parts need r nested levels of the search: a huge r is refused up
     # front (exit 4), not left to end in a RecursionError (exit 1).

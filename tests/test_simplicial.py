@@ -62,6 +62,14 @@ def test_faces_by_dimension_counts_triangle_boundary():
     assert face_counts(K) == {-1: 1, 0: 3, 1: 3}
 
 
+def test_faces_by_dimension_returns_a_fresh_dict():
+    K = triangle_boundary()
+    by_dim = faces_by_dimension(K)
+    by_dim[0].append((4,))
+    del by_dim[1]
+    assert face_counts(K) == {-1: 1, 0: 3, 1: 3}
+
+
 def test_euler_characteristic_circle():
     K = triangle_boundary()
     assert euler_characteristic(K) == 0
