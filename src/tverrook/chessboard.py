@@ -14,7 +14,9 @@ column it skipped with less spare capacity than w_i.  Rows are filled in
 order and a branch is cut once the spare capacity the remaining rows must
 still use up exceeds what they can take, so only maximal placements are
 completed, and they come out lex sorted.  More than `MAX_FACETS` facets
-raise `ResourceLimitError`.
+raise `ResourceLimitError`, and so does a board whose placements may hold
+more than `MAX_PLACEMENT_SIZE` rooks, before anything is enumerated: the
+enumerator recurses once per rook.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .simplicial import Complex, chain_boundary
 
 SUBGROUP_ELEMENT_CAP = 100_000
 MAX_FACETS = 100_000
+MAX_PLACEMENT_SIZE = 600  # leaves 400 of Python's 1000 default frames to callers
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,11 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
     looping, not recursing, so the recursion depth is a placement's size.
     """
     n = len(row_caps)
+    size = min(sum(min(k, m) for k in row_caps), sum(col_caps))
+    if size > MAX_PLACEMENT_SIZE:
+        raise ResourceLimitError(
+            f"placements of up to {size} rooks exceed MAX_PLACEMENT_SIZE = {MAX_PLACEMENT_SIZE}"
+        )
     reach = [0] * (n + 1)  # reach[i]: capacity rows i.. can still use
     for i in reversed(range(n)):
         reach[i] = reach[i + 1] + min(row_caps[i], m) * weights[i]
@@ -223,13 +231,18 @@ def orient(spec: ChessboardSpec, K: Complex | None = None) -> dict:
         raise InputError("orientation requires row caps 1 and n = sum(col_caps) + 1")
     if K is None:
         K = build_chessboard(spec)
-    all_rows = set(range(1, spec.n + 1))
-    chain = {}
-    for facet in K.facets:
-        used = {spec.cell_coords(v)[1] for v in facet}
-        (omitted,) = all_rows - used
-        chain[facet] = (-1) ** (omitted - 1)
-    return chain
+    return {facet: facet_sign(spec, facet) for facet in K.facets}
+
+
+def facet_sign(spec: ChessboardSpec, facet) -> int:
+    """The sign `orient` gives a facet of a pseudomanifold-family board: (-1)**(w-1).
+
+    The facet has one rook in each row but w, and vertex v lies in row
+    v // m + 1, so w is what the facet's rows leave of 1 + 2 + ... + n.
+    """
+    m = spec.m
+    omitted = spec.n * (spec.n + 1) // 2 - sum(v // m + 1 for v in facet)
+    return 1 if omitted % 2 else -1
 
 
 @dataclass(frozen=True)

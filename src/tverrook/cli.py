@@ -205,14 +205,16 @@ def _orient(spec):
 
 def _collapse_degree(caps, theta):
     formula = maps.degree_formula(caps, theta)
-    counting = maps.degree_by_counting(theta, chessboard.one_row_spec(caps))
+    signs = maps.preimage_signs(theta, chessboard.one_row_spec(caps))
+    counting = sum(signs)
     verdict = _verdict(formula == counting)
-    details = {
+    certificate = {
         "degree_formula": str(formula),
         "degree_by_counting": str(counting),
         "target_caps": list(theta.collapse_caps(caps)),
     }
-    return verdict, details, details, f"degree = {formula} (counting: {counting}) -> {verdict}"
+    details = {**certificate, "stats": {"preimages": len(signs)}}
+    return verdict, details, certificate, f"degree = {formula} (counting: {counting}) -> {verdict}"
 
 
 def _valuation(p, m):

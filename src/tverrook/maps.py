@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .chessboard import (
+    MAX_FACETS,
     ChessboardSpec,
     RowPermutation,
     Subgroup,
     build_chessboard,
+    facet_sign,
     fixed_subcomplex,
     one_row_spec,
-    orient,
     sphere_spec,
 )
 from .errors import InputError, ResourceLimitError, guard_from_env
@@ -157,29 +158,59 @@ def degree_by_counting(theta: CollapseTheta, source: ChessboardSpec) -> int:
 def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> list:
     """Orientation signs of the source facets over one fixed target facet.
 
-    Independent of `degree_formula`: enumerates the actual preimage of the
-    lexicographically first target facet with orientation signs on both ends.
+    The target facet is the image of the source's first facet, which puts
+    rows 1..n-1 in order, each in the first column with room left.  Its
+    preimage is enumerated directly (`preimage`), and each source facet's
+    `orient` sign is multiplied by the target facet's.  The signs do not
+    depend on `degree_formula`; only the size guard reads it, so that a
+    preimage of more than `MAX_FACETS` facets raises `ResourceLimitError`
+    before it is enumerated.
     """
     if not source.is_pseudomanifold_family():
         raise InputError("degree by counting requires the pseudomanifold condition")
     target = ChessboardSpec(
         theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
     )
-    K = build_chessboard(source)
-    tau_src = orient(source, K)
-    vm = _cell_map(theta, source, target)
+    count = degree_formula(source.col_caps, theta)
+    if count > MAX_FACETS:
+        raise ResourceLimitError(f"{count} preimage facets exceed MAX_FACETS = {MAX_FACETS}")
+    first = [j for j, a in enumerate(source.col_caps, start=1) for _ in range(a)]
+    target_facet = tuple(target.cell(theta(j), row) for row, j in enumerate(first, start=1))
+    target_sign = facet_sign(target, target_facet)
+    return [sign * target_sign for sign in preimage(theta, source, target_facet).values()]
 
-    # the image of a sorted facet is sorted (rows are preserved and distinct)
-    target_facet = tuple(vm[v] for v in K.facets[0])
-    used = {target.cell_coords(v)[1] for v in target_facet}
-    (omitted,) = set(range(1, source.n + 1)) - used
-    tau_target_value = (-1) ** (omitted - 1)
-    tset = frozenset(target_facet)
-    return [
-        tau_src[f] * tau_target_value
-        for f in K.facets
-        if frozenset(vm[v] for v in f) == tset
-    ]
+
+def preimage(theta: CollapseTheta, source: ChessboardSpec, target_facet) -> dict:
+    """The source facets that collapse onto `target_facet`, each with its `orient` sign.
+
+    A source facet lies over the target facet iff it uses the same rows and
+    puts each row of target column t in a column of theta^-1(t).  So the
+    rows of each target column are dealt out to the columns of its fiber,
+    a_j rows to column j, and one deal per target column makes one facet.
+    The deals grow column by column, with no recursion.
+    """
+    m, mt = source.m, theta.target_columns
+    rows = [[] for _ in range(mt)]
+    for v in target_facet:
+        rows[v % mt].append(v // mt)
+    deals = []
+    for t, own in enumerate(rows, start=1):
+        partial = [((), tuple(own))]  # (source cells dealt, rows left)
+        for j, a in enumerate(source.col_caps):
+            if theta.assignment[j] != t:
+                continue
+            grown = []
+            for cells, left in partial:
+                for block in itertools.combinations(left, a):
+                    taken = set(block)
+                    grown.append(
+                        (cells + tuple(r * m + j for r in block),
+                         tuple(r for r in left if r not in taken))
+                    )
+            partial = grown
+        deals.append([cells for cells, left in partial if not left])
+    facets = (tuple(sorted(itertools.chain(*deal))) for deal in itertools.product(*deals))
+    return {facet: facet_sign(source, facet) for facet in facets}
 
 
 def is_prime(p: int) -> bool:

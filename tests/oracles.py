@@ -1,15 +1,18 @@
 """Independent reference implementations used as test oracles: brute-force
 enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
-the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, and the
+the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, the
 whole-matrix Smith normal form homology that sparse unit elimination
-replaced in `tverrook.homology`."""
+replaced in `tverrook.homology`, and the whole-complex preimage scan that
+direct preimage enumeration replaced in `tverrook.maps`."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 from tverrook import (
     HomologyProfile,
     boundary_matrix,
+    build_chessboard,
     faces_by_dimension,
     hulls_intersect,
     smith_invariants,
@@ -74,6 +77,60 @@ def brute_force_fixed_subcomplex(spec, orbits):
         return len(used) == len(set(used)) and all(x <= c for x, c in zip(load, spec.col_caps))
 
     return frozenset(universe), _maximal_faces(universe, admissible)
+
+
+def omitted_row(spec, facet):
+    """The one row of [1..n] that a facet of a pseudomanifold-family board leaves empty."""
+    (w,) = set(range(1, spec.n + 1)) - {spec.cell_coords(v)[1] for v in facet}
+    return w
+
+
+@functools.lru_cache(maxsize=4)
+def _oriented_facets(source):
+    """Each facet of the whole source complex with its sign (-1)**(w-1), w the omitted row."""
+    return tuple(
+        (facet, (-1) ** (omitted_row(source, facet) - 1))
+        for facet in build_chessboard(source).facets
+    )
+
+
+def _collapse_map(theta, source):
+    """Target cell of each source cell: column j of row i goes to column theta(j) of row i."""
+    mt = theta.target_columns
+    cells = []
+    for v in range(source.m * source.n):
+        col, row = source.cell_coords(v)
+        cells.append((row - 1) * mt + theta(col) - 1)
+    return cells
+
+
+def scan_preimage(theta, source, target_facet):
+    """{source facet: orientation sign} for every facet of the whole source
+    complex whose collapse image is `target_facet`.
+
+    The reference for `tverrook.maps.preimage`.
+    """
+    image = _collapse_map(theta, source).__getitem__
+    target_facet = tuple(target_facet)
+    return {
+        facet: sign
+        for facet, sign in _oriented_facets(source)
+        if tuple(sorted(map(image, facet))) == target_facet
+    }
+
+
+def scan_preimage_signs(theta, source):
+    """Signs of the source facets over the image of the source's first facet,
+    each times that target facet's sign, by a scan of the whole source complex.
+
+    The reference for `tverrook.maps.preimage_signs`.
+    """
+    first, _ = _oriented_facets(source)[0]
+    image = _collapse_map(theta, source)
+    target_facet = tuple(sorted(image[v] for v in first))
+    used = {v // theta.target_columns + 1 for v in target_facet}
+    (w,) = set(range(1, source.n + 1)) - used
+    return [sign * (-1) ** (w - 1) for sign in scan_preimage(theta, source, target_facet).values()]
 
 
 def naive_rainbow_faces(config):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_equality_feasibility
-from tverrook import build_chessboard, geometry, standard_spec
+from tverrook import build_chessboard, geometry, one_row_spec, standard_spec
 from tverrook.cli import build_parser, main
 
 
@@ -103,6 +103,42 @@ def test_collapse_degree(capsys):
     assert report["details"]["degree_by_counting"] == "3"
 
 
+def test_collapse_degree_stats_are_deterministic(capsys):
+    argv = ("collapse", "degree", "--caps", "1,2,1", "--theta", "1,1,2")
+    reports = []
+    for _ in range(2):
+        code, report, _ = run(capsys, *argv)
+        assert code == 0
+        report.pop("elapsed_seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["details"]["stats"] == {"preimages": 3}
+    assert "stats" not in reports[0]["certificate"]
+
+
+@pytest.mark.parametrize(
+    "caps, theta",
+    [
+        ("990", "1"),  # one column of 990 rooks
+        ("1,1,1,1,1,1,1,1,1", "1,2,3,4,5,6,7,8,9"),  # the source has 10! facets
+    ],
+)
+def test_collapse_degree_of_large_sources(capsys, caps, theta):
+    code, report, _ = run(capsys, "collapse", "degree", "--caps", caps, "--theta", theta)
+    assert code == 0
+    assert report["details"]["degree_by_counting"] == "1"
+    assert report["details"]["stats"] == {"preimages": 1}
+
+
+def test_collapse_degree_preimage_guard_exit_code(capsys):
+    # degree 9! = 362 880 preimage facets: refused by the closed-form count
+    ones = ",".join(["1"] * 9)
+    code, report, _ = run(capsys, "collapse", "degree", "--caps", ones, "--theta", ones)
+    assert code == 4
+    assert report["verdict"] == "error"
+    assert "preimage" in report["message"]
+
+
 def test_valuation(capsys):
     code, report, _ = run(capsys, "valuation", "--p", "2", "--m", "8")
     assert code == 0
@@ -140,6 +176,29 @@ def test_facet_cap_exit_code(capsys, argv):
     assert code == 4
     assert report["verdict"] == "error"
     assert "facets" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chessboard", "build", "--cols", "990"),
+        ("chessboard", "check", "--cols", "990"),
+        ("orient", "--cols", "990"),
+    ],
+)
+def test_deep_one_column_boards_are_not_refuted(capsys, argv):
+    # Placements of 990 rooks used to end in a RecursionError (exit 1,
+    # "refuted"); the placement-size guard refuses them up front.
+    code, report, _ = run(capsys, *argv)
+    assert code != 1
+    assert (code, report["verdict"]) == (4, "error")
+    assert "MAX_PLACEMENT_SIZE" in report["message"]
+
+
+def test_long_boards_below_the_placement_guard_answer(capsys):
+    code, report, _ = run(capsys, "chessboard", "build", "--cols", "1", "--rows", "990")
+    assert (code, report["details"]["facets"]) == (0, 990)
+    assert len(build_chessboard(one_row_spec((600,))).facets) == 601
 
 
 def test_search_depth_guard_exit_code(capsys, tmp_path):

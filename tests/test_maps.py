@@ -2,6 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import omitted_row, scan_preimage, scan_preimage_signs
+from tverrook import maps
 
 from tverrook import (
     CollapseTheta,
@@ -23,7 +28,8 @@ from tverrook import (
     sphere_spec,
     standard_spec,
 )
-from tverrook.maps import _gaussian_binomial, preimage_signs
+from tverrook.chessboard import MAX_FACETS
+from tverrook.maps import _gaussian_binomial, preimage, preimage_signs
 
 
 def test_theta_must_be_surjective():
@@ -124,6 +130,91 @@ def test_degree_oracle_equivalence_exhaustive_small():
             for m_target in range(1, len(caps) + 1):
                 for theta in all_surjections(len(caps), m_target):
                     assert degree_formula(caps, theta) == degree_by_counting(theta, spec)
+
+
+def criterion_03_cases():
+    """The (caps, theta) pairs of acceptance criterion 03."""
+    for n in range(2, 7):
+        for caps in compositions(n - 1):
+            for m_target in range(1, len(caps) + 1):
+                for theta in all_surjections(len(caps), m_target):
+                    yield caps, theta
+    for n in (7, 8):
+        for caps in compositions(n - 1):
+            yield (1,) * (n - 1), CollapseTheta.blocks(caps)
+            yield caps, CollapseTheta.constant(len(caps))
+
+
+def test_preimage_signs_match_the_scan_on_criterion_03():
+    for caps, theta in criterion_03_cases():
+        spec = one_row_spec(caps)
+        assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+
+
+@st.composite
+def collapse_cases(draw):
+    n = draw(st.integers(2, 7))
+    cut = draw(st.sets(st.integers(1, n - 2), max_size=n - 2)) if n > 2 else set()
+    bounds = [0, *sorted(cut), n - 1]
+    caps = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    m_target = draw(st.integers(1, len(caps)))
+    image = draw(st.permutations(range(1, m_target + 1)))
+    rest = draw(st.lists(st.integers(1, m_target), min_size=len(caps) - m_target,
+                         max_size=len(caps) - m_target))
+    assignment = draw(st.permutations(list(image) + rest))
+    return caps, CollapseTheta(len(caps), m_target, tuple(assignment))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=collapse_cases())
+def test_random_preimage_signs_match_the_scan(case):
+    caps, theta = case
+    spec = one_row_spec(caps)
+    assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+
+
+@pytest.mark.parametrize(
+    "caps, assignment", [((0,), (1,)), ((0, 1), (1, 1)), ((2, 0, 1), (1, 2, 1)), ((1, 0), (1, 2))]
+)
+def test_zero_capacity_columns_match_the_scan(caps, assignment):
+    theta = CollapseTheta(len(caps), max(assignment), assignment)
+    spec = one_row_spec(caps)
+    assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+    assert sum(preimage_signs(theta, spec)) == degree_formula(caps, theta)
+
+
+def test_preimage_signs_follow_the_omitted_row():
+    # Over a target facet that omits row w, every source facet omits w too
+    # and carries the orientation sign (-1)**(w-1): -1 for even w.
+    caps, theta = (1, 2, 1), CollapseTheta(3, 2, (1, 2, 1))
+    source = one_row_spec(caps)
+    target = one_row_spec(theta.collapse_caps(caps))
+    seen = set()
+    for target_facet in build_chessboard(target).facets:
+        w = omitted_row(target, target_facet)
+        over = preimage(theta, source, target_facet)
+        assert over == scan_preimage(theta, source, target_facet)
+        assert len(over) == degree_formula(caps, theta)
+        assert set(over.values()) == {(-1) ** (w - 1)}
+        seen.add(w % 2)
+    assert seen == {0, 1}
+
+
+def test_preimage_of_a_non_facet_is_empty():
+    theta, source = CollapseTheta.constant(2), one_row_spec((1, 2))
+    assert preimage(theta, source, (0, 1)) == {}
+    assert preimage(theta, source, (0, 1, 2, 3)) == {}
+
+
+def test_preimage_size_guard_raises_before_enumerating(monkeypatch):
+    def enumerate_preimage(*args):
+        raise AssertionError("the preimage was enumerated")
+
+    monkeypatch.setattr(maps, "preimage", enumerate_preimage)
+    ones = one_row_spec((1,) * 9)
+    assert degree_formula(ones.col_caps, CollapseTheta.constant(9)) > MAX_FACETS
+    with pytest.raises(ResourceLimitError):
+        preimage_signs(CollapseTheta.constant(9), ones)
 
 
 def test_equivariance_of_collapse():
