@@ -301,8 +301,9 @@ def _unavoidable(V, r, avoid_set, K):
         verdict = constraints.check_face_avoidance_unavoidable(V, avoid_set, r)
     else:
         verdict = constraints.is_unavoidable(K, r, V)
-    details = verdict.to_json()
-    return _verdict(verdict.unavoidable), details, details, f"unavoidable: {verdict.unavoidable}"
+    certificate = verdict.to_json()
+    details = certificate if verdict.stats is None else {**certificate, "stats": verdict.stats}
+    return _verdict(verdict.unavoidable), details, certificate, f"unavoidable: {verdict.unavoidable}"
 
 
 def _constrain(K, avoid_sets):

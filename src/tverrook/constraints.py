@@ -3,15 +3,19 @@
 A collection of r vertex sets is proper for a multiset when every vertex is
 used at most its multiplicity across the collection.  A complex is
 (r, multiset)-unavoidable when every proper r-collection has at least one
-member among its faces; the verdict is decided by exhaustive enumeration of
-proper collections up to reordering, with a candidate-count guard.
+member among its faces.  Only non-faces can be members of an avoiding
+collection, and each can shrink to a minimal non-face, so the verdict is
+decided by exhaustive enumeration of proper collections of minimal non-faces
+up to reordering.  The minimal non-faces are the minimal transversals of the
+facet complements (Berge's incremental construction).  One guard caps both
+that construction and the number of candidate collections.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError, guard_from_env, json_int
 from .simplicial import Complex, antichain
@@ -85,6 +89,8 @@ def is_V_proper(V: Multiset, collection, r: int) -> bool:
 class UnavoidabilityVerdict:
     unavoidable: bool
     counterexample: tuple | None = None
+    # {"minimal_non_faces": ..., "collections_examined": ...}; not part of the certificate
+    stats: dict | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         out = {"unavoidable": self.unavoidable}
@@ -93,13 +99,93 @@ class UnavoidabilityVerdict:
         return out
 
 
+def minimal_non_faces(K: Complex, vertices, limit: int) -> list:
+    """The minimal non-empty non-faces of K on `vertices`, sorted by (size, vertex ids).
+
+    A set is a non-face iff it meets the complement of every facet, so the
+    minimal non-faces are the minimal transversals of the facet complements.
+    Berge's construction adds one complement at a time: a transversal that
+    misses it grows by one of its vertices, and the result is kept when
+    dropping any one of its old vertices misses some complement already
+    processed.  A complex without facets gives every vertex as a singleton; a
+    facet equal to `vertices` gives no non-faces.  The family is capped at
+    `limit` after every step (no closed form bounds it).
+    """
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    full = (1 << len(vertices)) - 1
+    family = [0]
+    processed: list = []
+    for facet in K.facets or ((),):
+        edge = full & ~sum(bit[v] for v in facet)
+        grown: list = []
+        for t in family:
+            if t & edge:
+                grown.append(t)
+            else:
+                old = [b for b in bit.values() if t & b]
+                for b in bit.values():
+                    if edge & b and all(any(e & (t | b) == u for e in processed) for u in old):
+                        grown.append(t | b)
+            if len(grown) > limit:
+                raise ResourceLimitError(
+                    f"more than {limit} minimal non-face candidates exceed the guard"
+                )
+        processed.append(edge)
+        family = grown
+    return sorted(
+        (tuple(v for v in vertices if t & bit[v]) for t in family),
+        key=lambda s: (len(s), s),
+    )
+
+
+def _least_proper_collection(members: list, r: int, budget: dict):
+    """The lexicographically least proper r-collection of `members`, or None.
+
+    Depth-first over distinct members in order, each placed with as many
+    copies as the budget allows and then one copy fewer at a time, so the
+    first collection completed is the lexicographically least.  Returns it
+    with the number of placements made (a member with its copies counts once).
+    """
+    chosen: list = []  # (index, copies) of each distinct member placed, by index
+    remaining, start, placements = r, 0, 0
+    while remaining:
+        idx = next(
+            (i for i in range(start, len(members)) if all(budget[v] for v in members[i])), None
+        )
+        if idx is None:
+            if not chosen:
+                return None, placements
+            # Dead end: take one copy of the last member back, resume after it.
+            idx, copies = chosen.pop()
+            for v in members[idx]:
+                budget[v] += 1
+            remaining += 1
+            if copies > 1:
+                chosen.append((idx, copies - 1))
+                placements += 1
+        else:
+            copies = min(remaining, *(budget[v] for v in members[idx]))
+            for v in members[idx]:
+                budget[v] -= copies
+            remaining -= copies
+            chosen.append((idx, copies))
+            placements += 1
+        start = idx + 1
+    return tuple(members[i] for i, copies in chosen for _ in range(copies)), placements
+
+
 def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) -> UnavoidabilityVerdict:
     """Exhaustive search for a proper r-collection avoiding K entirely.
 
-    Only non-faces of K can appear in an avoiding collection (the empty set
-    is a face of every complex), so the enumeration runs over multisets of
-    non-faces in lexicographic order; the first counterexample found is the
-    lexicographically least one.
+    Non-faces are closed upward, so a member of an avoiding collection can
+    shrink to a minimal non-face below it and the collection stays proper
+    and avoiding.  The search therefore runs over multisets of minimal
+    non-faces (the empty set is a face of every complex), sorted by size and
+    then vertex ids.  The first counterexample it finds is the
+    lexicographically least avoiding collection over all non-faces too:
+    shrinking a non-minimal member would lower its index.  The guard bounds
+    the number of multisets, comb(#minimal non-faces + r - 1, r), and the
+    family that computes the minimal non-faces.
     """
     if not K.universe <= V.universe:
         raise InputError("the complex universe must lie inside the multiset universe")
@@ -108,45 +194,15 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
     limit = guard if guard is not None else guard_from_env(
         COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
     )
-    vertices = sorted(V.universe)
-    non_faces = [
-        subset
-        for size in range(1, len(vertices) + 1)
-        for subset in itertools.combinations(vertices, size)
-        if not K.is_face(subset)
-    ]
-    estimate = math.comb(len(non_faces) + r - 1, r)
+    members = minimal_non_faces(K, sorted(V.universe), limit)
+    estimate = math.comb(len(members) + r - 1, r)
     if estimate > limit:
         raise ResourceLimitError(
             f"about {estimate} candidate collections exceed the guard ({limit})"
         )
-
-    lookup = dict(V.multiplicity)
-    budget = {v: lookup[v] for v in vertices}
-    chosen: list = []
-
-    def rec(start: int):
-        if len(chosen) == r:
-            return tuple(chosen)
-        for idx in range(start, len(non_faces)):
-            member = non_faces[idx]
-            if any(budget[v] < 1 for v in member):
-                continue
-            for v in member:
-                budget[v] -= 1
-            chosen.append(member)
-            found = rec(idx)
-            chosen.pop()
-            for v in member:
-                budget[v] += 1
-            if found:
-                return found
-        return None
-
-    counterexample = rec(0)
-    if counterexample is None:
-        return UnavoidabilityVerdict(True)
-    return UnavoidabilityVerdict(False, counterexample)
+    counterexample, placements = _least_proper_collection(members, r, dict(V.multiplicity))
+    stats = {"minimal_non_faces": len(members), "collections_examined": placements}
+    return UnavoidabilityVerdict(counterexample is None, counterexample, stats)
 
 
 @dataclass(frozen=True)
@@ -155,6 +211,7 @@ class FaceAvoidanceVerdict:
     hypothesis_holds: bool  # m(S) <= r - 1
     unavoidable: bool | None = None
     counterexample: tuple | None = None
+    stats: dict | None = field(default=None, compare=False)  # as in UnavoidabilityVerdict
 
     def to_json(self) -> dict:
         out = {"m_weight": self.m_weight, "hypothesis_holds": self.hypothesis_holds}
@@ -193,7 +250,9 @@ def check_face_avoidance_unavoidable(
             "a set of weight <= r-1 produced an avoidable complex; "
             "this contradicts the verified avoidance property"
         )
-    return FaceAvoidanceVerdict(weight, hypothesis, verdict.unavoidable, verdict.counterexample)
+    return FaceAvoidanceVerdict(
+        weight, hypothesis, verdict.unavoidable, verdict.counterexample, verdict.stats
+    )
 
 
 def constrain_complex(K: Complex, avoid_sets) -> Complex:

@@ -2,21 +2,29 @@
 enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
 the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, the
 whole-matrix Smith normal form homology that sparse unit elimination
-replaced in `tverrook.homology`, and the whole-complex preimage scan that
-direct preimage enumeration replaced in `tverrook.maps`."""
+replaced in `tverrook.homology`, the whole-complex preimage scan that
+direct preimage enumeration replaced in `tverrook.maps`, and the scan of
+every subset of V that the search over minimal non-faces replaced in
+`tverrook.constraints`."""
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from tverrook import (
     HomologyProfile,
+    InputError,
+    ResourceLimitError,
+    UnavoidabilityVerdict,
     boundary_matrix,
     build_chessboard,
     faces_by_dimension,
     hulls_intersect,
     smith_invariants,
 )
+from tverrook.constraints import COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
+from tverrook.errors import guard_from_env
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -263,3 +271,62 @@ def dense_betti_and_torsion(K):
     )
     torsion = tuple(tuple(d for d in invariants[q + 1] if d > 1) for q in range(dim + 1))
     return HomologyProfile(betti, torsion)
+
+
+def scan_is_unavoidable(K, r, V, guard=None):
+    """Exhaustive search for a proper r-collection avoiding K entirely.
+
+    Only non-faces of K can appear in an avoiding collection (the empty set
+    is a face of every complex), so the enumeration runs over multisets of
+    non-faces in lexicographic order; the first counterexample found is the
+    lexicographically least one.
+
+    The reference for `tverrook.is_unavoidable`: every subset of V is
+    tested, and the search recurses once per member.
+    """
+    if not K.universe <= V.universe:
+        raise InputError("the complex universe must lie inside the multiset universe")
+    if r < 1:
+        raise InputError(f"need at least r = 1 members, got {r}")
+    limit = guard if guard is not None else guard_from_env(
+        COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
+    )
+    vertices = sorted(V.universe)
+    non_faces = [
+        subset
+        for size in range(1, len(vertices) + 1)
+        for subset in itertools.combinations(vertices, size)
+        if not K.is_face(subset)
+    ]
+    estimate = math.comb(len(non_faces) + r - 1, r)
+    if estimate > limit:
+        raise ResourceLimitError(
+            f"about {estimate} candidate collections exceed the guard ({limit})"
+        )
+
+    lookup = dict(V.multiplicity)
+    budget = {v: lookup[v] for v in vertices}
+    chosen: list = []
+
+    def rec(start: int):
+        if len(chosen) == r:
+            return tuple(chosen)
+        for idx in range(start, len(non_faces)):
+            member = non_faces[idx]
+            if any(budget[v] < 1 for v in member):
+                continue
+            for v in member:
+                budget[v] -= 1
+            chosen.append(member)
+            found = rec(idx)
+            chosen.pop()
+            for v in member:
+                budget[v] += 1
+            if found:
+                return found
+        return None
+
+    counterexample = rec(0)
+    if counterexample is None:
+        return UnavoidabilityVerdict(True)
+    return UnavoidabilityVerdict(False, counterexample)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 
 import pytest
@@ -330,11 +331,87 @@ def test_unavoidable_check(capsys, tmp_path):
     code, report, _ = run(capsys, "unavoidable", "check", "--json", path)
     assert code == 0
     assert report["details"]["unavoidable"]
+    assert report["details"]["stats"] == {"minimal_non_faces": 1, "collections_examined": 1}
+    assert report["certificate"] == {"m_weight": 1, "hypothesis_holds": True, "unavoidable": True}
     payload["avoid_set"] = [0, 1]
     path = write_json(tmp_path, "un2.json", payload)
     code, report, _ = run(capsys, "unavoidable", "check", "--json", path)
     assert code == 1
     assert report["details"]["counterexample"] == [[0], [1]]
+    assert report["details"]["stats"] == {"minimal_non_faces": 2, "collections_examined": 2}
+
+
+def test_unavoidable_check_complex_stats(capsys, tmp_path):
+    payload = {
+        "multiset": {"vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 2, "2": 1}},
+        "r": 2,
+        "complex": {"universe": [0, 1, 2], "facets": [[0, 1], [1, 2]]},
+    }
+    path = write_json(tmp_path, "un.json", payload)
+    code, report, _ = run(capsys, "unavoidable", "check", "--json", path)
+    assert code == 0
+    assert report["details"] == {
+        "unavoidable": True,
+        "stats": {"minimal_non_faces": 1, "collections_examined": 1},
+    }
+    assert report["certificate"] == {"unavoidable": True}
+
+
+# Thousands of copies of one member: a search that recursed once per member
+# ended in a RecursionError (exit 1) on both.
+@pytest.mark.parametrize(
+    "payload, members",
+    [
+        ({"multiset": {"vertices": [0], "multiplicity": {"0": 5000}}, "r": 5000,
+          "avoid_set": [0]}, 5000),
+        ({"multiset": {"vertices": [0, 1], "multiplicity": {"0": 3000, "1": 1}}, "r": 3000,
+          "complex": {"universe": [1], "facets": [[1]]}}, 3000),
+    ],
+    ids=["avoid-set-r-5000", "complex-r-3000"],
+)
+def test_unavoidable_many_copies_of_one_member(capsys, tmp_path, payload, members):
+    path = write_json(tmp_path, "un.json", payload)
+    code, report, err = run(capsys, "unavoidable", "check", "--json", path)
+    assert code == 1
+    assert "Traceback" not in err
+    assert report["details"]["counterexample"] == [[0]] * members
+    assert report["details"]["stats"] == {"minimal_non_faces": 1, "collections_examined": 1}
+
+
+@pytest.mark.parametrize(
+    "n, avoid, r", [(18, [0, 1], 3), (200, [0, 1, 2, 3, 4], 6)], ids=["18-vertices", "200-vertices"]
+)
+def test_unavoidable_large_universe_answers(capsys, tmp_path, n, avoid, r):
+    # A scan of all 2^n subsets hits the guard at n = 18 (no claim) and never
+    # ends at n = 200; the search over minimal non-faces sees only the avoid set.
+    payload = {
+        "multiset": {"vertices": list(range(n)), "multiplicity": {str(v): 1 for v in range(n)}},
+        "r": r,
+        "avoid_set": avoid,
+    }
+    path = write_json(tmp_path, "un.json", payload)
+    code, report, _ = run(capsys, "unavoidable", "check", "--json", path)
+    assert code == 0
+    assert report["details"]["hypothesis_holds"] and report["details"]["unavoidable"]
+    assert report["details"]["stats"]["minimal_non_faces"] == len(avoid)
+
+
+def test_unavoidable_many_facets_trip_a_small_guard(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TVERROOK_COLLECTION_GUARD", "20")
+    payload = {
+        "multiset": {"vertices": list(range(10)), "multiplicity": {str(v): 1 for v in range(10)}},
+        "r": 1,
+        "complex": {
+            "universe": list(range(10)),
+            "facets": [list(e) for e in itertools.combinations(range(10), 2)],
+        },
+    }
+    path = write_json(tmp_path, "un.json", payload)
+    code, report, err = run(capsys, "unavoidable", "check", "--json", path)
+    assert code == 4
+    assert report["verdict"] == "error"
+    assert "minimal non-face candidates" in report["message"]  # Berge's family, not the estimate
+    assert "Traceback" not in err
 
 
 def test_constrain(capsys, tmp_path):

@@ -2,8 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import scan_is_unavoidable
 from tverrook import (
+    Complex,
     InputError,
     Multiset,
     ResourceLimitError,
@@ -14,6 +18,7 @@ from tverrook import (
     is_V_proper,
     is_unavoidable,
 )
+from tverrook.constraints import minimal_non_faces
 
 
 def V_abc(**mult):
@@ -76,6 +81,54 @@ def test_unavoidable_guard():
     K = full_simplex({0})
     with pytest.raises(ResourceLimitError):
         is_unavoidable(K, 6, V, guard=10)
+
+
+def test_minimal_non_faces_sorted_by_size_then_ids():
+    K = build_complex(range(5), [(0, 1, 2), (2, 3)])
+    # Vertex 4 lies in no facet, and every other non-face contains {0,3} or {1,3}.
+    assert minimal_non_faces(K, [0, 1, 2, 3, 4], 100) == [(4,), (0, 3), (1, 3)]
+
+
+def test_minimal_non_faces_degenerate_complexes():
+    vertices = [0, 1, 2]
+    singletons = [(0,), (1,), (2,)]
+    assert minimal_non_faces(Complex(frozenset(vertices), ()), vertices, 100) == singletons
+    assert minimal_non_faces(build_complex(vertices, [()]), vertices, 100) == singletons
+    assert minimal_non_faces(full_simplex(vertices), vertices, 100) == []
+    # Vertices of V outside the complex universe are non-faces too.
+    assert minimal_non_faces(full_simplex({1}), vertices, 100) == [(0,), (2,)]
+
+
+def test_minimal_non_faces_cap_the_intermediate_family():
+    # Berge's family reaches 12 sets on the way to the 8 minimal non-faces,
+    # so the cap trips at 11 although the collection estimate (r = 1) is 8.
+    K = build_complex(range(7), [(0, 2, 5), (1, 3, 4, 6), (2, 3, 4, 5)])
+    V = Multiset.from_dict({v: 1 for v in range(7)})
+    assert len(minimal_non_faces(K, list(range(7)), 12)) == 8
+    with pytest.raises(ResourceLimitError, match="minimal non-face"):
+        is_unavoidable(K, 1, V, guard=11)
+    assert is_unavoidable(K, 1, V, guard=12).counterexample == ((0, 1),)
+
+
+def test_counterexample_takes_most_copies_first():
+    V = Multiset.from_dict({0: 2, 1: 3, 2: 1})
+    verdict = is_unavoidable(full_simplex({2}), 4, V)
+    assert verdict.counterexample == ((0,), (0,), (1,), (1,))
+    # Placements: 0 twice, 1 twice; the collection is complete.
+    assert verdict.stats == {"minimal_non_faces": 2, "collections_examined": 2}
+    verdict = is_unavoidable(full_simplex({2}), 6, V)
+    assert verdict.unavoidable
+    # Copies of (0,) placed 2, 1, 0 times, each followed by 3, 2, 1 copies of (1,).
+    assert verdict.stats == {"minimal_non_faces": 2, "collections_examined": 11}
+
+
+def test_guard_counts_collections_of_minimal_non_faces():
+    # Two minimal non-faces, {0} and {1}: comb(2 + 2 - 1, 2) = 3 collections.
+    V = V_abc()
+    K = full_simplex({2})
+    assert not is_unavoidable(K, 2, V, guard=3).unavoidable
+    with pytest.raises(ResourceLimitError, match="candidate collections"):
+        is_unavoidable(K, 2, V, guard=2)
 
 
 def test_unavoidability_is_monotone():
@@ -159,3 +212,47 @@ def test_exhaustive_avoidance_small_multiset():
             if V.weight(S) <= r - 1:
                 verdict = check_face_avoidance_unavoidable(V, S, r)
                 assert verdict.hypothesis_holds and verdict.unavoidable
+
+
+@st.composite
+def unavoidability_cases(draw):
+    """A multiset on at most 7 vertices, r, and a complex on part of it.
+
+    The facets are random subsets; some complexes have no facets at all, the
+    empty facet only, or a facet equal to V.
+    """
+    n = draw(st.integers(1, 7))
+    V = Multiset.from_dict({v: draw(st.integers(1, 3)) for v in range(n)})
+    r = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "random", "random", "none", "empty", "whole"]))
+    if kind == "none":
+        return Complex(frozenset(range(n)), ()), r, V
+    if kind == "empty":
+        return build_complex(range(n), [()]), r, V
+    subsets = st.lists(st.integers(0, n - 1), max_size=n)
+    facets = draw(st.lists(subsets, min_size=1, max_size=5))
+    if kind == "whole":
+        facets.append(list(range(n)))
+    universe = set(range(draw(st.integers(0, n)))).union(*facets)
+    return build_complex(universe, facets), r, V
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=unavoidability_cases())
+def test_minimal_non_face_search_matches_the_scan(case):
+    K, r, V = case
+    try:
+        expected = scan_is_unavoidable(K, r, V)
+    except ResourceLimitError:
+        expected = None
+    try:
+        verdict = is_unavoidable(K, r, V)
+    except ResourceLimitError:
+        assert expected is None
+        return
+    if expected is not None:
+        assert verdict.unavoidable == expected.unavoidable
+        assert verdict.counterexample == expected.counterexample
+    elif verdict.counterexample is not None:
+        assert is_V_proper(V, verdict.counterexample, r)
+        assert not any(K.is_face(m) for m in verdict.counterexample)
