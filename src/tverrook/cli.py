@@ -264,9 +264,13 @@ def _search(instance, constraint_count):
     result = geometry.search_tverberg(instance, constraint_count=constraint_count)
     if isinstance(result, geometry.Exhausted):
         verdict = "exhausted" if instance.mode == "free" else "refuted"
-        details = {"candidates_examined": result.candidates_examined, "mode": instance.mode}
+        details = {
+            "candidates_examined": result.candidates_examined,
+            "mode": instance.mode,
+            "stats": result.stats,
+        }
         return verdict, details, None, f"exhausted after {result.candidates_examined} candidates"
-    details = {"faces": [list(f) for f in result.faces], "mode": instance.mode}
+    details = {"faces": [list(f) for f in result.faces], "mode": instance.mode, "stats": result.stats}
     if result.policy:
         details["policy"] = result.policy
     witness = [geometry.format_rational(c) for c in result.witness]
@@ -289,10 +293,13 @@ def _example_a(p, k, d, epsilon, seed):
     config, instance = geometry.build_example_a(p, k, d, epsilon, seed)
     result = geometry.search_tverberg(instance)
     if isinstance(result, geometry.Exhausted):
-        details = {"candidates_examined": result.candidates_examined}
+        details = {"candidates_examined": result.candidates_examined, "stats": result.stats}
         return "refuted", details, None, "example configuration unexpectedly exhausted"
     certificate = {"config": config.to_json(), "solution": result.to_json()}
-    details = {"witness": [geometry.format_rational(c) for c in result.witness]}
+    details = {
+        "witness": [geometry.format_rational(c) for c in result.witness],
+        "stats": result.stats,
+    }
     return "found", details, certificate, f"witness: {details['witness']}"
 
 

@@ -209,14 +209,16 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
 class FaceAvoidanceVerdict:
     m_weight: int
     hypothesis_holds: bool  # m(S) <= r - 1
-    unavoidable: bool | None = None
+    unavoidable: bool
     counterexample: tuple | None = None
     stats: dict | None = field(default=None, compare=False)  # as in UnavoidabilityVerdict
 
     def to_json(self) -> dict:
-        out = {"m_weight": self.m_weight, "hypothesis_holds": self.hypothesis_holds}
-        if self.unavoidable is not None:
-            out["unavoidable"] = self.unavoidable
+        out = {
+            "m_weight": self.m_weight,
+            "hypothesis_holds": self.hypothesis_holds,
+            "unavoidable": self.unavoidable,
+        }
         if self.counterexample is not None:
             out["counterexample"] = [list(m) for m in self.counterexample]
         return out
@@ -233,18 +235,16 @@ def check_face_avoidance_unavoidable(
 ) -> FaceAvoidanceVerdict:
     """The avoidance complex on V - S, with the weight hypothesis m(S) <= r-1.
 
-    When the hypothesis holds the unavoidability claim is verified by
-    enumeration (within the guard); when it fails, no claim is made either
-    way but an explicit counterexample is reported when one exists.
+    The unavoidability of the complex is decided by enumeration whether or
+    not the hypothesis holds; when it holds, an avoidable complex would
+    contradict the avoidance property.  A search beyond the guard raises
+    `ResourceLimitError`, as `is_unavoidable` does.
     """
     S = set(S)
     weight = V.weight(S)
     hypothesis = weight <= r - 1
     K = full_simplex(V.universe - S)
-    try:
-        verdict = is_unavoidable(K, r, V, guard=guard)
-    except ResourceLimitError:
-        return FaceAvoidanceVerdict(weight, hypothesis)
+    verdict = is_unavoidable(K, r, V, guard=guard)
     if hypothesis and not verdict.unavoidable:
         raise AssertionError(
             "a set of weight <= r-1 produced an avoidable complex; "

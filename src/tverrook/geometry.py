@@ -5,14 +5,23 @@ enumerates tuples of rainbow faces within the multiplicity budget and
 certifies hull intersections by exact linear programming; every returned
 witness carries per-face convex coefficients that are re-checked by direct
 substitution, independently of the LP.
+
+Before the LP, the search prunes by boxes on one integer grid: every
+coordinate is multiplied by L, the lcm of all coordinate denominators, and
+each scaled point is projected onto the d^2 integer directions e_i, e_i + e_j
+and e_i - e_j (i < j).  A face's box is the interval of its projections on
+each direction.  Faces whose hulls share a point x have boxes that all
+contain <L x, u> on every direction u, so a tuple whose boxes miss on some
+direction is infeasible, and that direction separates two of its faces.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, json_int
@@ -314,6 +323,8 @@ class TverbergSolution:
     witness: tuple
     certificates: tuple  # per face, tuple of convex coefficients
     policy: str | None = None
+    # the counters of the search that found it; not part of the certificate
+    stats: dict | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -341,6 +352,7 @@ class TverbergSolution:
 @dataclass(frozen=True)
 class Exhausted:
     candidates_examined: int
+    stats: dict | None = field(default=None, compare=False)  # as in TverbergSolution
 
 
 def hulls_intersect(config: PointConfig, faces):
@@ -439,12 +451,28 @@ def rainbow_faces(config: PointConfig):
     return sorted(set(faces), key=lambda f: (len(f), f))
 
 
-def _box(config: PointConfig, face):
-    coords = [config.points[v].coords for v in face]
-    return (
-        tuple(min(c[i] for c in coords) for i in range(config.d)),
-        tuple(max(c[i] for c in coords) for i in range(config.d)),
-    )
+def _grid_projections(config: PointConfig) -> list:
+    """Per point, its projections onto e_i, e_i + e_j and e_i - e_j (i < j), as ints.
+
+    Coordinates are scaled by L, the lcm of all coordinate denominators, so
+    every projection is an integer on one grid: d^2 numbers per point.
+    """
+    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
+    pairs = list(itertools.combinations(range(config.d), 2))
+    out = []
+    for pt in config.points:
+        x = [c.numerator * (L // c.denominator) for c in pt.coords]
+        out.append(
+            tuple(x)
+            + tuple(x[i] + x[j] for i, j in pairs)
+            + tuple(x[i] - x[j] for i, j in pairs)
+        )
+    return out
+
+
+def _box(projections: list, face):
+    rows = [projections[v] for v in face]
+    return tuple(map(min, zip(*rows))), tuple(map(max, zip(*rows)))
 
 
 def _boxes_meet(box1, box2):
@@ -458,16 +486,23 @@ def _boxes_meet(box1, box2):
 def _search(instance: TverbergInstance, find_all: bool):
     """Canonical-order pruned enumeration of r-tuples of rainbow faces.
 
-    Tuples are non-decreasing in the face order (killing part relabeling);
-    prefixes are pruned by the multiplicity budget and by bounding-box
-    intersection.  Returns (first or all solutions, candidates examined).
+    Tuples are non-decreasing in the face order (killing part relabeling).
+    A prefix is pruned by the dimension caps, by the multiplicity budget (or
+    vertex-disjointness), and by its boxes on the integer grid of
+    `_grid_projections`: the running box is the intersection of the prefix
+    faces' boxes on every direction, and an empty one proves that no
+    extension has intersecting hulls.  Only full tuples reach the LP, so the
+    first solution is the first feasible tuple in canonical order.  Returns
+    (first or all solutions, stats), where stats counts the rainbow faces,
+    the prefixes each rule pruned, and the LP calls and feasible LPs.
     """
     config = instance.config
     r = instance.r
     if r > MAX_PARTS:
         raise ResourceLimitError(f"search depth r = {r} exceeds the cap ({MAX_PARTS})")
     faces = rainbow_faces(config)
-    boxes = [_box(config, f) for f in faces]
+    projections = _grid_projections(config)
+    boxes = [_box(projections, f) for f in faces]
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
 
@@ -475,14 +510,21 @@ def _search(instance: TverbergInstance, find_all: bool):
     used_vertices: set = set()
     chosen: list = []
     solutions: list = []
-    examined = 0
+    stats = {
+        "rainbow_faces": len(faces),
+        "pruned_dim_cap": 0,
+        "pruned_budget": 0,
+        "pruned_box": 0,
+        "lp_calls": 0,
+        "lp_feasible": 0,
+    }
 
     def rec(start: int, box, capped_used: int):
-        nonlocal examined
         if len(chosen) == r:
-            examined += 1
+            stats["lp_calls"] += 1
             got = hulls_intersect(config, [faces[i] for i in chosen])
             if got is not None:
+                stats["lp_feasible"] += 1
                 witness, certs = got
                 solutions.append(
                     TverbergSolution(
@@ -498,18 +540,17 @@ def _search(instance: TverbergInstance, find_all: bool):
             extra = 0
             if caps is not None:
                 dim = len(f) - 1
-                if dim > caps.max_dim:
-                    continue
                 extra = 1 if dim == caps.max_dim else 0
-                if capped_used + extra > caps.s:
+                if dim > caps.max_dim or capped_used + extra > caps.s:
+                    stats["pruned_dim_cap"] += 1
                     continue
-            if disjoint:
-                if used_vertices & set(f):
-                    continue
-            elif any(budget[v] < 1 for v in f):
+            blocked = used_vertices.intersection(f) if disjoint else any(budget[v] < 1 for v in f)
+            if blocked:
+                stats["pruned_budget"] += 1
                 continue
             nxt_box = boxes[fi] if box is None else _boxes_meet(box, boxes[fi])
             if nxt_box is None:
+                stats["pruned_box"] += 1
                 continue
             if disjoint:
                 used_vertices.update(f)
@@ -529,7 +570,7 @@ def _search(instance: TverbergInstance, find_all: bool):
         return False
 
     rec(0, None, 0)
-    return solutions, examined
+    return solutions, stats
 
 
 def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
@@ -537,18 +578,19 @@ def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
 
     A balanced instance without dimension caps gets the caps that solve
     r*k + s = (r-1)*d under the shifted policy, which the result records.
+    Either result carries the search counters in `stats`.
     """
     if instance.mode == "balanced-1.6" and instance.dim_caps is None:
         k, s = solve_balanced_caps(instance.r, instance.config.d)
         instance = dataclasses.replace(instance, dim_caps=DimCaps(k, s))
     instance.validate(constraint_count)
-    solutions, examined = _search(instance, find_all=False)
+    solutions, stats = _search(instance, find_all=False)
     if solutions:
         sol = solutions[0]
         if not verify_solution(instance.config, sol):
             raise AssertionError("LP produced a certificate that failed re-substitution")
-        return sol
-    return Exhausted(examined)
+        return dataclasses.replace(sol, stats=stats)
+    return Exhausted(stats["lp_calls"], stats)
 
 
 def search_tverberg_all(instance: TverbergInstance):

@@ -265,6 +265,16 @@ def test_tverberg_search_found(capsys, tmp_path):
     assert code == 0
     assert report["verdict"] == "found"
     assert report["certificate"]["witness"] == ["1/2"]
+    # 7 rainbow faces; the first LP, on ((2,), (0, 1)), is feasible.
+    assert report["details"]["stats"] == {
+        "rainbow_faces": 7,
+        "pruned_dim_cap": 0,
+        "pruned_budget": 9,
+        "pruned_box": 5,
+        "lp_calls": 1,
+        "lp_feasible": 1,
+    }
+    assert "stats" not in report["certificate"]
 
 
 def test_tverberg_search_exhausted_free_mode(capsys, tmp_path):
@@ -274,6 +284,30 @@ def test_tverberg_search_exhausted_free_mode(capsys, tmp_path):
     code, report, _ = run(capsys, "tverberg", "search", "--json", path)
     assert code == 2
     assert report["verdict"] == "exhausted"
+
+
+def test_tverberg_search_exhausted_stats(capsys, tmp_path):
+    # Four points in the plane with no colourful Radon partition.  Boxes over
+    # e_1, e_2 and e_1 +- e_2 leave two pairs for the LP; axis boxes alone
+    # would leave four.
+    coords = [["1", "1/3"], ["2", "-4"], ["5", "-4/3"], ["1", "-1/3"]]
+    data = {
+        "d": 2,
+        "points": [{"coords": c, "color": color} for c, color in zip(coords, [0, 1, 2, 2])],
+        "r": 2,
+    }
+    path = write_json(tmp_path, "inst.json", data)
+    code, report, _ = run(capsys, "tverberg", "search", "--json", path)
+    assert code == 2
+    assert report["details"]["candidates_examined"] == 2
+    assert report["details"]["stats"] == {
+        "rainbow_faces": 11,
+        "pruned_dim_cap": 0,
+        "pruned_budget": 46,
+        "pruned_box": 18,
+        "lp_calls": 2,
+        "lp_feasible": 0,
+    }
 
 
 def test_malformed_rational_is_input_error(capsys, tmp_path):
@@ -300,6 +334,10 @@ def test_balanced_search(capsys, tmp_path):
     assert code == 0
     assert report["certificate"]["witness"] == ["1", "1"]
     assert report["details"]["policy"] == "shifted-k-plus-1"
+    # k = 1, s = 0 under the shifted policy: no face may reach dimension 2,
+    # so the dimension caps cut every face of three or more points.
+    stats = report["details"]["stats"]
+    assert (stats["rainbow_faces"], stats["pruned_dim_cap"], stats["lp_calls"]) == (31, 64, 1)
 
 
 def test_lift_roundtrip(capsys, tmp_path):
@@ -394,6 +432,22 @@ def test_unavoidable_large_universe_answers(capsys, tmp_path, n, avoid, r):
     assert code == 0
     assert report["details"]["hypothesis_holds"] and report["details"]["unavoidable"]
     assert report["details"]["stats"]["minimal_non_faces"] == len(avoid)
+
+
+def test_unavoidable_avoid_set_beyond_the_guard_is_a_resource_error(capsys, tmp_path):
+    # comb(14 + 15 - 1, 15) collections of the 14 singletons pass the guard;
+    # this once reported "refuted" (exit 1) though the hypothesis holds.
+    payload = {
+        "multiset": {"vertices": list(range(15)), "multiplicity": {str(v): 1 for v in range(15)}},
+        "r": 15,
+        "avoid_set": list(range(14)),
+    }
+    path = write_json(tmp_path, "un.json", payload)
+    code, report, err = run(capsys, "unavoidable", "check", "--json", path)
+    assert code == 4
+    assert report["verdict"] == "error"
+    assert "candidate collections exceed the guard" in report["message"]
+    assert "Traceback" not in err
 
 
 def test_unavoidable_many_facets_trip_a_small_guard(capsys, tmp_path, monkeypatch):

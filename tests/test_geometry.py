@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_search_all
 from tverrook import (
@@ -23,7 +27,15 @@ from tverrook import (
     verify_solution,
 )
 from tverrook.exactlp import solve_equality_feasibility
-from tverrook.geometry import format_rational, parse_rational
+from tverrook.geometry import (
+    POLICY_LITERAL,
+    POLICY_SHIFTED,
+    _box,
+    _boxes_meet,
+    _grid_projections,
+    format_rational,
+    parse_rational,
+)
 
 F = Fraction
 
@@ -134,6 +146,96 @@ def test_two_far_points_exhaust():
     # All candidate pairs are killed by budget or bounding-box pruning,
     # so no full tuple ever reaches the LP.
     assert out.candidates_examined == 0
+
+
+def test_diagonal_boxes_prune_what_axis_boxes_miss():
+    # The point (3/2, 0) lies in the axis box of the segment from the origin
+    # to (3/2, 3/2), but x - y is 3/2 there and 0 on the whole segment.
+    config = pts(((0, 0), 0, 1), (("3/2", "3/2"), 1, 1), (("3/2", 0), 2, 1), d=2)
+    projections = _grid_projections(config)
+    assert projections == [(0, 0, 0, 0), (3, 3, 6, 0), (3, 0, 3, 3)]  # x, y, x + y, x - y; L = 2
+    segment, point = _box(projections, (0, 1)), _box(projections, (2,))
+    assert _boxes_meet((segment[0][:2], segment[1][:2]), (point[0][:2], point[1][:2]))
+    assert _boxes_meet(segment, point) is None
+    out = search_tverberg(TverbergInstance(config, 2))
+    assert isinstance(out, Exhausted)
+    assert out.candidates_examined == 0
+    assert out.stats == {
+        "rainbow_faces": 7,
+        "pruned_dim_cap": 0,
+        "pruned_budget": 22,
+        "pruned_box": 6,
+        "lp_calls": 0,
+        "lp_feasible": 0,
+    }
+
+
+def _rational_box(config, face):
+    """A face's box by direct `Fraction` projections onto e_i, e_i + e_j, e_i - e_j."""
+    d = config.d
+    pairs = list(itertools.combinations(range(d), 2))
+    directions = [[int(a == i) for a in range(d)] for i in range(d)]
+    directions += [[int(a in (i, j)) for a in range(d)] for i, j in pairs]
+    directions += [[(a == i) - (a == j) for a in range(d)] for i, j in pairs]
+    values = [
+        [sum(u * c for u, c in zip(direction, config.points[v].coords)) for v in face]
+        for direction in directions
+    ]
+    return tuple(min(vs) for vs in values), tuple(max(vs) for vs in values)
+
+
+@st.composite
+def free_instances(draw):
+    """Small free-mode instances with mixed coordinate denominators (L > 1).
+
+    d in {1, 2, 3}, r in {2, 3}, at most 6 points, multiplicities 1-2, both
+    disjointness modes, sometimes dimension caps.
+    """
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 6))
+    num_colors = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, num_colors - 1), min_size=n - num_colors, max_size=n - num_colors))
+    colors = sorted(list(range(num_colors)) + extra)
+    coord = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    points = []
+    for i in range(n):
+        coords = draw(st.lists(coord, min_size=d, max_size=d))
+        if i == 0:
+            coords[0] = F(2 * draw(st.integers(-3, 3)) + 1, 2)
+        points.append(ColoredPoint(tuple(coords), colors[i], draw(st.integers(1, 2))))
+    caps = draw(st.one_of(
+        st.none(),
+        st.builds(DimCaps, st.integers(0, 2), st.integers(0, 2),
+                  st.sampled_from([POLICY_SHIFTED, POLICY_LITERAL])),
+    ))
+    disjointness = draw(st.sampled_from(["multiset-proper", "vertex-disjoint"]))
+    return TverbergInstance(PointConfig(d, tuple(points)), r, dim_caps=caps, disjointness=disjointness)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=free_instances())
+def test_pruned_search_matches_naive_enumerator_on_random_instances(instance):
+    assert search_tverberg_all(instance) == naive_search_all(instance)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=free_instances())
+def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
+    config = instance.config
+    projections = _grid_projections(config)
+    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
+    assert L > 1
+    faces = rainbow_faces(config)
+    boxes = {f: _box(projections, f) for f in faces}
+    for f, (lo, hi) in boxes.items():
+        want_lo, want_hi = _rational_box(config, f)
+        assert lo == tuple(L * x for x in want_lo) and hi == tuple(L * x for x in want_hi)
+    # On a line, intervals meet as a family iff they meet pairwise, so the
+    # boxes of a tuple miss iff those of one pair of its faces do.
+    for f, g in itertools.combinations(faces, 2):
+        if _boxes_meet(boxes[f], boxes[g]) is None:
+            assert hulls_intersect(config, [f, g]) is None
 
 
 def test_mode_validation_failures():
