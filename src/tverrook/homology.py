@@ -11,6 +11,18 @@ invariant factor 1 (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35,
 1998).  The dense Smith normal form, exact integer elimination with minimal
 absolute-value pivoting, then runs only on the remainder, which carries all
 the torsion.  Arbitrary-precision integers throughout.
+
+The maps are reduced upward, d_0 first, and each is compressed by the one
+below it (Bauer, Kerber and Reininghaus, "Clear and compress", 2014): the
+q-faces that d_q took as unit pivots J_q index rows of d_{q+1}, and those
+rows are never built.  This is sound over the integers.  The pivot rows of
+d_q, read as coboundaries, have a +-1 at their own pivot column and 0 at
+every earlier one, so they make a unimodular triangular change of basis of
+the q-cochains; as d_q d_{q+1} = 0 it turns rows J_q of d_{q+1} into zero
+and leaves the other rows as they are.  The columns of the dense remainder
+keep their rows, because a pivot other than +-1 gives no unimodular change.
+Connectivity through dimension c reads only d_0, ..., d_{c+1}, and stops
+there.
 """
 
 from __future__ import annotations
@@ -93,17 +105,25 @@ def smith_invariants(matrix: list) -> list:
     return invariants
 
 
-def _boundary_columns(by_dim: dict, q: int) -> list:
+def _boundary_columns(by_dim: dict, q: int, cleared=frozenset()) -> list:
     """Sparse columns of the boundary map from q-faces to (q-1)-faces.
 
     Column j is ``{i: +-1}`` over the (q-1)-faces i of the j-th q-face, both
-    indexed in the sorted order of ``faces_by_dimension``.
+    indexed in the sorted order of ``faces_by_dimension``.  The rows of the
+    (q-1)-faces whose indices are in ``cleared`` are left out, and the
+    other rows are numbered in order.
     """
-    index = {face: i for i, face in enumerate(by_dim.get(q - 1, []))}
-    return [
-        {index[face[:idx] + face[idx + 1:]]: -1 if idx % 2 else 1 for idx in range(len(face))}
-        for face in by_dim.get(q, [])
-    ]
+    kept = (face for i, face in enumerate(by_dim.get(q - 1, [])) if i not in cleared)
+    index = {face: i for i, face in enumerate(kept)}
+    columns = []
+    for face in by_dim.get(q, []):
+        column = {}
+        for idx in range(len(face)):
+            row = index.get(face[:idx] + face[idx + 1:])
+            if row is not None:
+                column[row] = -1 if idx % 2 else 1
+        columns.append(column)
+    return columns
 
 
 def boundary_matrix(K: Complex, q: int) -> list:
@@ -123,13 +143,13 @@ def boundary_matrix(K: Complex, q: int) -> list:
 def eliminate_units(columns: list, n_rows: int):
     """Eliminate +-1 pivots of a sparse integer matrix.
 
-    Returns ``(units, remainder)``: the number of pivots eliminated, each an
-    invariant factor 1, and the dense matrix of the rows and columns left
-    nonzero, whose Smith invariants are the rest.  A pivot (i, j) of value
-    u clears row i by the column moves ``col_k -= a_ik * u * col_j``; then
-    row i and column j are dropped.  The next pivot is the unit entry of
-    least fill (r_i - 1)(c_j - 1), ties to the lowest column, then row.
-    The column dicts are updated in place.
+    Returns ``(pivots, remainder)``: the set of columns eliminated as unit
+    pivots, each giving an invariant factor 1, and the dense matrix of the
+    rows and columns left nonzero, whose Smith invariants are the rest.  A
+    pivot (i, j) of value u clears row i by the column moves
+    ``col_k -= a_ik * u * col_j``; then row i and column j are dropped.  The
+    next pivot is the unit entry of least fill (r_i - 1)(c_j - 1), ties to
+    the lowest column, then row.  The column dicts are updated in place.
 
     The heap keeps, for every unit entry, an item whose cost is at most the
     entry's current cost: an entry is pushed again when its value changes or
@@ -152,10 +172,10 @@ def eliminate_units(columns: list, n_rows: int):
         if v == 1 or v == -1
     ]
     heapify(heap)
-    units = 0
+    pivots = set()
     # each pivot removes a row and a column, so at most this many
     rank_cap = min(n_rows, len(cols))
-    while heap and units < rank_cap:
+    while heap and len(pivots) < rank_cap:
         cost, j, i = heappop(heap)
         pivot_col = cols[j]
         if pivot_col is None or pivot_col.get(i) not in (1, -1):
@@ -165,7 +185,7 @@ def eliminate_units(columns: list, n_rows: int):
             if now > cost:
                 heappush(heap, (now, j, i))
             continue
-        units += 1
+        pivots.add(j)
         cols[j] = None
         u = pivot_col.pop(i)
         row_len = {}
@@ -213,7 +233,7 @@ def eliminate_units(columns: list, n_rows: int):
     for b, column in enumerate(live_cols):
         for r, v in column.items():
             remainder[live_rows[r]][b] = v
-    return units, remainder
+    return pivots, remainder
 
 
 @dataclass(frozen=True)
@@ -224,7 +244,7 @@ class HomologyProfile:
     torsion: tuple  # tuple of tuples of invariant factors > 1
     reduced: bool = True
     # what elimination did to each boundary map, one row per q:
-    # {"q", "rows", "cols", "units", "remainder": [rows, cols]}
+    # {"q", "rows", "compressed", "cols", "units", "remainder": [rows, cols]}
     boundary: tuple = field(default=(), compare=False)
 
     def betti_number(self, q: int) -> int:
@@ -240,44 +260,60 @@ class HomologyProfile:
         ]
 
 
+def _reduce_boundaries(by_dim: dict, top: int):
+    """Reduce the boundary maps d_0, ..., d_top in this order.
+
+    Yields ``(rank, torsion, stats)`` for each: the rank of d_q, its
+    invariant factors > 1, and its row of ``HomologyProfile.boundary``.
+    d_q is built without the rows of the (q-1)-faces that d_{q-1} took as
+    unit pivots (its ``compressed`` count).
+    """
+    cleared = set()
+    for q in range(top + 1):
+        n_rows = len(by_dim.get(q - 1, []))
+        columns = _boundary_columns(by_dim, q, cleared)
+        pivots, remainder = eliminate_units(columns, n_rows - len(cleared))
+        inv = smith_invariants(remainder)
+        stats = {
+            "q": q,
+            "rows": n_rows,
+            "compressed": len(cleared),
+            "cols": len(columns),
+            "units": len(pivots),
+            "remainder": [len(remainder), len(remainder[0]) if remainder else 0],
+        }
+        yield len(pivots) + len(inv), tuple(d for d in inv if d > 1), stats
+        cleared = pivots
+
+
 def betti_and_torsion(K: Complex) -> HomologyProfile:
     """Reduced integral homology of K in every dimension."""
     if K.facets == ((),):
         raise InputError("homology requires a nonempty complex")
     by_dim = faces_by_dimension(K)
     dim = K.dimension
-
-    ranks = [0] * (dim + 2)
-    torsion_by_map = [()] * (dim + 2)
-    boundary = []
-    for q in range(dim + 1):
-        columns = _boundary_columns(by_dim, q)
-        n_rows = len(by_dim[q - 1])
-        units, remainder = eliminate_units(columns, n_rows)
-        inv = smith_invariants(remainder)
-        ranks[q] = units + len(inv)
-        torsion_by_map[q] = tuple(d for d in inv if d > 1)
-        shape = [len(remainder), len(remainder[0]) if remainder else 0]
-        boundary.append(
-            {"q": q, "rows": n_rows, "cols": len(columns), "units": units, "remainder": shape}
-        )
-
+    ranks, torsion, boundary = zip(*_reduce_boundaries(by_dim, dim))
+    ranks += (0,)
     betti = tuple(len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(dim + 1))
-    return HomologyProfile(betti, tuple(torsion_by_map[1:]), boundary=tuple(boundary))
+    return HomologyProfile(betti, torsion[1:] + ((),), boundary=boundary)
 
 
 def homological_connectivity(K: Complex, c: int) -> bool:
     """True iff reduced homology (rank and torsion) vanishes in dimensions <= c.
 
+    Only d_0, ..., d_{c+1} decide it, so no higher boundary map is built.
     Necessary for topological c-connectivity; does not certify pi_1.
     """
     if c < -1:
         raise InputError("connectivity level must be >= -1")
     if K.facets == ((),):
         return False
-    if c == -1:
-        return True
-    profile = betti_and_torsion(K)
-    return all(
-        profile.betti_number(q) == 0 and not profile.torsion_in(q) for q in range(c + 1)
-    )
+    by_dim = faces_by_dimension(K)
+    # past the top dimension, d_{dim+1} has no columns
+    previous = 0
+    for q, (rank, torsion, _) in enumerate(_reduce_boundaries(by_dim, min(c, K.dimension) + 1)):
+        # H_{q-1} = Z^(faces - rank d_{q-1} - rank d_q) + the torsion of d_q
+        if q and (torsion or len(by_dim[q - 1]) != previous + rank):
+            return False
+        previous = rank
+    return True

@@ -226,10 +226,11 @@ def test_homology(capsys, tmp_path):
         {"q": 2, "betti": 1, "torsion": []},
     ]
     # Every rank of M(3,4) is carried by unit pivots: no remainder reaches SNF.
+    # Each map is built without the rows the map below took as unit pivots.
     assert report["details"]["stats"]["boundary"] == [
-        {"q": 0, "rows": 1, "cols": 12, "units": 1, "remainder": [0, 0]},
-        {"q": 1, "rows": 12, "cols": 36, "units": 11, "remainder": [0, 0]},
-        {"q": 2, "rows": 36, "cols": 24, "units": 23, "remainder": [0, 0]},
+        {"q": 0, "rows": 1, "compressed": 0, "cols": 12, "units": 1, "remainder": [0, 0]},
+        {"q": 1, "rows": 12, "compressed": 1, "cols": 36, "units": 11, "remainder": [0, 0]},
+        {"q": 2, "rows": 36, "compressed": 11, "cols": 24, "units": 23, "remainder": [0, 0]},
     ]
     _, again, _ = run(capsys, "homology", "--json", path)
     report.pop("elapsed_seconds")

@@ -9,6 +9,7 @@ from tverrook import (
     euler_characteristic,
     face_counts,
     homological_connectivity,
+    homology,
     join,
     smith_invariants,
     sphere_spec,
@@ -162,8 +163,10 @@ def test_5_5_board_has_3_torsion():
     chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
     assert chi == reduced_euler_closed_form(5, 5) == euler_characteristic(K, reduced=True) == -56
     # Unit elimination leaves a remainder for the dense Smith form only in
-    # the boundary map from 3-faces, and that remainder carries the Z/3.
-    assert [r["remainder"] for r in profile.boundary] == [[0, 0], [0, 0], [0, 0], [8, 24], [0, 0]]
+    # the boundary map from 3-faces, and that remainder carries the Z/3.  It
+    # is one row: the rows of 2-faces taken as unit pivots by the boundary
+    # map from 2-faces are never built.
+    assert [r["remainder"] for r in profile.boundary] == [[0, 0], [0, 0], [0, 0], [1, 46], [0, 0]]
 
 
 def test_5_6_board_is_torsion_free():
@@ -173,3 +176,51 @@ def test_5_6_board_is_torsion_free():
     assert profile.torsion == ((), (), (), (), ())
     chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
     assert chi == reduced_euler_closed_form(5, 6) == euler_characteristic(K, reduced=True) == -151
+
+
+def test_5_7_board_is_torsion_free():
+    K = build_chessboard(standard_spec(5, 7))
+    profile = betti_and_torsion(K)
+    assert profile.betti == (0, 0, 0, 98, 132)
+    assert profile.torsion == ((), (), (), (), ())
+    chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
+    assert chi == reduced_euler_closed_form(5, 7) == euler_characteristic(K, reduced=True) == 34
+
+
+def test_6_6_board_has_3_torsion_in_dimension_3():
+    K = build_chessboard(standard_spec(6, 6))
+    profile = betti_and_torsion(K)
+    assert profile.betti == (0, 0, 0, 25, 210, 0)
+    assert profile.torsion == ((), (), (), (3,) * 10, (), ())
+    chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
+    assert chi == reduced_euler_closed_form(6, 6) == euler_characteristic(K, reduced=True) == 185
+
+
+def test_connectivity_builds_only_the_maps_it_needs(monkeypatch):
+    K = build_chessboard(standard_spec(6, 6))
+    eliminate_units = homology.eliminate_units
+    eliminated = []
+
+    def counting(columns, n_rows):
+        eliminated.append(len(columns))
+        return eliminate_units(columns, n_rows)
+
+    monkeypatch.setattr(homology, "eliminate_units", counting)
+    # H_0..H_2 are decided by d_0..d_3: d_4 (from the 4320 4-faces) is never reduced.
+    assert homological_connectivity(K, 2)
+    counts = face_counts(K)
+    assert eliminated == [counts[q] for q in range(4)] == [36, 450, 2400, 5400]
+    profile = betti_and_torsion(K)
+    assert all(profile.betti_number(q) == 0 and not profile.torsion_in(q) for q in range(3))
+    assert not homological_connectivity(K, 3)
+
+
+def test_chessboard_connectivity_ladder():
+    # Bjorner-Lovasz-Vrecica-Zivaljevic, J. London Math. Soc. 49 (1994):
+    # M(m,n) is (nu-2)-connected, nu = min(m, n, floor((m+n+1)/3)).
+    for m in range(1, 7):
+        for n in range(m, 36 // m + 1):
+            nu = min(m, n, (m + n + 1) // 3)
+            assert homological_connectivity(build_chessboard(standard_spec(m, n)), nu - 2), (m, n)
+    # Sharp at M(5,5), nu = 3: H_2 = Z/3 (Shareshian-Wachs).
+    assert not homological_connectivity(build_chessboard(standard_spec(5, 5)), 2)

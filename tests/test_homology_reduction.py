@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_betti_and_torsion
-from tverrook import betti_and_torsion, build_complex, join, smith_invariants
+from tverrook import betti_and_torsion, boundary_matrix, build_complex, join, smith_invariants
 from tverrook.homology import eliminate_units
 
 # Minimal 6-vertex triangulation of RP^2: H_1 = Z/2.
@@ -46,6 +46,28 @@ def test_profile_matches_dense_oracle(K):
     assert betti_and_torsion(K) == dense_betti_and_torsion(K)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(K=complexes())
+@example(K=RP2)
+# RP^2 joined with a point and an edge: d_3 leaves a remainder for the dense
+# Smith form, and d_4 needs rows of its columns; only unit pivots may go.
+@example(K=join(RP2, build_complex(range(3), [(0,), (1, 2)]))[0])
+def test_unit_pivot_rows_are_redundant_one_map_up(K):
+    # The columns J_q that unit elimination of d_q takes as pivots index
+    # q-faces, that is rows of d_{q+1}; deleting those rows keeps every
+    # invariant factor of d_{q+1}.  d_q itself is reduced without the rows
+    # J_{q-1}, as in betti_and_torsion.
+    cleared = set()
+    for q in range(K.dimension + 1):
+        low = [row for i, row in enumerate(boundary_matrix(K, q)) if i not in cleared]
+        columns = [{i: row[j] for i, row in enumerate(low) if row[j]} for j in range(len(low[0]))]
+        pivots, _ = eliminate_units(columns, len(low))
+        high = boundary_matrix(K, q + 1)
+        kept = [row for i, row in enumerate(high) if i not in pivots]
+        assert smith_invariants(kept) == smith_invariants(high)
+        cleared = pivots
+
+
 @st.composite
 def planted_matrices(draw):
     """Small integer matrices, mostly zero and +-1, with some larger entries."""
@@ -63,8 +85,9 @@ def test_unit_elimination_keeps_invariant_factors(A):
     rows = len(A)
     cols = len(A[0]) if rows else 0
     columns = [{i: A[i][j] for i in range(rows) if A[i][j]} for j in range(cols)]
-    units, remainder = eliminate_units(columns, rows)
-    assert [1] * units + smith_invariants(remainder) == smith_invariants(A)
+    pivots, remainder = eliminate_units(columns, rows)
+    assert pivots <= set(range(cols))
+    assert [1] * len(pivots) + smith_invariants(remainder) == smith_invariants(A)
     # elimination runs until no unit entry is left, and drops zero lines
     assert all(abs(v) != 1 for row in remainder for v in row)
     assert all(any(row) for row in remainder)
