@@ -106,8 +106,10 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
     tuple of its cell ids i * m + j.  Rows are filled in order, each trying
     its columns in ascending order before it ends, so the placements come
     out in lex order.  A branch is cut as soon as the remaining rows cannot
-    make it maximal (see the module docstring).  The next row is reached by
-    looping, not recursing, so the recursion depth is a placement's size.
+    make it maximal (see the module docstring), and a placement that leaves
+    no spare capacity is complete at once, whatever rows remain.  The next
+    row is reached by looping, not recursing, so the recursion depth is a
+    placement's size.
     """
     n = len(row_caps)
     size = min(sum(min(k, m) for k in row_caps), sum(col_caps))
@@ -119,11 +121,13 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
     for i in reversed(range(n)):
         reach[i] = reach[i + 1] + min(row_caps[i], m) * weights[i]
     spare = list(col_caps)
+    total_spare = sum(spare)
     facets = []
 
     def extend(i, start, taken, limit, excess, prefix):
         # limit[j]: the most spare capacity column j may keep in a maximal
         # placement; excess: how far the columns are above their limits in all
+        nonlocal total_spare
         while True:
             w = weights[i]
             if taken < row_caps[i]:
@@ -132,9 +136,11 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
                     s = spare[j]
                     if s >= w:
                         spare[j] = s - w
+                        total_spare -= w
                         cut = max(0, min(w, s - limit[j]))
                         extend(i, j + 1, taken + 1, limit, excess - cut, prefix + (base + j,))
                         spare[j] = s
+                        total_spare += w
                 if excess > reach[i + 1]:  # ending the row short only adds to the excess
                     return
                 own = prefix[len(prefix) - taken:]
@@ -144,7 +150,7 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
                 excess = sum(s - l for s, l in zip(spare, limit) if s > l)
             if excess > reach[i + 1]:
                 return
-            if i + 1 == n:
+            if i + 1 == n or not total_spare:  # a full board takes no more rooks
                 facets.append(prefix)
                 if len(facets) > MAX_FACETS:
                     raise ResourceLimitError(f"more than MAX_FACETS = {MAX_FACETS} facets")
@@ -196,6 +202,11 @@ class PseudomanifoldReport:
         }
 
 
+def _mask_vertices(mask: int) -> tuple:
+    """The sorted vertex ids of the set bits of a vertex bitmask."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
     """Audit purity, ridge degree 2, and strong connectivity exhaustively."""
     facets = K.facets
@@ -203,13 +214,16 @@ def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
         raise InputError("pseudomanifold check requires a nonempty complex")
     pure = K.is_pure()
 
+    # ridges are keyed by vertex bitmask, so each costs one int, not a tuple
     ridge_incidence: dict = {}
     for fi, facet in enumerate(facets):
-        for idx in range(len(facet)):
-            ridge = facet[:idx] + facet[idx + 1:]
-            ridge_incidence.setdefault(ridge, []).append(fi)
+        facet_mask = sum(1 << v for v in facet)
+        for v in facet:
+            ridge_incidence.setdefault(facet_mask ^ (1 << v), []).append(fi)
 
-    offending = tuple(sorted(r for r, fs in ridge_incidence.items() if len(fs) != 2))
+    offending = tuple(sorted(
+        _mask_vertices(mask) for mask, fs in ridge_incidence.items() if len(fs) != 2
+    ))
     ridge_degrees_ok = not offending
 
     roots = _union_find(

@@ -20,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -475,26 +477,52 @@ def _box(projections: list, face):
     return tuple(map(min, zip(*rows))), tuple(map(max, zip(*rows)))
 
 
-def _boxes_meet(box1, box2):
-    lo = tuple(max(a, b) for a, b in zip(box1[0], box2[0]))
-    hi = tuple(min(a, b) for a, b in zip(box1[1], box2[1]))
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return lo, hi
+def _meet_masks(boxes: list) -> list:
+    """Per face i, the bitmask of the faces j whose box meets box i on every direction.
+
+    On direction u the intervals meet iff lo_j <= hi_i and hi_j >= lo_i.
+    With the faces sorted by lo, the first condition holds on a prefix, and
+    with them sorted by hi, the second holds on a suffix; prefix and suffix
+    OR masks, found by bisection, give both without comparing every pair.
+    """
+    n = len(boxes)
+    meets = [(1 << n) - 1] * n
+    for u in range(len(boxes[0][0]) if boxes else 0):
+        lo = [box[0][u] for box in boxes]
+        hi = [box[1][u] for box in boxes]
+        by_lo = sorted(range(n), key=lo.__getitem__)
+        by_hi = sorted(range(n), key=hi.__getitem__)
+        sorted_lo = [lo[i] for i in by_lo]
+        sorted_hi = [hi[i] for i in by_hi]
+        # prefix[k]: the faces of by_lo[:k]; suffix[k]: the faces of by_hi[k:]
+        prefix = list(itertools.accumulate((1 << i for i in by_lo), operator.or_, initial=0))
+        suffix = list(itertools.accumulate((1 << i for i in reversed(by_hi)), operator.or_, initial=0))
+        suffix.reverse()
+        for i in range(n):
+            meets[i] &= prefix[bisect_right(sorted_lo, hi[i])] & suffix[bisect_left(sorted_hi, lo[i])]
+    return meets
 
 
 def _search(instance: TverbergInstance, find_all: bool):
     """Canonical-order pruned enumeration of r-tuples of rainbow faces.
 
     Tuples are non-decreasing in the face order (killing part relabeling).
-    A prefix is pruned by the dimension caps, by the multiplicity budget (or
-    vertex-disjointness), and by its boxes on the integer grid of
-    `_grid_projections`: the running box is the intersection of the prefix
-    faces' boxes on every direction, and an empty one proves that no
-    extension has intersecting hulls.  Only full tuples reach the LP, so the
-    first solution is the first feasible tuple in canonical order.  Returns
-    (first or all solutions, stats), where stats counts the rainbow faces,
-    the prefixes each rule pruned, and the LP calls and feasible LPs.
+    Faces are bits of masks, and each prefix carries three: the faces its
+    multiplicity budget (or vertex-disjointness) blocks, the faces whose
+    boxes on the integer grid of `_grid_projections` meet the box of every
+    prefix face, and, through its count of faces at the top dimension, the
+    faces the dimension caps cut.  Boxes are intervals on each direction,
+    and by Helly's theorem on a line intervals share a point iff they meet
+    pairwise, so the running box of a prefix is nonempty iff its faces'
+    boxes meet pairwise: the mask is the AND of the prefix faces' rows of
+    `_meet_masks`.  An empty running box proves that no extension has
+    intersecting hulls.  Each level visits only the faces that survive all
+    three masks, in ascending order, and only full tuples reach the LP, so
+    the first solution is the first feasible tuple in canonical order.
+    Returns (first or all solutions, stats), where stats counts the rainbow
+    faces, the prefixes each rule pruned (a face counts for the first rule
+    that cuts it, in the order dimension caps, budget, box), and the LP
+    calls and feasible LPs.
     """
     config = instance.config
     r = instance.r
@@ -502,12 +530,24 @@ def _search(instance: TverbergInstance, find_all: bool):
         raise ResourceLimitError(f"search depth r = {r} exceeds the cap ({MAX_PARTS})")
     faces = rainbow_faces(config)
     projections = _grid_projections(config)
-    boxes = [_box(projections, f) for f in faces]
+    meets = _meet_masks([_box(projections, f) for f in faces])
+    everything = (1 << len(faces)) - 1
+    touch = [0] * len(config.points)  # touch[v]: the faces that contain v
+    for fi, f in enumerate(faces):
+        for v in f:
+            touch[v] |= 1 << fi
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
+    over_cap = at_cap = 0  # faces above the top dimension, and at it
+    if caps is not None:
+        for fi, f in enumerate(faces):
+            if len(f) - 1 > caps.max_dim:
+                over_cap |= 1 << fi
+            elif len(f) - 1 == caps.max_dim:
+                at_cap |= 1 << fi
 
-    budget = [pt.multiplicity for pt in config.points]
-    used_vertices: set = set()
+    # a vertex-disjoint tuple uses each vertex at most once
+    budget = [1 if disjoint else pt.multiplicity for pt in config.points]
     chosen: list = []
     solutions: list = []
     stats = {
@@ -519,7 +559,7 @@ def _search(instance: TverbergInstance, find_all: bool):
         "lp_feasible": 0,
     }
 
-    def rec(start: int, box, capped_used: int):
+    def rec(start: int, allowed: int, blocked: int, capped_used: int):
         if len(chosen) == r:
             stats["lp_calls"] += 1
             got = hulls_intersect(config, [faces[i] for i in chosen])
@@ -535,41 +575,54 @@ def _search(instance: TverbergInstance, find_all: bool):
                     )
                 )
             return bool(solutions) and not find_all
-        for fi in range(start, len(faces)):
+        window = everything >> start << start
+        if caps is None:
+            cut = 0
+        elif capped_used > caps.s:
+            cut = window
+        elif capped_used + 1 > caps.s:
+            cut = window & (over_cap | at_cap)
+        else:
+            cut = window & over_cap
+        live = window & ~cut
+        spent = live & blocked
+        live &= ~blocked
+        missed = live & ~allowed
+        live &= allowed
+        stats["pruned_dim_cap"] += cut.bit_count()
+        stats["pruned_budget"] += spent.bit_count()
+        stats["pruned_box"] += missed.bit_count()
+        while live:
+            low = live & -live
+            live ^= low
+            fi = low.bit_length() - 1
             f = faces[fi]
-            extra = 0
-            if caps is not None:
-                dim = len(f) - 1
-                extra = 1 if dim == caps.max_dim else 0
-                if dim > caps.max_dim or capped_used + extra > caps.s:
-                    stats["pruned_dim_cap"] += 1
-                    continue
-            blocked = used_vertices.intersection(f) if disjoint else any(budget[v] < 1 for v in f)
-            if blocked:
-                stats["pruned_budget"] += 1
-                continue
-            nxt_box = boxes[fi] if box is None else _boxes_meet(box, boxes[fi])
-            if nxt_box is None:
-                stats["pruned_box"] += 1
-                continue
-            if disjoint:
-                used_vertices.update(f)
-            else:
-                for v in f:
-                    budget[v] -= 1
+            now_blocked = blocked
+            for v in f:
+                budget[v] -= 1
+                if not budget[v]:
+                    now_blocked |= touch[v]
             chosen.append(fi)
-            done = rec(fi + 1 if disjoint else fi, nxt_box, capped_used + extra)
+            done = rec(
+                fi + 1 if disjoint else fi,
+                allowed & meets[fi],
+                now_blocked,
+                capped_used + (1 if at_cap & low else 0),
+            )
             chosen.pop()
-            if disjoint:
-                used_vertices.difference_update(f)
-            else:
-                for v in f:
-                    budget[v] += 1
+            for v in f:
+                budget[v] += 1
             if done:
+                # a face counts as pruned only if it comes before the face
+                # that ended the search, as in a face-at-a-time loop
+                above = ~((low << 1) - 1)
+                stats["pruned_dim_cap"] -= (cut & above).bit_count()
+                stats["pruned_budget"] -= (spent & above).bit_count()
+                stats["pruned_box"] -= (missed & above).bit_count()
                 return True
         return False
 
-    rec(0, None, 0)
+    rec(0, everything, 0, 0)
     return solutions, stats
 
 

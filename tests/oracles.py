@@ -3,9 +3,11 @@ enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
 the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, the
 whole-matrix Smith normal form homology that sparse unit elimination
 replaced in `tverrook.homology`, the whole-complex preimage scan that
-direct preimage enumeration replaced in `tverrook.maps`, and the scan of
+direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
-`tverrook.constraints`."""
+`tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
+candidate sets replaced in `tverrook.geometry._search`, and ranks of
+boundary maps over F_p."""
 
 import functools
 import itertools
@@ -16,15 +18,18 @@ from tverrook import (
     HomologyProfile,
     InputError,
     ResourceLimitError,
+    TverbergSolution,
     UnavoidabilityVerdict,
     boundary_matrix,
     build_chessboard,
     faces_by_dimension,
     hulls_intersect,
+    rainbow_faces,
     smith_invariants,
 )
 from tverrook.constraints import COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
 from tverrook.errors import guard_from_env
+from tverrook.geometry import _box, _grid_projections
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -185,6 +190,120 @@ def naive_search_all(instance):
         if hulls_intersect(config, tup) is not None:
             solutions.append(tuple(tup))
     return solutions
+
+
+def loop_search(instance, find_all):
+    """The pruned search of `tverrook.geometry._search`, one candidate face at a time.
+
+    Each level tries every face from its start in order, and tests the
+    dimension caps, the multiplicity budget (or vertex-disjointness) and the
+    running box, the intersection of the prefix faces' boxes, rule after
+    rule.  Returns (solutions, stats) as `_search` does, counters included.
+    """
+    config = instance.config
+    r = instance.r
+    faces = rainbow_faces(config)
+    projections = _grid_projections(config)
+    boxes = [_box(projections, f) for f in faces]
+    disjoint = instance.disjointness == "vertex-disjoint"
+    caps = instance.dim_caps
+
+    budget = [pt.multiplicity for pt in config.points]
+    used_vertices = set()
+    chosen = []
+    solutions = []
+    stats = {
+        "rainbow_faces": len(faces),
+        "pruned_dim_cap": 0,
+        "pruned_budget": 0,
+        "pruned_box": 0,
+        "lp_calls": 0,
+        "lp_feasible": 0,
+    }
+
+    def boxes_meet(box1, box2):
+        lo = tuple(max(a, b) for a, b in zip(box1[0], box2[0]))
+        hi = tuple(min(a, b) for a, b in zip(box1[1], box2[1]))
+        if any(a > b for a, b in zip(lo, hi)):
+            return None
+        return lo, hi
+
+    def rec(start, box, capped_used):
+        if len(chosen) == r:
+            stats["lp_calls"] += 1
+            got = hulls_intersect(config, [faces[i] for i in chosen])
+            if got is not None:
+                stats["lp_feasible"] += 1
+                witness, certs = got
+                solutions.append(
+                    TverbergSolution(
+                        tuple(faces[i] for i in chosen), witness, certs,
+                        caps.policy if caps else None,
+                    )
+                )
+            return bool(solutions) and not find_all
+        for fi in range(start, len(faces)):
+            f = faces[fi]
+            extra = 0
+            if caps is not None:
+                dim = len(f) - 1
+                extra = 1 if dim == caps.max_dim else 0
+                if dim > caps.max_dim or capped_used + extra > caps.s:
+                    stats["pruned_dim_cap"] += 1
+                    continue
+            blocked = used_vertices.intersection(f) if disjoint else any(budget[v] < 1 for v in f)
+            if blocked:
+                stats["pruned_budget"] += 1
+                continue
+            nxt_box = boxes[fi] if box is None else boxes_meet(box, boxes[fi])
+            if nxt_box is None:
+                stats["pruned_box"] += 1
+                continue
+            if disjoint:
+                used_vertices.update(f)
+            else:
+                for v in f:
+                    budget[v] -= 1
+            chosen.append(fi)
+            done = rec(fi + 1 if disjoint else fi, nxt_box, capped_used + extra)
+            chosen.pop()
+            if disjoint:
+                used_vertices.difference_update(f)
+            else:
+                for v in f:
+                    budget[v] += 1
+            if done:
+                return True
+        return False
+
+    rec(0, None, 0)
+    return solutions, stats
+
+
+def rank_mod_p(columns, p):
+    """Rank over F_p of a sparse integer matrix, given as columns {row: value}.
+
+    A column is reduced by the earlier pivot columns until its lowest row is
+    no pivot's; then it is a pivot itself, or it is zero.
+    """
+    pivots = {}  # lowest row -> the column with that lowest row, scaled to 1 there
+    for column in columns:
+        column = {i: v % p for i, v in column.items() if v % p}
+        while column:
+            low = max(column)
+            other = pivots.get(low)
+            if other is None:
+                inverse = pow(column[low], -1, p)
+                pivots[low] = {i: v * inverse % p for i, v in column.items()}
+                break
+            factor = column[low]
+            for i, v in other.items():
+                new = (column.get(i, 0) - factor * v) % p
+                if new:
+                    column[i] = new
+                else:
+                    column.pop(i, None)
+    return len(pivots)
 
 
 def fraction_equality_feasibility(A: list, b: list):

@@ -3,6 +3,7 @@ import copy
 import io
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -76,6 +77,46 @@ def test_chessboard_check_refuted(capsys):
     code, report, _ = run(capsys, "chessboard", "check", "--cols", "1,1", "--rows", "4")
     assert code == 1
     assert report["verdict"] == "refuted"
+
+
+def test_chessboard_check_reports_the_offending_ridges(capsys):
+    code, report, _ = run(capsys, "chessboard", "check", "--cols", "1,2", "--rows", "3")
+    assert code == 1
+    assert report["details"]["report"] == {
+        "offending_faces": [[0, 3], [0, 5], [1, 2], [1, 3], [1, 4], [1, 5], [2, 5], [3, 4], [3, 5]],
+        "pure": True,
+        "ridge_degrees_ok": False,
+        "strongly_connected": False,
+    }
+
+
+def test_chessboard_check_of_a_deep_one_column_board(capsys):
+    # 201 facets of 200 rooks: every ridge is keyed by a bitmask, not a tuple
+    code, report, _ = run(capsys, "chessboard", "check", "--cols", "200")
+    assert code == 0
+    del report["elapsed_seconds"]
+    ok = {"offending_faces": [], "pure": True, "ridge_degrees_ok": True, "strongly_connected": True}
+    assert report == {
+        "certificate": ok,
+        "certificate_path": None,
+        "details": {
+            "report": ok,
+            "spec": {"col_caps": [200], "m": 1, "n": 201, "row_caps": [1] * 201},
+        },
+        "input_digest": "280b083585877d1841aa88b17c3f8667ae43240e2ea4f58592c3c934f6c1b964",
+        "seed": None,
+        "subcommand": "chessboard check",
+        "verdict": "verified",
+    }
+
+
+def test_long_one_column_board_is_built_in_linear_time(capsys):
+    # Each placement is one rook that fills the column; it is complete at
+    # once instead of walking the thousands of rows below it.
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "chessboard", "build", "--cols", "1", "--rows", "5000")
+    assert (code, report["details"]["facets"]) == (0, 5000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_chessboard_build_writes_certificate(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_search_all
+from oracles import loop_search, naive_search_all
 from tverrook import (
     ColoredPoint,
     DimCaps,
@@ -31,8 +31,9 @@ from tverrook.geometry import (
     POLICY_LITERAL,
     POLICY_SHIFTED,
     _box,
-    _boxes_meet,
     _grid_projections,
+    _meet_masks,
+    _search,
     format_rational,
     parse_rational,
 )
@@ -155,8 +156,9 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
     projections = _grid_projections(config)
     assert projections == [(0, 0, 0, 0), (3, 3, 6, 0), (3, 0, 3, 3)]  # x, y, x + y, x - y; L = 2
     segment, point = _box(projections, (0, 1)), _box(projections, (2,))
-    assert _boxes_meet((segment[0][:2], segment[1][:2]), (point[0][:2], point[1][:2]))
-    assert _boxes_meet(segment, point) is None
+    axis = [(lo[:2], hi[:2]) for lo, hi in (segment, point)]
+    assert _meet_masks(axis) == [0b11, 0b11]
+    assert _meet_masks([segment, point]) == [0b01, 0b10]
     out = search_tverberg(TverbergInstance(config, 2))
     assert isinstance(out, Exhausted)
     assert out.candidates_examined == 0
@@ -227,15 +229,30 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
     L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
     assert L > 1
     faces = rainbow_faces(config)
-    boxes = {f: _box(projections, f) for f in faces}
-    for f, (lo, hi) in boxes.items():
-        want_lo, want_hi = _rational_box(config, f)
+    boxes = [_box(projections, f) for f in faces]
+    rational = [_rational_box(config, f) for f in faces]
+    for (lo, hi), (want_lo, want_hi) in zip(boxes, rational):
         assert lo == tuple(L * x for x in want_lo) and hi == tuple(L * x for x in want_hi)
     # On a line, intervals meet as a family iff they meet pairwise, so the
     # boxes of a tuple miss iff those of one pair of its faces do.
-    for f, g in itertools.combinations(faces, 2):
-        if _boxes_meet(boxes[f], boxes[g]) is None:
-            assert hulls_intersect(config, [f, g]) is None
+    meets = _meet_masks(boxes)
+    for i, j in itertools.combinations_with_replacement(range(len(faces)), 2):
+        (lo_i, hi_i), (lo_j, hi_j) = rational[i], rational[j]
+        meet = all(a <= d and c <= b for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j))
+        assert (meets[i] >> j & 1, meets[j] >> i & 1) == (meet, meet)
+        if not meet:
+            assert hulls_intersect(config, [faces[i], faces[j]]) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=free_instances(), find_all=st.booleans())
+def test_mask_search_matches_the_face_at_a_time_loop(instance, find_all):
+    got, got_stats = _search(instance, find_all)
+    want, want_stats = loop_search(instance, find_all)
+    assert got_stats == want_stats
+    assert [(s.faces, s.witness, s.certificates) for s in got] == [
+        (s.faces, s.witness, s.certificates) for s in want
+    ]
 
 
 def test_mode_validation_failures():

@@ -1,6 +1,7 @@
 import math
 import random
 
+from oracles import rank_mod_p
 from tverrook import (
     betti_and_torsion,
     boundary_matrix,
@@ -8,6 +9,7 @@ from tverrook import (
     build_complex,
     euler_characteristic,
     face_counts,
+    faces_by_dimension,
     homological_connectivity,
     homology,
     join,
@@ -15,6 +17,7 @@ from tverrook import (
     sphere_spec,
     standard_spec,
 )
+from tverrook.homology import _boundary_columns, _reduce_boundaries
 
 
 def matmul(A, B):
@@ -194,6 +197,46 @@ def test_6_6_board_has_3_torsion_in_dimension_3():
     assert profile.torsion == ((), (), (), (3,) * 10, (), ())
     chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
     assert chi == reduced_euler_closed_form(6, 6) == euler_characteristic(K, reduced=True) == 185
+
+
+def rational_ranks(K, top):
+    """Ranks over Q of d_0, ..., d_top, from the integral reduction."""
+    return [rank for rank, _, _ in _reduce_boundaries(faces_by_dimension(K), top)]
+
+
+def columns(K, q):
+    """The sparse columns {row: +-1} of d_q, as `boundary_matrix` lays them out."""
+    return _boundary_columns(faces_by_dimension(K), q)
+
+
+# Over F_p, d_q loses one rank per invariant factor divisible by p; those
+# factors are the torsion of H_{q-1}.
+
+
+def test_5_5_board_ranks_mod_p():
+    # H_2 = Z/3: d_3 has one invariant factor 3 and no even one.
+    K = build_chessboard(standard_spec(5, 5))
+    A = columns(K, 3)
+    rank = rational_ranks(K, 3)[3]
+    assert (rank_mod_p(A, 2), rank_mod_p(A, 3)) == (rank, rank - 1) == (424, 423)
+
+
+def test_5_6_board_ranks_mod_p_are_rational():
+    K = build_chessboard(standard_spec(5, 6))
+    ranks = rational_ranks(K, 4)
+    for q in range(1, 5):
+        A = columns(K, q)
+        assert rank_mod_p(A, 2) == rank_mod_p(A, 3) == ranks[q], q
+
+
+def test_6_6_board_ranks_mod_p():
+    # H_3 torsion (Z/3)^10: d_4 has ten invariant factors 3 and no even one.
+    K = build_chessboard(standard_spec(6, 6))
+    A = columns(K, 4)
+    rank = rational_ranks(K, 4)[4]
+    # f_4 - rank d_5 - beta_4, where rank d_5 = f_5 = 720 as beta_5 = 0
+    assert rank == 4320 - 720 - 210
+    assert (rank_mod_p(A, 2), rank_mod_p(A, 3)) == (rank, rank - 10)
 
 
 def test_connectivity_builds_only_the_maps_it_needs(monkeypatch):
