@@ -79,7 +79,6 @@ from .maps import (
     legendre_valuation,
     multiplicity_vector,
     obstruction_report,
-    regular_action_subgroup,
 )
 from .simplicial import (
     Complex,

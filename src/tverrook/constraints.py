@@ -17,11 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import InputError, ResourceLimitError, guard_from_env, json_int
+from .errors import InputError, ResourceLimitError, json_int
 from .simplicial import Complex, antichain
 
-COLLECTION_GUARD_ENV = "TVERROOK_COLLECTION_GUARD"
-DEFAULT_COLLECTION_GUARD = 10_000_000
+COLLECTION_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,8 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
     non-faces (the empty set is a face of every complex), sorted by size and
     then vertex ids.  The first counterexample it finds is the
     lexicographically least avoiding collection over all non-faces too:
-    shrinking a non-minimal member would lower its index.  The guard bounds
+    shrinking a non-minimal member would lower its index.  The guard
+    (`COLLECTION_GUARD` unless one is given, read at call time) bounds
     the number of multisets, comb(#minimal non-faces + r - 1, r), and the
     family that computes the minimal non-faces.
     """
@@ -191,9 +191,7 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
         raise InputError("the complex universe must lie inside the multiset universe")
     if r < 1:
         raise InputError(f"need at least r = 1 members, got {r}")
-    limit = guard if guard is not None else guard_from_env(
-        COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
-    )
+    limit = guard if guard is not None else COLLECTION_GUARD
     members = minimal_non_faces(K, sorted(V.universe), limit)
     estimate = math.comb(len(members) + r - 1, r)
     if estimate > limit:

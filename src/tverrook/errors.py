@@ -1,9 +1,7 @@
-"""Shared exception types, and the guard limits read from the environment.
+"""Shared exception types and JSON integer parsing.
 
 InputError maps to CLI exit code 3, ResourceLimitError to exit code 4.
 """
-
-import os
 
 
 class InputError(ValueError):
@@ -12,17 +10,6 @@ class InputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A desk-scale guard was exceeded; raise rather than grind forever."""
-
-
-def guard_from_env(name: str, default: int) -> int:
-    """The integer guard set in environment variable `name`, else `default`."""
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise InputError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def json_int(value, what: str) -> int:

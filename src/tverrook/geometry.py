@@ -134,6 +134,8 @@ class DimCaps:
     def __post_init__(self):
         if self.policy not in (POLICY_SHIFTED, POLICY_LITERAL):
             raise InputError(f"unknown dimension-cap policy {self.policy!r}")
+        if self.k < 0 or self.s < 0:
+            raise InputError(f"dimension caps must be non-negative, got k = {self.k}, s = {self.s}")
 
     @property
     def max_dim(self) -> int:

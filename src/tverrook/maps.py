@@ -17,17 +17,16 @@ from .chessboard import (
     MAX_FACETS,
     ChessboardSpec,
     RowPermutation,
-    Subgroup,
     build_chessboard,
     facet_sign,
-    fixed_subcomplex,
     one_row_spec,
     sphere_spec,
 )
-from .errors import InputError, ResourceLimitError, guard_from_env
+from .errors import InputError, ResourceLimitError
 
-OBSTRUCTION_GUARD_ENV = "TVERROOK_OBSTRUCTION_GUARD"
-DEFAULT_OBSTRUCTION_GUARD = 16
+# Largest p^k an obstruction report takes.  The degree (p^k - 1)! / prod(L!)
+# is printed in decimal, and str() refuses ints of more than 4300 digits.
+MAX_OBSTRUCTION_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -248,55 +247,44 @@ def multiplicity_vector(p: int, k: int) -> tuple:
 
 
 def elementary_abelian_subgroups(p: int, k: int) -> list:
-    """All subgroups of (Z_p)^k, i.e. all subspaces of F_p^k.
+    """All subgroups of (Z_p)^k, i.e. all subspaces of F_p^k, sorted.
 
-    Each subgroup is a sorted tuple of vectors (tuples over F_p).  The count
-    is cross-checked against the Gaussian binomial sum.
+    Each subspace of dimension h has exactly one basis in reduced row
+    echelon form: h rows with a leading 1 in pivot columns c_1 < ... < c_h,
+    zeros in the other pivot columns, and any entries in the non-pivot
+    columns right of their own pivot.  So every pivot set and every choice
+    of free entries gives one subspace, with no dedupe, and each is expanded
+    into its p^h elements, a sorted tuple of vectors (tuples over F_p).
+
+    Acting on [p^k] by translation, a subgroup H acts freely (u + v = v only
+    for u = 0), so each of its orbits is a coset with |H| elements.
     """
-    vectors = list(itertools.product(range(p), repeat=k))
-
-    def span(gens) -> tuple:
-        elements = {(0,) * k}
-        frontier = [(0,) * k]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = tuple((a + b) % p for a, b in zip(cur, g))
-                if nxt not in elements:
-                    elements.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(elements))
-
-    subspaces = {span([])}
-    for size in range(1, k + 1):
-        for gens in itertools.combinations(vectors[1:], size):
-            subspaces.add(span(gens))
-
-    expected = sum(_gaussian_binomial(k, h, p) for h in range(k + 1))
-    if len(subspaces) != expected:
-        raise AssertionError("subspace enumeration disagrees with the Gaussian binomial count")
+    subspaces = []
+    for h in range(k + 1):
+        for pivots in itertools.combinations(range(k), h):
+            free = [
+                (i, j) for i, c in enumerate(pivots) for j in range(c + 1, k) if j not in pivots
+            ]
+            for entries in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(j == c) for j in range(k)] for c in pivots]
+                for (i, j), a in zip(free, entries):
+                    rows[i][j] = a
+                elements = (
+                    tuple(sum(a * row[j] for a, row in zip(coeffs, rows)) % p for j in range(k))
+                    for coeffs in itertools.product(range(p), repeat=h)
+                )
+                subspaces.append(tuple(sorted(elements)))
     return sorted(subspaces)
 
 
-def _gaussian_binomial(n: int, h: int, p: int) -> int:
-    num = den = 1
-    for i in range(h):
-        num *= p ** (n - i) - 1
-        den *= p ** (h - i) - 1
-    return num // den
+def _free_fixed_dimension(spec: ChessboardSpec, order: int) -> int:
+    """Dimension of the fixed subcomplex of a group of `order` acting freely on the rows.
 
-
-def regular_action_subgroup(p: int, k: int, subspace) -> Subgroup:
-    """The subspace acting on [p^k] by translation of group elements."""
-    vectors = list(itertools.product(range(p), repeat=k))
-    index = {v: i + 1 for i, v in enumerate(vectors)}
-    perms = []
-    for u in subspace:
-        mapping = tuple(
-            index[tuple((a + b) % p for a, b in zip(v, u))] for v in vectors
-        )
-        perms.append(RowPermutation(mapping))
-    return Subgroup.from_generators(p**k, perms)
+    Every orbit has `order` rows, and a fixed face places whole orbits,
+    at most l_j // order of them in column j.  So the largest fixed face
+    has min(n // order, sum_j l_j // order) orbits, one vertex each.
+    """
+    return min(spec.n // order, sum(l // order for l in spec.col_caps)) - 1
 
 
 @dataclass(frozen=True)
@@ -344,39 +332,40 @@ class ObstructionReport:
         }
 
 
-def obstruction_report(p: int, k: int, d: int, guard: int | None = None) -> ObstructionReport:
+def obstruction_report(p: int, k: int, d: int) -> ObstructionReport:
     """The two computable obstruction ingredients for r = p^k parts.
 
     (A) the collapse-map degree and its residue mod p; (B) the fixed-point
-    dimension comparison for every subgroup of the regular (Z_p)^k action.
+    dimension comparison for every subgroup H of the regular (Z_p)^k action
+    on [p^k].  H acts freely, so both dimensions, of the one-row board and
+    of the sphere, come in closed form from |H| (`_free_fixed_dimension`);
+    no fixed subcomplex is built.  p^k above `MAX_OBSTRUCTION_ORDER` raises
+    `ResourceLimitError` before anything is computed, primality included.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
-    limit = guard if guard is not None else guard_from_env(
-        OBSTRUCTION_GUARD_ENV, DEFAULT_OBSTRUCTION_GUARD
-    )
-    r = p**k
-    if r > limit:
-        raise ResourceLimitError(f"p^k = {r} exceeds the guard ({limit})")
+    # Before the trial division in is_prime, which a large p would make slow;
+    # 2^k > MAX iff k >= MAX.bit_length(), so p^k is never formed for a large k.
+    limit = MAX_OBSTRUCTION_ORDER
+    if p >= 2 and (p > limit or k >= limit.bit_length() or p**k > limit):
+        raise ResourceLimitError(f"p^k = {p}^{k} exceeds MAX_OBSTRUCTION_ORDER = {limit}")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
 
     caps = multiplicity_vector(p, k)
     theta = CollapseTheta.constant(len(caps))
     degree = degree_formula(caps, theta)
 
     source = one_row_spec(caps)
-    target = sphere_spec(r)
+    target = sphere_spec(p**k)
     results = []
     for subspace in elementary_abelian_subgroups(p, k):
-        H = regular_action_subgroup(p, k, subspace)
-        dim_src = fixed_subcomplex(source, H).dimension
-        dim_tgt = fixed_subcomplex(target, H).dimension
+        order = len(subspace)
+        dim_src = _free_fixed_dimension(source, order)
+        dim_tgt = _free_fixed_dimension(target, order)
         basis = [v for v in subspace if v != (0,) * k]
         descriptor = "<" + ", ".join(str(v) for v in basis) + ">" if basis else "<trivial>"
-        results.append(
-            SubgroupResult(descriptor, len(subspace), dim_src, dim_tgt, dim_src <= dim_tgt)
-        )
+        results.append(SubgroupResult(descriptor, order, dim_src, dim_tgt, dim_src <= dim_tgt))
     return ObstructionReport(
         p, k, d, degree, degree % p, pow(degree, d + 1, p), tuple(results)
     )

@@ -6,8 +6,10 @@ replaced in `tverrook.homology`, the whole-complex preimage scan that
 direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
 `tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
-candidate sets replaced in `tverrook.geometry._search`, and ranks of
-boundary maps over F_p."""
+candidate sets replaced in `tverrook.geometry._search`, ranks of
+boundary maps over F_p, and the span-and-dedupe subspace enumerator and
+the regular (Z_p)^k action that the reduced row echelon enumeration and
+the closed-form fixed-point dimensions replaced in `tverrook.maps`."""
 
 import functools
 import itertools
@@ -18,17 +20,18 @@ from tverrook import (
     HomologyProfile,
     InputError,
     ResourceLimitError,
+    RowPermutation,
+    Subgroup,
     TverbergSolution,
     UnavoidabilityVerdict,
     boundary_matrix,
     build_chessboard,
+    constraints,
     faces_by_dimension,
     hulls_intersect,
     rainbow_faces,
     smith_invariants,
 )
-from tverrook.constraints import COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
-from tverrook.errors import guard_from_env
 from tverrook.geometry import _box, _grid_projections
 
 _ZERO = Fraction(0)
@@ -407,9 +410,7 @@ def scan_is_unavoidable(K, r, V, guard=None):
         raise InputError("the complex universe must lie inside the multiset universe")
     if r < 1:
         raise InputError(f"need at least r = 1 members, got {r}")
-    limit = guard if guard is not None else guard_from_env(
-        COLLECTION_GUARD_ENV, DEFAULT_COLLECTION_GUARD
-    )
+    limit = guard if guard is not None else constraints.COLLECTION_GUARD
     vertices = sorted(V.universe)
     non_faces = [
         subset
@@ -449,3 +450,52 @@ def scan_is_unavoidable(K, r, V, guard=None):
     if counterexample is None:
         return UnavoidabilityVerdict(True)
     return UnavoidabilityVerdict(False, counterexample)
+
+
+def span_subspaces(p, k):
+    """All subspaces of F_p^k as sorted tuples of vectors, sorted.
+
+    The reference for `tverrook.maps.elementary_abelian_subgroups`: the span
+    of every combination of nonzero generators, deduplicated.
+    """
+    vectors = list(itertools.product(range(p), repeat=k))
+
+    def span(gens):
+        elements = {(0,) * k}
+        frontier = [(0,) * k]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = tuple((a + b) % p for a, b in zip(cur, g))
+                if nxt not in elements:
+                    elements.add(nxt)
+                    frontier.append(nxt)
+        return tuple(sorted(elements))
+
+    subspaces = {span([])}
+    for size in range(1, k + 1):
+        for gens in itertools.combinations(vectors[1:], size):
+            subspaces.add(span(gens))
+    return sorted(subspaces)
+
+
+def gaussian_binomial(n, h, p):
+    """The number of h-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(h):
+        num *= p ** (n - i) - 1
+        den *= p ** (h - i) - 1
+    return num // den
+
+
+def regular_action_subgroup(p, k, subspace):
+    """The subspace acting on [p^k] by translation of group elements."""
+    vectors = list(itertools.product(range(p), repeat=k))
+    index = {v: i + 1 for i, v in enumerate(vectors)}
+    perms = []
+    for u in subspace:
+        mapping = tuple(
+            index[tuple((a + b) % p for a, b in zip(v, u))] for v in vectors
+        )
+        perms.append(RowPermutation(mapping))
+    return Subgroup.from_generators(p**k, perms)

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import naive_search_all
+from oracles import gaussian_binomial, naive_search_all, regular_action_subgroup, span_subspaces
 from tverrook import (
     CollapseTheta,
     ColoredPoint,
@@ -38,7 +38,6 @@ from tverrook import (
     one_row_spec,
     random_balanced_config,
     random_prime_power_config,
-    regular_action_subgroup,
     search_tverberg,
     search_tverberg_all,
     sphere_spec,
@@ -143,18 +142,25 @@ def test_criterion_04_mod_p_obstruction():
 
 def test_criterion_05_fixed_point_dimension_inequality():
     with budget(30):
-        for p, k in [(2, 1), (2, 2), (3, 1)]:
-            r = p**k
-            chessboard = one_row_spec(multiplicity_vector(p, k))
-            sphere = sphere_spec(r)
+        # Every r = p^k <= 16.  The fixed subcomplexes are enumerated where
+        # they fit under MAX_FACETS; the report's closed form covers all ten.
+        enumerable = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+        for p, k in enumerable + [(2, 4), (11, 1), (13, 1)]:
             subspaces = elementary_abelian_subgroups(p, k)
+            assert subspaces == span_subspaces(p, k)
+            assert len(subspaces) == sum(gaussian_binomial(k, h, p) for h in range(k + 1))
+            report = obstruction_report(p, k, 1)
+            assert report.verdict
+            assert all(s.dim_fixed_source <= s.dim_fixed_target for s in report.subgroup_results)
+            if (p, k) not in enumerable:
+                continue
+            chessboard = one_row_spec(multiplicity_vector(p, k))
+            sphere = sphere_spec(p**k)
             for subspace in subspaces:
                 H = regular_action_subgroup(p, k, subspace)
                 dim_board = fixed_subcomplex(chessboard, H).dimension
                 dim_sphere = fixed_subcomplex(sphere, H).dimension
                 assert dim_board <= dim_sphere, (p, k, subspace)
-            # The packaged report reaches the same verdict.
-            assert obstruction_report(p, k, 1).verdict
 
 
 def test_criterion_06_connectivity_bookkeeping():

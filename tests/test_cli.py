@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_equality_feasibility
-from tverrook import build_chessboard, geometry, one_row_spec, standard_spec
+from tverrook import build_chessboard, constraints, geometry, one_row_spec, standard_spec
 from tverrook.cli import build_parser, main
 
 
@@ -196,21 +196,30 @@ def test_obstruction(capsys):
     assert err.count("dim fixed chessboard") == 5
 
 
-def test_obstruction_guard_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("TVERROOK_OBSTRUCTION_GUARD", "4")
-    code, report, _ = run(capsys, "obstruction", "--p", "3", "--k", "2", "--d", "1")
-    assert code == 4
-    assert report["verdict"] == "error"
+def test_obstruction_guard_exit_code(capsys):
+    for p, k in [("2", "5"), ("17", "1")]:
+        code, report, _ = run(capsys, "obstruction", "--p", p, "--k", k, "--d", "1")
+        assert code == 4
+        assert report["verdict"] == "error"
+        assert "MAX_OBSTRUCTION_ORDER" in report["message"]
+
+
+@pytest.mark.parametrize("p, k, subgroups", [(2, 4, 67), (11, 1, 2), (13, 1, 2)])
+def test_obstruction_answers_beyond_the_facet_cap(capsys, p, k, subgroups):
+    # The trivial subgroup's fixed subcomplex is the whole configuration
+    # space (10.8M facets for (2, 4)); the closed form never builds it.
+    code, report, err = run(capsys, "obstruction", "--p", str(p), "--k", str(k), "--d", "1")
+    assert (code, report["verdict"]) == (0, "verified")
+    assert len(report["details"]["subgroups"]) == subgroups
+    assert err.count("dim fixed chessboard") == subgroups
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        # passes the obstruction guard (p^k = 16), but the fixed subcomplex
-        # of the trivial subgroup has 10.8M facets
-        ("obstruction", "--p", "2", "--k", "4", "--d", "1"),
         # 12 * 11! facets
         ("chessboard", "build", "--cols", "1,1,1,1,1,1,1,1,1,1,1"),
+        ("chessboard", "check", "--cols", "1,1,1,1,1,1,1,1,1,1,1"),
     ],
 )
 def test_facet_cap_exit_code(capsys, argv):
@@ -493,7 +502,7 @@ def test_unavoidable_avoid_set_beyond_the_guard_is_a_resource_error(capsys, tmp_
 
 
 def test_unavoidable_many_facets_trip_a_small_guard(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("TVERROOK_COLLECTION_GUARD", "20")
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 20)
     payload = {
         "multiset": {"vertices": list(range(10)), "multiplicity": {str(v): 1 for v in range(10)}},
         "r": 1,
@@ -591,54 +600,51 @@ LIFT_SOLUTION = {
 }
 
 
-# Malformed inputs and guard variables: each is an input error, never a traceback.
+# Malformed inputs: each is an input error, never a traceback.
 @pytest.mark.parametrize(
-    "argv, data, env",
+    "argv, data",
     [
-        (["tverberg", "search"], dict(radon_instance(), r="x"), {}),
-        (["balanced", "search"], dict(radon_instance(), dim_caps={"k": 1}), {}),
-        (["homology"], {"universe": [0, 1, 2], "facets": [[0, "a"]]}, {}),
-        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r="two"), {}),
-        (["balanced", "search"], [radon_instance()], {}),
-        (["obstruction", "--p", "2", "--k", "2", "--d", "1"], None,
-         {"TVERROOK_OBSTRUCTION_GUARD": "abc"}),
-        (["unavoidable", "check"], UNAVOIDABLE_INPUT, {"TVERROOK_COLLECTION_GUARD": "abc"}),
-        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=-1), {}),
+        (["tverberg", "search"], dict(radon_instance(), r="x")),
+        (["balanced", "search"], dict(radon_instance(), dim_caps={"k": 1})),
+        (["homology"], {"universe": [0, 1, 2], "facets": [[0, "a"]]}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r="two")),
+        (["balanced", "search"], [radon_instance()]),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=-1)),
         (["fixed-points"], {
             "spec": {"m": 2, "n": 4.0, "row_caps": [1, 1, 1, 1], "col_caps": [1, 2]},
             "generators": [[2, 1, 4, 3]],
-        }, {}),
+        }),
         (["lift"], {"config": radon_instance(), "r": 2,
-                    "solution": dict(RADON_SOLUTION, faces=[[0, 1]])}, {}),
-        (["lift"], {"config": RADON_TWO_EXCEPTIONAL, "r": 2, "solution": RADON_SOLUTION}, {}),
-        (["valuation", "--p", "2", "--m", "8", "--out", "/no/such/dir/cert.json"], None, {}),
-        (["tverberg", "search"], dict(radon_instance(), r=2.9), {}),
-        (["tverberg", "search"], dict(radon_instance(), d=True), {}),
-        (["tverberg", "search"], dict(radon_instance(), d=1.0), {}),
+                    "solution": dict(RADON_SOLUTION, faces=[[0, 1]])}),
+        (["lift"], {"config": RADON_TWO_EXCEPTIONAL, "r": 2, "solution": RADON_SOLUTION}),
+        (["valuation", "--p", "2", "--m", "8", "--out", "/no/such/dir/cert.json"], None),
+        (["tverberg", "search"], dict(radon_instance(), r=2.9)),
+        (["tverberg", "search"], dict(radon_instance(), d=True)),
+        (["tverberg", "search"], dict(radon_instance(), d=1.0)),
         (["tverberg", "search"], dict(radon_instance(), points=[
-            dict(pt, color=pt["color"] + 0.7) for pt in radon_instance()["points"]]), {}),
+            dict(pt, color=pt["color"] + 0.7) for pt in radon_instance()["points"]])),
         (["tverberg", "search"], dict(radon_instance(), points=[
-            dict(pt, multiplicity=1.5) for pt in radon_instance()["points"]]), {}),
-        (["tverberg", "search"], dict(radon_instance(), constraint_count=0.5), {}),
-        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1.5, "s": 1}), {}),
-        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1, "s": "1"}), {}),
-        (["lift"], {"config": PRIME_POWER, "solution": LIFT_SOLUTION, "r": 4.0}, {}),
-        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=2.5), {}),
+            dict(pt, multiplicity=1.5) for pt in radon_instance()["points"]])),
+        (["tverberg", "search"], dict(radon_instance(), constraint_count=0.5)),
+        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1.5, "s": 1})),
+        (["balanced", "search"], dict(BALANCED, dim_caps={"k": 1, "s": "1"})),
+        (["tverberg", "search"], dict(radon_instance(), dim_caps={"k": 1, "s": -1})),
+        (["tverberg", "search"], dict(radon_instance(), dim_caps={"k": -5, "s": 1})),
+        (["lift"], {"config": PRIME_POWER, "solution": LIFT_SOLUTION, "r": 4.0}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=2.5)),
         (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
-            "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1.9, "2": 1}}), {}),
+            "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1.9, "2": 1}})),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
-        "balanced-top-level-list", "obstruction-guard-not-integer", "collection-guard-not-integer",
-        "unavoidable-r-negative", "board-size-not-integer", "lift-solution-not-verified",
-        "lift-two-exceptional-vertices", "out-not-writable", "r-float", "d-bool", "d-float",
-        "color-float", "multiplicity-float", "constraint-count-float", "dim-caps-k-float",
-        "dim-caps-s-string", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
+        "balanced-top-level-list", "unavoidable-r-negative", "board-size-not-integer",
+        "lift-solution-not-verified", "lift-two-exceptional-vertices", "out-not-writable",
+        "r-float", "d-bool", "d-float", "color-float", "multiplicity-float",
+        "constraint-count-float", "dim-caps-k-float", "dim-caps-s-string", "dim-caps-s-negative",
+        "dim-caps-k-negative", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
     ],
 )
-def test_malformed_input_is_input_error(capsys, tmp_path, monkeypatch, argv, data, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):
     if data is not None:
         argv = argv + ["--json", write_json(tmp_path, "in.json", data)]
     code, report, err = run(capsys, *argv)

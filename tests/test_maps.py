@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import omitted_row, scan_preimage, scan_preimage_signs
-from tverrook import maps
+from oracles import (
+    gaussian_binomial,
+    omitted_row,
+    regular_action_subgroup,
+    scan_preimage,
+    scan_preimage_signs,
+    span_subspaces,
+)
+from tverrook import chessboard, maps
 
 from tverrook import (
     CollapseTheta,
@@ -24,12 +31,16 @@ from tverrook import (
     multiplicity_vector,
     obstruction_report,
     one_row_spec,
-    regular_action_subgroup,
     sphere_spec,
     standard_spec,
 )
 from tverrook.chessboard import MAX_FACETS
-from tverrook.maps import _gaussian_binomial, preimage, preimage_signs
+from tverrook.maps import preimage, preimage_signs
+
+# Every (p, k) with p^k <= MAX_OBSTRUCTION_ORDER = 16; the fixed subcomplexes
+# of the first seven can be enumerated, those of the last three cannot.
+ENUMERABLE_PK = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+IN_GUARD_PK = ENUMERABLE_PK + [(2, 4), (11, 1), (13, 1)]
 
 
 def test_theta_must_be_surjective():
@@ -271,21 +282,27 @@ def test_multiplicity_vector():
 
 
 def test_subgroup_count_is_gaussian():
-    for p, k in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+    for p, k in IN_GUARD_PK:
         subs = elementary_abelian_subgroups(p, k)
-        expected = sum(_gaussian_binomial(k, h, p) for h in range(k + 1))
+        expected = sum(gaussian_binomial(k, h, p) for h in range(k + 1))
         assert len(subs) == expected
 
 
+def test_rref_subspaces_match_the_span_oracle():
+    for p, k in IN_GUARD_PK:
+        assert elementary_abelian_subgroups(p, k) == span_subspaces(p, k)
+
+
 def test_regular_action_is_fixed_point_free():
-    for p, k in [(2, 2), (3, 1)]:
-        full = max(elementary_abelian_subgroups(p, k), key=len)
-        H = regular_action_subgroup(p, k, full)
-        assert H.order == p**k
+    for p, k in IN_GUARD_PK:
         identity = RowPermutation.identity(p**k)
-        for g in H.elements:
-            if g != identity:
-                assert all(g(i) != i for i in range(1, p**k + 1))
+        for subspace in elementary_abelian_subgroups(p, k):
+            H = regular_action_subgroup(p, k, subspace)
+            assert H.order == len(subspace)
+            assert all(len(orbit) == H.order for orbit in H.orbits)
+            for g in H.elements:
+                if g != identity:
+                    assert all(g(i) != i for i in range(1, p**k + 1))
 
 
 def test_obstruction_degrees():
@@ -298,7 +315,7 @@ def test_obstruction_degrees():
 
 
 def test_obstruction_full_verdicts():
-    for p, k in [(2, 1), (2, 2), (3, 1)]:
+    for p, k in IN_GUARD_PK:
         rep = obstruction_report(p, k, 1)
         assert rep.verdict
         assert rep.degree % p != 0
@@ -306,9 +323,42 @@ def test_obstruction_full_verdicts():
         assert len(rep.subgroup_results) == len(elementary_abelian_subgroups(p, k))
 
 
-def test_obstruction_guard():
-    with pytest.raises(ResourceLimitError):
-        obstruction_report(2, 5, 1, guard=16)
+def test_obstruction_guard(monkeypatch):
+    def never(*args):
+        raise AssertionError("computed past the guard")
+
+    for name in ("is_prime", "elementary_abelian_subgroups", "degree_formula"):
+        monkeypatch.setattr(maps, name, never)
+    # 2^61 - 1 is prime; trial division up to its square root would not end.
+    for p, k in [(2, 5), (17, 1), (3, 3), (2, 10**9), (2**61 - 1, 1)]:
+        with pytest.raises(ResourceLimitError):
+            obstruction_report(p, k, 1)
+
+
+def test_closed_form_fixed_dimensions_match_fixed_subcomplexes():
+    for p, k in ENUMERABLE_PK:
+        source = one_row_spec(multiplicity_vector(p, k))
+        target = sphere_spec(p**k)
+        rep = obstruction_report(p, k, 1)
+        subspaces = elementary_abelian_subgroups(p, k)
+        assert len(rep.subgroup_results) == len(subspaces)
+        for subspace, result in zip(subspaces, rep.subgroup_results):
+            H = regular_action_subgroup(p, k, subspace)
+            assert result.order == H.order
+            assert result.dim_fixed_source == fixed_subcomplex(source, H).dimension
+            assert result.dim_fixed_target == fixed_subcomplex(target, H).dimension
+
+
+def test_obstruction_builds_no_fixed_subcomplex(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated facets")
+
+    for name in ("_maximal_placements", "fixed_subcomplex", "build_chessboard"):
+        monkeypatch.setattr(chessboard, name, never)
+    monkeypatch.setattr(maps, "build_chessboard", never)
+    monkeypatch.setattr(Subgroup, "from_generators", never)
+    rep = obstruction_report(2, 4, 1)
+    assert rep.verdict and len(rep.subgroup_results) == 67
 
 
 def test_fixed_dimension_inequality_drives_report():
