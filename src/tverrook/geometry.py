@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, json_int
 from .exactlp import solve_equality_feasibility
-from .maps import CollapseTheta, is_prime, multiplicity_vector, power_exceeds
+from .maps import MAX_FACETS, CollapseTheta, is_prime, multiplicity_vector, power_exceeds
 
 MODES = (
     "prime-power-1.3",
@@ -451,8 +451,15 @@ def verify_solution(config: PointConfig, solution: TverbergSolution) -> bool:
 
 
 def rainbow_faces(config: PointConfig):
-    """All nonempty rainbow faces, in lexicographic (size, vertex ids) order."""
+    """All nonempty rainbow faces, in lexicographic (size, vertex ids) order.
+
+    There are prod(1 + |class|) - 1 of them; more than `MAX_FACETS` raise
+    `ResourceLimitError` before any is built.
+    """
     classes = [config.color_class(c) for c in range(config.num_colors)]
+    count = math.prod(1 + len(members) for members in classes) - 1
+    if count > MAX_FACETS:
+        raise ResourceLimitError(f"{count} rainbow faces exceed MAX_FACETS = {MAX_FACETS}")
     faces = []
     for count in range(1, config.num_colors + 1):
         for chosen in itertools.combinations(range(config.num_colors), count):

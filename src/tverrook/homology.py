@@ -8,9 +8,14 @@ Each boundary map is built as sparse columns ``{row: +-1}``.  Its unit
 smallest Markowitz fill (r-1)(c-1) (ties: lowest column, then lowest row);
 each elimination is an integer unimodular move that contributes one
 invariant factor 1 (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35,
-1998).  The dense Smith normal form, exact integer elimination with minimal
-absolute-value pivoting, then runs only on the remainder, which carries all
-the torsion.  Arbitrary-precision integers throughout.
+1998).  Most pivots of a chessboard complex's maps cost 0: the unit is alone
+on its row or column, so taking it only deletes that row and column.  These
+come from a small heap ordered by (column, row), and the Markowitz heap over
+(fill, column, row) is built only when none is left, so the pivot order is
+the same as with one heap over every unit.  The dense Smith normal form,
+exact integer elimination with minimal absolute-value pivoting, then runs
+only on the remainder, which carries all the torsion.  Arbitrary-precision
+integers throughout.
 
 The maps are reduced upward, d_0 first, and each is compressed by the one
 below it (Bauer, Kerber and Reininghaus, "Clear and compress", 2014): the
@@ -28,6 +33,7 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import InputError
 from .simplicial import Complex, faces_by_dimension
@@ -116,12 +122,17 @@ def _boundary_columns(by_dim: dict, q: int, cleared=frozenset()) -> list:
     kept = (face for i, face in enumerate(by_dim.get(q - 1, [])) if i not in cleared)
     index = {face: i for i, face in enumerate(kept)}
     columns = []
+    # combinations(face, q) omits vertex q, q - 1, ..., 0 in turn: the k-th
+    # subface has sign (-1)^(q - k)
+    first = -1 if q % 2 else 1
     for face in by_dim.get(q, []):
         column = {}
-        for idx in range(len(face)):
-            row = index.get(face[:idx] + face[idx + 1:])
+        sign = first
+        for subface in combinations(face, q):
+            row = index.get(subface)
             if row is not None:
-                column[row] = -1 if idx % 2 else 1
+                column[row] = sign
+            sign = -sign
         columns.append(column)
     return columns
 
@@ -143,20 +154,34 @@ def boundary_matrix(K: Complex, q: int) -> list:
 def eliminate_units(columns: list, n_rows: int):
     """Eliminate +-1 pivots of a sparse integer matrix.
 
-    Returns ``(pivots, remainder)``: the set of columns eliminated as unit
-    pivots, each giving an invariant factor 1, and the dense matrix of the
-    rows and columns left nonzero, whose Smith invariants are the rest.  A
-    pivot (i, j) of value u clears row i by the column moves
-    ``col_k -= a_ik * u * col_j``; then row i and column j are dropped.  The
-    next pivot is the unit entry of least fill (r_i - 1)(c_j - 1), ties to
-    the lowest column, then row.  The column dicts are updated in place.
+    Returns ``(pivots, remainder, peeled)``: the set of columns eliminated
+    as unit pivots, each giving an invariant factor 1, the dense matrix of
+    the rows and columns left nonzero, whose Smith invariants are the rest,
+    and how many of the pivots had cost 0.  A pivot (i, j) of value u clears
+    row i by the column moves ``col_k -= a_ik * u * col_j``; then row i and
+    column j are dropped.  The next pivot is the unit entry of least fill
+    (r_i - 1)(c_j - 1), ties to the lowest column, then row.  The column
+    dicts are updated in place.
 
-    The heap keeps, for every unit entry, an item whose cost is at most the
-    entry's current cost: an entry is pushed again when its value changes or
-    a line through it shrinks.  A popped item whose entry is gone or no
-    longer a unit is dropped; one below the current cost (a line grew) is
-    pushed back at that cost; one above it is a duplicate and is dropped.
-    So the first item popped at its entry's current cost is the least.
+    A unit alone on its row or column costs 0 and changes no value: taking
+    it only deletes a row and a column (an elementary reduction, Mrozek and
+    Batko, Discrete Comput. Geom. 41, 2009).  These come from a heap keyed
+    by (column, row), seeded with the units of single-entry lines.  After
+    each pivot, only the lines through its row and column change, so one of
+    them left with a single unit entry pushes that entry.  A line with one
+    entry is never filled, so a unit of cost 0 stays one until it is taken
+    or its line is deleted.
+
+    The Markowitz heap for the costly units is built only once no unit of
+    cost 0 is left, from the exact costs at that point.  From then on it
+    keeps, for every unit entry, an item whose cost is at most the entry's
+    current cost: an entry is pushed again when its value changes or a line
+    through it shrinks.  A popped item whose entry is gone or no longer a
+    unit is dropped; one below the current cost (a line grew) is pushed back
+    at that cost; one above it is a duplicate and is dropped.  So the first
+    item popped at its entry's current cost is the least, and as the units
+    of cost 0 go first, the pivots come in the order of a single heap over
+    (cost, column, row).
     """
     from heapq import heapify, heappop, heappush  # here: only homology needs them
 
@@ -165,17 +190,72 @@ def eliminate_units(columns: list, n_rows: int):
     for j, column in enumerate(cols):
         for i in column:
             rows[i].add(j)
-    heap = [
-        ((len(rows[i]) - 1) * (len(column) - 1), j, i)
+    free = [
+        (j, i)
         for j, column in enumerate(cols)
         for i, v in column.items()
-        if v == 1 or v == -1
+        if (v == 1 or v == -1) and (len(column) == 1 or len(rows[i]) == 1)
     ]
-    heapify(heap)
+    heapify(free)
+    heap = None  # the Markowitz heap, built when `free` first runs dry
     pivots = set()
+    peeled = 0
     # each pivot removes a row and a column, so at most this many
     rank_cap = min(n_rows, len(cols))
-    while heap and len(pivots) < rank_cap:
+    while len(pivots) < rank_cap:
+        if free:
+            j, i = heappop(free)
+            pivot_col = cols[j]
+            if pivot_col is None or i not in pivot_col:
+                continue
+            # cost 0: either row i or column j holds only this entry
+            peeled += 1
+            pivots.add(j)
+            cols[j] = None
+            del pivot_col[i]
+            for r in pivot_col:
+                line = rows[r]
+                line.discard(j)
+                if len(line) == 1:
+                    for k in line:
+                        if cols[k][r] in (1, -1):
+                            heappush(free, (k, r))
+            others = rows[i]
+            others.discard(j)
+            rows[i] = set()
+            for k in others:
+                target = cols[k]
+                del target[i]
+                if len(target) == 1:
+                    for r, v in target.items():
+                        if v == 1 or v == -1:
+                            heappush(free, (k, r))
+            if heap is not None:
+                # every line through row i or column j shrank
+                for r in pivot_col:
+                    c = len(rows[r]) - 1
+                    for k in rows[r]:
+                        v = cols[k][r]
+                        if v == 1 or v == -1:
+                            heappush(heap, (c * (len(cols[k]) - 1), k, r))
+                for k in others:
+                    target = cols[k]
+                    c = len(target) - 1
+                    for r, v in target.items():
+                        if v == 1 or v == -1:
+                            heappush(heap, ((len(rows[r]) - 1) * c, k, r))
+            continue
+        if heap is None:
+            heap = [
+                ((len(rows[i]) - 1) * (len(column) - 1), j, i)
+                for j, column in enumerate(cols)
+                if column
+                for i, v in column.items()
+                if v == 1 or v == -1
+            ]
+            heapify(heap)
+        if not heap:
+            break
         cost, j, i = heappop(heap)
         pivot_col = cols[j]
         if pivot_col is None or pivot_col.get(i) not in (1, -1):
@@ -212,7 +292,8 @@ def eliminate_units(columns: list, n_rows: int):
             if len(target) < col_len:
                 shrunk.add(k)
         # Push the final cost of every unit entry that changed in value (they
-        # lie on the rows of column j) or lies on a line that shrank.
+        # lie on the rows of column j) or lies on a line that shrank, and any
+        # line through them left with a single unit entry.
         for k in others:
             target = cols[k]
             c = len(target) - 1
@@ -220,20 +301,29 @@ def eliminate_units(columns: list, n_rows: int):
                 v = target.get(r)
                 if v == 1 or v == -1:
                     heappush(heap, ((len(rows[r]) - 1) * c, k, r))
+            if not c:
+                for r, v in target.items():
+                    if v == 1 or v == -1:
+                        heappush(free, (k, r))
         for r in pivot_col:
-            if len(rows[r]) < row_len[r]:
-                c = len(rows[r]) - 1
-                for k in rows[r]:
+            line = rows[r]
+            if len(line) < row_len[r]:
+                c = len(line) - 1
+                for k in line:
                     v = cols[k][r]
                     if v == 1 or v == -1:
                         heappush(heap, (c * (len(cols[k]) - 1), k, r))
+            if len(line) == 1:
+                for k in line:
+                    if cols[k][r] in (1, -1):
+                        heappush(free, (k, r))
     live_rows = {r: a for a, r in enumerate(r for r in range(n_rows) if rows[r])}
     live_cols = [column for column in cols if column]
     remainder = [[0] * len(live_cols) for _ in live_rows]
     for b, column in enumerate(live_cols):
         for r, v in column.items():
             remainder[live_rows[r]][b] = v
-    return pivots, remainder
+    return pivots, remainder, peeled
 
 
 @dataclass(frozen=True)
@@ -244,7 +334,7 @@ class HomologyProfile:
     torsion: tuple  # tuple of tuples of invariant factors > 1
     reduced: bool = True
     # what elimination did to each boundary map, one row per q:
-    # {"q", "rows", "compressed", "cols", "units", "remainder": [rows, cols]}
+    # {"q", "rows", "compressed", "cols", "units", "peeled", "remainder": [rows, cols]}
     boundary: tuple = field(default=(), compare=False)
 
     def betti_number(self, q: int) -> int:
@@ -272,7 +362,7 @@ def _reduce_boundaries(by_dim: dict, top: int):
     for q in range(top + 1):
         n_rows = len(by_dim.get(q - 1, []))
         columns = _boundary_columns(by_dim, q, cleared)
-        pivots, remainder = eliminate_units(columns, n_rows - len(cleared))
+        pivots, remainder, peeled = eliminate_units(columns, n_rows - len(cleared))
         inv = smith_invariants(remainder)
         stats = {
             "q": q,
@@ -280,6 +370,7 @@ def _reduce_boundaries(by_dim: dict, top: int):
             "compressed": len(cleared),
             "cols": len(columns),
             "units": len(pivots),
+            "peeled": peeled,
             "remainder": [len(remainder), len(remainder[0]) if remainder else 0],
         }
         yield len(pivots) + len(inv), tuple(d for d in inv if d > 1), stats

@@ -98,13 +98,9 @@ def build_complex(universe, facets) -> Complex:
     for v in uni:
         if not isinstance(v, int) or v < 0:
             raise InputError(f"vertex ids must be non-negative integers, got {v!r}")
-    simplices = []
-    for f in facets:
-        s = as_simplex(f)
-        if not set(s) <= uni:
-            raise InputError(f"facet {sorted(f)} has vertices outside the universe")
-        simplices.append(s)
-    return Complex(uni, antichain(simplices))
+    # a facet with a vertex outside the universe survives the antichain, or
+    # lies in one that has that vertex too, so Complex rejects it
+    return Complex(uni, antichain([as_simplex(f) for f in facets]))
 
 
 def link(K: Complex, simplex) -> Complex:

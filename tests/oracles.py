@@ -2,7 +2,9 @@
 enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
 the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, the
 whole-matrix Smith normal form homology that sparse unit elimination
-replaced in `tverrook.homology`, the whole-complex preimage scan that
+replaced in `tverrook.homology`, the one-heap Markowitz elimination that
+the cost-0 heap and the late Markowitz heap replaced there, the
+whole-complex preimage scan that
 direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
 `tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
@@ -15,6 +17,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from tverrook import (
     HomologyProfile,
@@ -393,6 +396,103 @@ def dense_betti_and_torsion(K):
     )
     torsion = tuple(tuple(d for d in invariants[q + 1] if d > 1) for q in range(dim + 1))
     return HomologyProfile(betti, torsion)
+
+
+def markowitz_eliminate_units(columns: list, n_rows: int):
+    """Eliminate +-1 pivots of a sparse integer matrix through one Markowitz heap.
+
+    The reference for `tverrook.homology.eliminate_units`, which must take
+    the same pivots and leave the same remainder.
+
+    Returns ``(pivots, remainder)``: the set of columns eliminated as unit
+    pivots, each giving an invariant factor 1, and the dense matrix of the
+    rows and columns left nonzero, whose Smith invariants are the rest.  A
+    pivot (i, j) of value u clears row i by the column moves
+    ``col_k -= a_ik * u * col_j``; then row i and column j are dropped.  The
+    next pivot is the unit entry of least fill (r_i - 1)(c_j - 1), ties to
+    the lowest column, then row.  The column dicts are updated in place.
+
+    The heap keeps, for every unit entry, an item whose cost is at most the
+    entry's current cost: an entry is pushed again when its value changes or
+    a line through it shrinks.  A popped item whose entry is gone or no
+    longer a unit is dropped; one below the current cost (a line grew) is
+    pushed back at that cost; one above it is a duplicate and is dropped.
+    So the first item popped at its entry's current cost is the least.
+    """
+    cols = list(columns)  # None once a column is eliminated
+    rows = [set() for _ in range(n_rows)]  # row -> columns with an entry there
+    for j, column in enumerate(cols):
+        for i in column:
+            rows[i].add(j)
+    heap = [
+        ((len(rows[i]) - 1) * (len(column) - 1), j, i)
+        for j, column in enumerate(cols)
+        for i, v in column.items()
+        if v == 1 or v == -1
+    ]
+    heapify(heap)
+    pivots = set()
+    # each pivot removes a row and a column, so at most this many
+    rank_cap = min(n_rows, len(cols))
+    while heap and len(pivots) < rank_cap:
+        cost, j, i = heappop(heap)
+        pivot_col = cols[j]
+        if pivot_col is None or pivot_col.get(i) not in (1, -1):
+            continue
+        now = (len(rows[i]) - 1) * (len(pivot_col) - 1)
+        if now != cost:
+            if now > cost:
+                heappush(heap, (now, j, i))
+            continue
+        pivots.add(j)
+        cols[j] = None
+        u = pivot_col.pop(i)
+        row_len = {}
+        for r in pivot_col:
+            row_len[r] = len(rows[r])
+            rows[r].discard(j)
+        others = rows[i]
+        others.discard(j)
+        rows[i] = set()
+        shrunk = set()
+        for k in others:
+            target = cols[k]
+            col_len = len(target)
+            factor = target.pop(i) * u
+            for r, v in pivot_col.items():
+                new = target.get(r, 0) - factor * v
+                if not new:
+                    del target[r]
+                    rows[r].discard(k)
+                else:
+                    if r not in target:
+                        rows[r].add(k)
+                    target[r] = new
+            if len(target) < col_len:
+                shrunk.add(k)
+        # Push the final cost of every unit entry that changed in value (they
+        # lie on the rows of column j) or lies on a line that shrank.
+        for k in others:
+            target = cols[k]
+            c = len(target) - 1
+            for r in target if k in shrunk else pivot_col:
+                v = target.get(r)
+                if v == 1 or v == -1:
+                    heappush(heap, ((len(rows[r]) - 1) * c, k, r))
+        for r in pivot_col:
+            if len(rows[r]) < row_len[r]:
+                c = len(rows[r]) - 1
+                for k in rows[r]:
+                    v = cols[k][r]
+                    if v == 1 or v == -1:
+                        heappush(heap, (c * (len(cols[k]) - 1), k, r))
+    live_rows = {r: a for a, r in enumerate(r for r in range(n_rows) if rows[r])}
+    live_cols = [column for column in cols if column]
+    remainder = [[0] * len(live_cols) for _ in live_rows]
+    for b, column in enumerate(live_cols):
+        for r, v in column.items():
+            remainder[live_rows[r]][b] = v
+    return pivots, remainder
 
 
 def scan_is_unavoidable(K, r, V, guard=None):

@@ -278,9 +278,9 @@ def test_homology(capsys, tmp_path):
     # Every rank of M(3,4) is carried by unit pivots: no remainder reaches SNF.
     # Each map is built without the rows the map below took as unit pivots.
     assert report["details"]["stats"]["boundary"] == [
-        {"q": 0, "rows": 1, "compressed": 0, "cols": 12, "units": 1, "remainder": [0, 0]},
-        {"q": 1, "rows": 12, "compressed": 1, "cols": 36, "units": 11, "remainder": [0, 0]},
-        {"q": 2, "rows": 36, "compressed": 11, "cols": 24, "units": 23, "remainder": [0, 0]},
+        {"q": 0, "rows": 1, "compressed": 0, "cols": 12, "units": 1, "peeled": 1, "remainder": [0, 0]},
+        {"q": 1, "rows": 12, "compressed": 1, "cols": 36, "units": 11, "peeled": 11, "remainder": [0, 0]},
+        {"q": 2, "rows": 36, "compressed": 11, "cols": 24, "units": 23, "peeled": 10, "remainder": [0, 0]},
     ]
     _, again, _ = run(capsys, "homology", "--json", path)
     report.pop("elapsed_seconds")
@@ -438,6 +438,15 @@ def test_help_lists_every_command(capsys):
     assert "chessboard build" in out and "chessboard check" in out and "valuation" not in out
 
 
+# 2^40 - 1 rainbow faces
+FORTY_COLOURS = {
+    "d": 1,
+    "points": [{"coords": [str(i)], "color": i, "multiplicity": 1} for i in range(40)],
+    "r": 2,
+    "mode": "free",
+}
+
+
 # Inputs that used to hang or end in a traceback: each is refused at once.
 @pytest.mark.parametrize(
     "argv, data, code",
@@ -446,8 +455,11 @@ def test_help_lists_every_command(capsys):
         (["example-a", "--p", "2305843009213693951", "--k", "1", "--d", "1"], None, 3),
         (["valuation", "--p", "2305843009213693951", "--m", "8"], None, 4),
         (["tverberg", "search"], dict(PRIME_POWER, r=2305843009213693951), 4),
+        (["tverberg", "search"], FORTY_COLOURS, 4),
+        (["example-a", "--p", "2", "--k", "1", "--d", "40"], None, 4),
     ],
-    ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r"],
+    ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
+         "search-2^40-rainbow-faces", "example-a-2^42-rainbow-faces"],
 )
 def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     if data is not None:

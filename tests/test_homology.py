@@ -170,6 +170,11 @@ def test_5_5_board_has_3_torsion():
     # is one row: the rows of 2-faces taken as unit pivots by the boundary
     # map from 2-faces are never built.
     assert [r["remainder"] for r in profile.boundary] == [[0, 0], [0, 0], [0, 0], [1, 46], [0, 0]]
+    # Every unit pivot costs 0 but 207 of the 423 in d_3: only those go
+    # through the Markowitz heap.
+    assert [(r["units"], r["peeled"]) for r in profile.boundary] == [
+        (1, 1), (24, 24), (176, 176), (423, 216), (120, 120)
+    ]
 
 
 def test_5_6_board_is_torsion_free():
