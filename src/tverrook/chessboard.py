@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
-from .simplicial import Complex, chain_boundary
+from .simplicial import Complex
 
 SUBGROUP_ELEMENT_CAP = 100_000
 MAX_FACETS = 100_000
@@ -413,5 +413,21 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
 
 
 def verify_orientation(spec: ChessboardSpec, tau: dict) -> bool:
-    """A fundamental class must have zero simplicial boundary."""
-    return chain_boundary(tau) == {}
+    """A fundamental class must have zero simplicial boundary.
+
+    Ridges are keyed by vertex bitmask, as in `check_pseudomanifold`: the
+    ridge of a facet without its vertex v carries the facet's sign times
+    (-1)**(position of v), the sign `simplicial.chain_boundary` gives it.
+    """
+    boundary: dict = {}
+    for facet, sign in tau.items():
+        facet_mask = sum(1 << v for v in facet)
+        for v in facet:
+            ridge = facet_mask ^ (1 << v)
+            value = boundary.get(ridge, 0) + sign
+            if value:
+                boundary[ridge] = value
+            else:
+                boundary.pop(ridge, None)
+            sign = -sign
+    return not boundary

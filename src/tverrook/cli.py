@@ -12,9 +12,10 @@ echoes ``--seed``, and two functions:
 * a **runner**, ``run(*loaded) -> (verdict, details, certificate, summary)``,
   does the work.  The summary is the human-readable line for stderr.
 
-``parse_argv`` reads the global flags before the command words by hand,
-looks the words up in ``ROWS`` and parses the rest with that row's own
-argparse parser, built once per process.  ``run_command`` runs the selected
+``parse_argv`` reads the global flags before the command words, looks the
+words up in ``ROWS`` and reads the row's flags from its ``args`` in one
+left-to-right pass that accepts what argparse accepts.  argparse only prints
+help and usage errors (``_menu``, ``_row_parser``).  ``run_command`` runs the selected
 row: digest, timing, the ``--out`` certificate file, the JSON report on
 stdout, the summary on stderr and the exit code.  ``main`` turns input
 errors and tripped guards into error reports.  Reports, error reports and
@@ -29,9 +30,10 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
 from .errors import InputError, ResourceLimitError, json_int
@@ -333,7 +335,9 @@ def _constrain(K, avoid_sets):
 class Command(NamedTuple):
     words: tuple  # ("tverberg", "search"): a group word and an action, or one word
     help: str  # help of the first word
-    args: tuple  # (flag, add_argument keyword arguments) pairs; every row also takes --out
+    # (flag, keyword arguments) pairs, keywords among type (int), required,
+    # default and help; every row also takes --out
+    args: tuple
     load: Callable
     run: Callable
     echoes_seed: bool = False
@@ -417,18 +421,147 @@ def _menu(group: str = "") -> argparse.ArgumentParser:
     return parser
 
 
+OUT_ARG = ("--out", {})  # every row's last flag
+
+
 @functools.cache
 def _row_parser(words: tuple) -> argparse.ArgumentParser:
-    """The parser of one row's arguments, built once per process.
+    """The argparse parser of one row, built once per process.
 
-    ``parse_args`` reads it and writes only the namespace it is given, so no
-    state passes from one call to the next.
+    It parses nothing: it prints the row's help and its usage errors, in
+    argparse's wording, for ``_parse_row``.
     """
     parser = argparse.ArgumentParser(prog=f"tverrook {' '.join(words)}")
-    for flag, kwargs in ROWS[words].args:
+    for flag, kwargs in ROWS[words].args + (OUT_ARG,):
         parser.add_argument(flag, **kwargs)
-    parser.add_argument("--out")
     return parser
+
+
+class _Flag(NamedTuple):
+    name: str  # as usage errors name it
+    dest: str
+    convert: Callable | None  # int, or None for a string value
+
+
+_HELP = _Flag("-h/--help", "help", None)
+# argparse reads a token that starts with "-" as a value only if it looks
+# like a negative number (as no flag does) or holds a space.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _RowFlags(NamedTuple):
+    exact: dict  # option string -> _Flag, "-h" and "--help" included
+    longs: tuple  # the long option strings in argparse's order, for prefixes
+    defaults: dict  # dest -> default, for every flag
+    required: tuple  # names of the required flags, in order
+
+
+@functools.cache
+def _row_flags(words: tuple) -> _RowFlags:
+    args = ROWS[words].args + (OUT_ARG,)
+    flags = {flag: _Flag(flag, flag[2:].replace("-", "_"), kw.get("type")) for flag, kw in args}
+    return _RowFlags(
+        {"-h": _HELP, "--help": _HELP, **flags},
+        ("--help", *flags),
+        {flags[flag].dest: kw.get("default") for flag, kw in args},
+        tuple(flag for flag, kw in args if kw.get("required")),
+    )
+
+
+def _classify(words: tuple, table: _RowFlags, token: str):
+    """argparse's reading of one token before ``--``.
+
+    None for a value (or a stray positional); otherwise (flag, explicit
+    value or None), with flag None for an unknown option.  A prefix of more
+    than one long flag is a usage error at once, as in argparse, which
+    reads every token before it acts on any.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in table.exact:
+        return table.exact[token], None
+    name, eq, value = token.partition("=")
+    if token[1] == "-":
+        if eq and name in table.exact:
+            return table.exact[name], value
+        hits = [flag for flag in table.longs if flag.startswith(name)]
+        if len(hits) > 1:
+            _row_parser(words).error(f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return table.exact[hits[0]], value if eq else None
+    elif token[1] == "h":
+        # "-hX" is -h with the explicit value X; argparse reads each further
+        # "h" as one more -h, so "-hh" asks for help and "-hx" fails on "x".
+        tail = value if name == "-h" else token[2:]
+        rest = tail.lstrip("h")
+        return _HELP, None if tail and not rest else rest
+    if " " in token or _NEGATIVE.match(token):
+        return None
+    return None, None
+
+
+def _settle(words: tuple, table: _RowFlags, tail: list, message: str | None) -> NoReturn:
+    """Help (message None) or a usage error, once the tokens left are read.
+
+    argparse reads every token before ``--`` first, so an ambiguous prefix
+    later in ``tail`` wins over what an earlier token did.
+    """
+    for token in tail:
+        if token == "--":
+            break
+        _classify(words, table, token)
+    parser = _row_parser(words)
+    if message is not None:
+        parser.error(message)
+    parser.print_help()
+    raise SystemExit(0)
+
+
+def _parse_row(words: tuple, rest: list, seed: int) -> argparse.Namespace:
+    """The namespace argparse would give for a row's flags, in one pass over rest.
+
+    A flag takes ``--flag value``, ``--flag=value`` or a unique prefix of
+    the flag; a repeated flag keeps its last value.  After the pass, missing
+    required flags fail first, then any token left over.
+    """
+    table = _row_flags(words)
+    values = dict(table.defaults)
+    seen = set()
+    extras = []
+    i, n = 0, len(rest)
+    while i < n:
+        token = rest[i]
+        i += 1
+        if token == "--":
+            extras += rest[i - 1:]
+            break
+        hit = _classify(words, table, token)
+        if hit is None or hit[0] is None:
+            extras.append(token)
+            continue
+        flag, value = hit
+        if flag is _HELP:
+            _settle(words, table, rest[i:],
+                    None if value is None else f"argument -h/--help: ignored explicit argument {value!r}")
+        if value is None:
+            if i == n or rest[i] == "--" or _classify(words, table, rest[i]):
+                _settle(words, table, rest[i:], f"argument {flag.name}: expected one argument")
+            value = rest[i]
+            i += 1
+        if flag.convert is not None:
+            try:
+                value = flag.convert(value)
+            except ValueError:
+                _settle(words, table, rest[i:],
+                        f"argument {flag.name}: invalid {flag.convert.__name__} value: {value!r}")
+        values[flag.dest] = value
+        seen.add(flag.name)
+    missing = [name for name in table.required if name not in seen]
+    if missing:
+        _row_parser(words).error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _row_parser(words).error(f"unrecognized arguments: {' '.join(extras)}")
+    return argparse.Namespace(seed=seed, **values)
 
 
 def parse_argv(argv: list) -> tuple:
@@ -436,6 +569,8 @@ def parse_argv(argv: list) -> tuple:
 
     The tokens before the command words are global flags: ``--seed N``,
     ``--seed=N`` or an abbreviation such as ``--se N``, and ``-h``/``--help``.
+    The rest are the row's flags, read by ``_parse_row`` from the row's
+    ``args`` plus ``--out``; no successful parse builds an argparse parser.
     """
     seed, i = 0, 0
     while i < len(argv) and argv[i].startswith("-"):
@@ -467,8 +602,7 @@ def parse_argv(argv: list) -> tuple:
             _menu(words[0]).print_help()
             raise SystemExit(0)
         _menu(words[0]).error(f"invalid action: {words[1]!r}" if len(words) > 1 else "an action is required")
-    rest = argv[i + len(command.words):]
-    return command, _row_parser(command.words).parse_args(rest, argparse.Namespace(seed=seed))
+    return command, _parse_row(command.words, argv[i + len(command.words):], seed)
 
 
 def run_command(command: Command, args) -> int:

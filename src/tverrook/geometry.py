@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, json_int
 from .exactlp import solve_equality_feasibility
-from .maps import MAX_FACETS, CollapseTheta, is_prime, multiplicity_vector, power_exceeds
+from .maps import CollapseTheta, is_prime, multiplicity_vector, power_exceeds
 
 MODES = (
     "prime-power-1.3",
@@ -46,6 +46,10 @@ MAX_PARTS = 64
 
 # Largest p^k of Example A.
 MAX_EXAMPLE_ORDER = 9
+
+# The search holds one F-bit mask per rainbow face (`_meet_masks`), F^2 / 8
+# bytes in all: 8 MiB at this cap.  65 535 faces took a peak of 1.57 GB.
+MAX_RAINBOW_FACES = 1 << 13
 
 POLICY_SHIFTED = "shifted-k-plus-1"
 POLICY_LITERAL = "literal-k"
@@ -453,13 +457,15 @@ def verify_solution(config: PointConfig, solution: TverbergSolution) -> bool:
 def rainbow_faces(config: PointConfig):
     """All nonempty rainbow faces, in lexicographic (size, vertex ids) order.
 
-    There are prod(1 + |class|) - 1 of them; more than `MAX_FACETS` raise
-    `ResourceLimitError` before any is built.
+    There are prod(1 + |class|) - 1 of them; more than `MAX_RAINBOW_FACES`
+    raise `ResourceLimitError` before any is built.
     """
     classes = [config.color_class(c) for c in range(config.num_colors)]
     count = math.prod(1 + len(members) for members in classes) - 1
-    if count > MAX_FACETS:
-        raise ResourceLimitError(f"{count} rainbow faces exceed MAX_FACETS = {MAX_FACETS}")
+    if count > MAX_RAINBOW_FACES:
+        raise ResourceLimitError(
+            f"{count} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
+        )
     faces = []
     for count in range(1, config.num_colors + 1):
         for chosen in itertools.combinations(range(config.num_colors), count):

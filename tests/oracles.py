@@ -11,8 +11,11 @@ every subset of V that the search over minimal non-faces replaced in
 candidate sets replaced in `tverrook.geometry._search`, ranks of
 boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
-the closed-form fixed-point dimensions replaced in `tverrook.maps`."""
+the closed-form fixed-point dimensions replaced in `tverrook.maps`, and
+the argparse parse of a row's flags that the one-pass reading of the
+`COMMANDS` table replaced in `tverrook.cli`."""
 
+import argparse
 import functools
 import itertools
 import math
@@ -35,6 +38,7 @@ from tverrook import (
     rainbow_faces,
     smith_invariants,
 )
+from tverrook.cli import _row_parser
 from tverrook.geometry import _box, _grid_projections
 
 _ZERO = Fraction(0)
@@ -599,3 +603,8 @@ def regular_action_subgroup(p, k, subspace):
         )
         perms.append(RowPermutation(mapping))
     return Subgroup.from_generators(p**k, perms)
+
+
+def argparse_row_parse(words: tuple, rest: list, seed: int):
+    """The argparse parse of a row's flags that `cli._parse_row` replaced."""
+    return _row_parser(words).parse_args(rest, argparse.Namespace(seed=seed))

@@ -177,6 +177,19 @@ def test_orientation_boundary_zero():
         assert chain == {}
 
 
+def test_bitmask_boundary_matches_chain_boundary_on_criterion_02_boards():
+    # the pseudomanifold-family boards of criterion 02 up to n = 7 (n = 8
+    # takes 10 s), their fundamental classes, and each with one sign flipped
+    for n in range(2, 8):
+        for caps in compositions(n - 1):
+            spec = one_row_spec(caps)
+            tau = orient(spec)
+            assert verify_orientation(spec, tau) and chain_boundary(tau) == {}
+            facet = min(tau)
+            flipped = {**tau, facet: -tau[facet]}
+            assert not verify_orientation(spec, flipped) and chain_boundary(flipped) != {}
+
+
 def test_orient_rejects_off_family_spec():
     with pytest.raises(InputError):
         orient(ChessboardSpec(2, 2, (1, 1), (1, 1)))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_equality_feasibility
-from tverrook import build_chessboard, constraints, geometry, one_row_spec, standard_spec
+from oracles import argparse_row_parse, fraction_equality_feasibility
+from tverrook import build_chessboard, cli, constraints, geometry, one_row_spec, standard_spec
 from tverrook.cli import COMMANDS, _row_parser, main, parse_argv
 
 
@@ -438,13 +438,17 @@ def test_help_lists_every_command(capsys):
     assert "chessboard build" in out and "chessboard check" in out and "valuation" not in out
 
 
-# 2^40 - 1 rainbow faces
-FORTY_COLOURS = {
-    "d": 1,
-    "points": [{"coords": [str(i)], "color": i, "multiplicity": 1} for i in range(40)],
-    "r": 2,
-    "mode": "free",
-}
+def one_point_colours(n):
+    """n one-point colour classes on a line: 2^n - 1 rainbow faces."""
+    return {
+        "d": 1,
+        "points": [{"coords": [str(i)], "color": i, "multiplicity": 1} for i in range(n)],
+        "r": 2,
+        "mode": "free",
+    }
+
+
+FORTY_COLOURS = one_point_colours(40)
 
 
 # Inputs that used to hang or end in a traceback: each is refused at once.
@@ -456,10 +460,11 @@ FORTY_COLOURS = {
         (["valuation", "--p", "2305843009213693951", "--m", "8"], None, 4),
         (["tverberg", "search"], dict(PRIME_POWER, r=2305843009213693951), 4),
         (["tverberg", "search"], FORTY_COLOURS, 4),
+        (["tverberg", "search"], one_point_colours(16), 4),
         (["example-a", "--p", "2", "--k", "1", "--d", "40"], None, 4),
     ],
     ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
-         "search-2^40-rainbow-faces", "example-a-2^42-rainbow-faces"],
+         "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces"],
 )
 def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     if data is not None:
@@ -469,6 +474,13 @@ def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     assert time.monotonic() - start < 1.0
     assert (got, report["verdict"]) == (code, "error")
     assert "Traceback" not in err
+
+
+def test_rainbow_faces_under_the_mask_cap_answer(capsys, tmp_path):
+    assert 2**12 - 1 <= geometry.MAX_RAINBOW_FACES < 2**16 - 1
+    code, report, _ = run(capsys, "tverberg", "search", "--json",
+                          write_json(tmp_path, "in.json", one_point_colours(12)))
+    assert (code, report["verdict"], report["details"]["stats"]["rainbow_faces"]) == (0, "found", 4095)
 
 
 def test_every_report_is_one_json_line(capsys, tmp_path):
@@ -699,6 +711,94 @@ def test_cached_row_parser_returns_a_fresh_namespace_per_call():
     assert first is not second
     assert vars(first) == {"seed": 7, "p": 2, "k": 2, "d": 2, "epsilon": "1/100", "out": "a.json"}
     assert vars(second) == {"seed": 0, "p": 3, "k": 1, "d": 1, "epsilon": "0", "out": None}
+
+
+def _parse_outcome(parse, words, rest):
+    """vars(namespace), or (exit code, stdout, stderr) of a SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(words, rest, 5))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# Values as the rows' flags see them: ints, caps lists, a rational, paths,
+# negative numbers, values that start with "-" and values with a space.
+ROW_VALUES = ["1", "2", "1,2", "0", "x", "", "1/100", "-3", "-.5", "-1,2", "-x", "a b",
+              "-1 2", " 7", "in.json", "-h", "-"]
+# Tokens that are neither a row flag nor its value: the separator, help
+# forms, an ambiguous prefix, unknown flags and positionals.
+ROW_NOISE = ["--", "-h", "-hx", "-hh", "-h=", "--help", "--he", "--help=x", "--=x", "--bogus",
+             "--seed", "-caps", "-x", "---", "x", "7", "-1", "a b"]
+
+
+@st.composite
+def row_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    flags = [flag for flag, _ in command.args] + ["--out"]
+    prefixes = sorted({flag[:k] for flag in flags for k in range(3, len(flag) + 1)})
+    pair = st.tuples(st.sampled_from(prefixes), st.sampled_from(ROW_VALUES), st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]]
+    )
+    noise = st.sampled_from(ROW_NOISE).map(lambda token: [token])
+    items = draw(st.lists(st.one_of(pair, pair, pair, noise), max_size=5))
+    if draw(st.booleans()):  # every flag once, with a value its loader takes
+        items += [[flag, "2"] for flag in flags[:-1]]
+    return command.words, [token for item in draw(st.permutations(items)) for token in item]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=row_argv())
+def test_row_parse_matches_the_argparse_oracle(case):
+    words, rest = case
+    got = _parse_outcome(cli._parse_row, words, rest)
+    assert got == _parse_outcome(argparse_row_parse, words, rest)
+    if isinstance(got, tuple):
+        assert got[0] in (0, 2)
+        assert (got[1] if got[0] == 0 else got[2]).startswith(f"usage: tverrook {' '.join(words)}")
+
+
+def test_rows_use_only_the_keywords_the_pass_reads():
+    for command in COMMANDS:
+        for flag, kwargs in command.args:
+            assert flag.startswith("--")
+            assert set(kwargs) <= {"type", "required", "default", "help"}
+            assert kwargs.get("type", int) is int
+
+
+def test_flag_equals_double_dash_is_a_value():
+    # The one input where the pass and the oracle differ on purpose: argparse
+    # 3.11 strips "--" from an explicit value and stores [], which the
+    # loaders cannot read (a traceback); the pass keeps the string.
+    _, args = parse_argv(["collapse", "degree", "--caps=--", "--theta", "1"])
+    assert args.caps == "--"
+    assert main(["collapse", "degree", "--caps=--", "--theta", "1"]) == 3
+    assert main(["valuation", "--p=--", "--m", "3"]) == 3
+
+
+def test_workload_argv_shapes_parse_without_argparse(monkeypatch):
+    def refuse(words):
+        raise AssertionError(f"argparse parser built for {words}")
+
+    monkeypatch.setattr(cli, "_row_parser", refuse)
+    shapes = [
+        (["chessboard", "check", "--cols", "1,2"], {"cols": "1,2", "rows": None}),
+        (["orient", "--cols", "2,1,1"], {"cols": "2,1,1", "rows": None}),
+        (["collapse", "degree", "--caps", "1,2", "--theta", "1,1"], {"caps": "1,2", "theta": "1,1"}),
+        (["obstruction", "--p", "2", "--k", "1", "--d", "1"], {"p": 2, "k": 1, "d": 1}),
+        (["--seed", "3", "example-a", "--p", "2", "--k", "2", "--d", "2", "--epsilon", "1/100"],
+         {"seed": 3, "p": 2, "k": 2, "d": 2, "epsilon": "1/100"}),
+        (["--seed", "4", "tverberg", "search", "--json", "in.json"], {"seed": 4, "json": "in.json"}),
+        (["lift", "--json", "in.json"], {"json": "in.json"}),
+        (["--seed", "1", "balanced", "search", "--json", "in.json"], {"seed": 1, "json": "in.json"}),
+        (["unavoidable", "check", "--json", "in.json"], {"json": "in.json"}),
+        (["homology", "--json", "in.json"], {"json": "in.json"}),
+        (["connectivity", "--json", "in.json", "--level", "1"], {"json": "in.json", "level": 1}),
+    ]
+    for argv, expected in shapes:
+        _, args = parse_argv(argv)
+        assert vars(args) == {"seed": 0, "out": None, **expected}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
