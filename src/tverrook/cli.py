@@ -12,16 +12,17 @@ echoes ``--seed``, and two functions:
 * a **runner**, ``run(*loaded) -> (verdict, details, certificate, summary)``,
   does the work.  The summary is the human-readable line for stderr.
 
-``parse_argv`` reads the global flags before the command words, looks the
-words up in ``ROWS`` and reads the row's flags from its ``args`` in one
-left-to-right pass that accepts what argparse accepts.  argparse only prints
-help and usage errors (``_menu``, ``_row_parser``).  ``run_command`` runs the selected
-row: digest, timing, the ``--out`` certificate file, the JSON report on
-stdout, the summary on stderr and the exit code.  ``main`` turns input
-errors and tripped guards into error reports.  Reports, error reports and
-certificate files are one line of sorted-key JSON each (``_encode``).  Exit
-codes: 0 verified/found, 1 refuted, 2 exhausted (free mode), 3 input error,
-4 resource guard tripped.
+``parse_argv`` reads the global flags before the command words and looks
+the words up in ``ROWS``.  argparse is the one grammar of the row's flags
+(``_row_parser``, built from the row's ``args``); ``_parse_row`` reads its
+exact ``--flag value`` and ``--flag=value`` forms by hand and hands any
+other argv to argparse, which parses it or prints help or a usage error.
+``run_command`` runs the selected row: digest, timing, the ``--out``
+certificate file, the JSON report on stdout, the summary on stderr and the
+exit code.  ``main`` turns input errors and tripped guards into error
+reports.  Reports, error reports and certificate files are one line of
+sorted-key JSON each (``_encode``).  Exit codes: 0 verified/found, 1
+refuted, 2 exhausted (free mode), 3 input error, 4 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import argparse
 import functools
 import hashlib
 import json
-import re
 import sys
 import time
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
 from .errors import InputError, ResourceLimitError, json_int
@@ -116,7 +116,10 @@ def _load_connectivity(args):
 def _load_fixed_points(args):
     data = _load_json(args.json)
     spec = chessboard.ChessboardSpec.from_json(data["spec"])
-    generators = [chessboard.RowPermutation(tuple(g)) for g in data["generators"]]
+    generators = [
+        chessboard.RowPermutation(tuple(json_int(v, "generator entry") for v in g))
+        for g in data["generators"]
+    ]
     return data, (spec, generators)
 
 
@@ -403,7 +406,8 @@ def _is_help(token: str) -> bool:
 def _menu(group: str = "") -> argparse.ArgumentParser:
     """Help and usage errors of the global flags, or of one command group.
 
-    It parses nothing: ``parse_argv`` reads the global flags by hand.
+    ``parse_argv`` reads the global flags by hand; this parser reads only a
+    spaced ``--seed`` value that starts with ``-``.
     """
     rows = [c for c in COMMANDS if not group or c.words[0] == group]
     listing = "\n".join(f"  {' '.join(c.words):<19} {c.help}" for c in rows)
@@ -428,8 +432,8 @@ OUT_ARG = ("--out", {})  # every row's last flag
 def _row_parser(words: tuple) -> argparse.ArgumentParser:
     """The argparse parser of one row, built once per process.
 
-    It parses nothing: it prints the row's help and its usage errors, in
-    argparse's wording, for ``_parse_row``.
+    It parses every argv of the row that ``_parse_row`` does not read by
+    hand, and so prints the row's help and its usage errors.
     """
     parser = argparse.ArgumentParser(prog=f"tverrook {' '.join(words)}")
     for flag, kwargs in ROWS[words].args + (OUT_ARG,):
@@ -437,131 +441,55 @@ def _row_parser(words: tuple) -> argparse.ArgumentParser:
     return parser
 
 
-class _Flag(NamedTuple):
-    name: str  # as usage errors name it
-    dest: str
-    convert: Callable | None  # int, or None for a string value
-
-
-_HELP = _Flag("-h/--help", "help", None)
-# argparse reads a token that starts with "-" as a value only if it looks
-# like a negative number (as no flag does) or holds a space.
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-class _RowFlags(NamedTuple):
-    exact: dict  # option string -> _Flag, "-h" and "--help" included
-    longs: tuple  # the long option strings in argparse's order, for prefixes
-    defaults: dict  # dest -> default, for every flag
-    required: tuple  # names of the required flags, in order
-
-
 @functools.cache
-def _row_flags(words: tuple) -> _RowFlags:
+def _row_flags(words: tuple) -> tuple:
+    """({flag: (dest, int or None)}, {dest: default}, dests of required flags)."""
     args = ROWS[words].args + (OUT_ARG,)
-    flags = {flag: _Flag(flag, flag[2:].replace("-", "_"), kw.get("type")) for flag, kw in args}
-    return _RowFlags(
-        {"-h": _HELP, "--help": _HELP, **flags},
-        ("--help", *flags),
-        {flags[flag].dest: kw.get("default") for flag, kw in args},
-        tuple(flag for flag, kw in args if kw.get("required")),
-    )
-
-
-def _classify(words: tuple, table: _RowFlags, token: str):
-    """argparse's reading of one token before ``--``.
-
-    None for a value (or a stray positional); otherwise (flag, explicit
-    value or None), with flag None for an unknown option.  A prefix of more
-    than one long flag is a usage error at once, as in argparse, which
-    reads every token before it acts on any.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in table.exact:
-        return table.exact[token], None
-    name, eq, value = token.partition("=")
-    if token[1] == "-":
-        if eq and name in table.exact:
-            return table.exact[name], value
-        hits = [flag for flag in table.longs if flag.startswith(name)]
-        if len(hits) > 1:
-            _row_parser(words).error(f"ambiguous option: {token} could match {', '.join(hits)}")
-        if hits:
-            return table.exact[hits[0]], value if eq else None
-    elif token[1] == "h":
-        # "-hX" is -h with the explicit value X; argparse reads each further
-        # "h" as one more -h, so "-hh" asks for help and "-hx" fails on "x".
-        tail = value if name == "-h" else token[2:]
-        rest = tail.lstrip("h")
-        return _HELP, None if tail and not rest else rest
-    if " " in token or _NEGATIVE.match(token):
-        return None
-    return None, None
-
-
-def _settle(words: tuple, table: _RowFlags, tail: list, message: str | None) -> NoReturn:
-    """Help (message None) or a usage error, once the tokens left are read.
-
-    argparse reads every token before ``--`` first, so an ambiguous prefix
-    later in ``tail`` wins over what an earlier token did.
-    """
-    for token in tail:
-        if token == "--":
-            break
-        _classify(words, table, token)
-    parser = _row_parser(words)
-    if message is not None:
-        parser.error(message)
-    parser.print_help()
-    raise SystemExit(0)
+    flags = {flag: (flag[2:].replace("-", "_"), kw.get("type")) for flag, kw in args}
+    defaults = {flags[flag][0]: kw.get("default") for flag, kw in args}
+    return flags, defaults, tuple(flags[flag][0] for flag, kw in args if kw.get("required"))
 
 
 def _parse_row(words: tuple, rest: list, seed: int) -> argparse.Namespace:
-    """The namespace argparse would give for a row's flags, in one pass over rest.
+    """The namespace of a row's flags, as argparse gives it.
 
-    A flag takes ``--flag value``, ``--flag=value`` or a unique prefix of
-    the flag; a repeated flag keeps its last value.  After the pass, missing
-    required flags fail first, then any token left over.
+    Exact flags are read by hand: ``--flag value``, with a value that does
+    not start with ``-``, and ``--flag=value``; a repeated flag keeps its
+    last value.  Any other token, a bad int, a missing value or a missing
+    required flag hands all of ``rest`` to the row's argparse parser, which
+    returns the namespace or exits with help or a usage error.
     """
-    table = _row_flags(words)
-    values = dict(table.defaults)
-    seen = set()
-    extras = []
+    flags, defaults, required = _row_flags(words)
+    values = dict(defaults)
     i, n = 0, len(rest)
     while i < n:
-        token = rest[i]
-        i += 1
-        if token == "--":
-            extras += rest[i - 1:]
+        flag, eq, value = rest[i].partition("=")
+        if flag not in flags:
             break
-        hit = _classify(words, table, token)
-        if hit is None or hit[0] is None:
-            extras.append(token)
-            continue
-        flag, value = hit
-        if flag is _HELP:
-            _settle(words, table, rest[i:],
-                    None if value is None else f"argument -h/--help: ignored explicit argument {value!r}")
-        if value is None:
-            if i == n or rest[i] == "--" or _classify(words, table, rest[i]):
-                _settle(words, table, rest[i:], f"argument {flag.name}: expected one argument")
-            value = rest[i]
+        if not eq:
             i += 1
-        if flag.convert is not None:
+            if i == n or rest[i][:1] == "-":
+                break
+            value = rest[i]
+        dest, convert = flags[flag]
+        if convert is not None:
             try:
-                value = flag.convert(value)
+                value = convert(value)
             except ValueError:
-                _settle(words, table, rest[i:],
-                        f"argument {flag.name}: invalid {flag.convert.__name__} value: {value!r}")
-        values[flag.dest] = value
-        seen.add(flag.name)
-    missing = [name for name in table.required if name not in seen]
-    if missing:
-        _row_parser(words).error(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _row_parser(words).error(f"unrecognized arguments: {' '.join(extras)}")
-    return argparse.Namespace(seed=seed, **values)
+                break
+        values[dest] = value
+        i += 1
+    else:
+        # hand-read values are never None, so None marks a missing flag
+        if all(values[dest] is not None for dest in required):
+            return argparse.Namespace(seed=seed, **values)
+    parser = _row_parser(words)
+    args = parser.parse_args(rest, argparse.Namespace(seed=seed))
+    # argparse 3.11 strips "--" from an explicit "--flag=--" and stores []
+    for flag, (dest, _) in flags.items():
+        if isinstance(getattr(args, dest), list):
+            parser.error(f"argument {flag}: expected one argument")
+    return args
 
 
 def parse_argv(argv: list) -> tuple:
@@ -569,8 +497,9 @@ def parse_argv(argv: list) -> tuple:
 
     The tokens before the command words are global flags: ``--seed N``,
     ``--seed=N`` or an abbreviation such as ``--se N``, and ``-h``/``--help``.
-    The rest are the row's flags, read by ``_parse_row`` from the row's
-    ``args`` plus ``--out``; no successful parse builds an argparse parser.
+    A spaced ``--seed`` value that starts with ``-`` (``--seed -3``,
+    ``--seed --help``) is read by argparse.  The rest are the row's flags,
+    read by ``_parse_row``.
     """
     seed, i = 0, 0
     while i < len(argv) and argv[i].startswith("-"):
@@ -586,6 +515,8 @@ def parse_argv(argv: list) -> tuple:
             if i == len(argv):
                 _menu().error("argument --seed: expected one argument")
             value = argv[i]
+            if value.startswith("-"):
+                value = _menu().parse_args([token, value]).seed
         try:
             seed = int(value)
         except ValueError:

@@ -61,7 +61,7 @@ class Multiset:
     def from_json(cls, data: dict) -> "Multiset":
         try:
             mapping = {int(v): json_int(mu, "multiplicity") for v, mu in data["multiplicity"].items()}
-            vertices = set(data["vertices"])
+            vertices = {json_int(v, "multiset vertex") for v in data["vertices"]}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed multiset JSON: {exc}") from exc
         if set(mapping) != vertices:
@@ -173,7 +173,7 @@ def _least_proper_collection(members: list, r: int, budget: dict):
     return tuple(members[i] for i, copies in chosen for _ in range(copies)), placements
 
 
-def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) -> UnavoidabilityVerdict:
+def is_unavoidable(K: Complex, r: int, V: Multiset) -> UnavoidabilityVerdict:
     """Exhaustive search for a proper r-collection avoiding K entirely.
 
     Non-faces are closed upward, so a member of an avoiding collection can
@@ -183,15 +183,15 @@ def is_unavoidable(K: Complex, r: int, V: Multiset, guard: int | None = None) ->
     then vertex ids.  The first counterexample it finds is the
     lexicographically least avoiding collection over all non-faces too:
     shrinking a non-minimal member would lower its index.  The guard
-    (`COLLECTION_GUARD` unless one is given, read at call time) bounds
-    the number of multisets, comb(#minimal non-faces + r - 1, r), and the
-    family that computes the minimal non-faces.
+    (`COLLECTION_GUARD`, read at call time) bounds the number of multisets,
+    comb(#minimal non-faces + r - 1, r), and the family that computes the
+    minimal non-faces.
     """
     if not K.universe <= V.universe:
         raise InputError("the complex universe must lie inside the multiset universe")
     if r < 1:
         raise InputError(f"need at least r = 1 members, got {r}")
-    limit = guard if guard is not None else COLLECTION_GUARD
+    limit = COLLECTION_GUARD
     members = minimal_non_faces(K, sorted(V.universe), limit)
     estimate = math.comb(len(members) + r - 1, r)
     if estimate > limit:
@@ -228,9 +228,7 @@ def full_simplex(vertices) -> Complex:
     return Complex(frozenset(verts), (verts,))
 
 
-def check_face_avoidance_unavoidable(
-    V: Multiset, S, r: int, guard: int | None = None
-) -> FaceAvoidanceVerdict:
+def check_face_avoidance_unavoidable(V: Multiset, S, r: int) -> FaceAvoidanceVerdict:
     """The avoidance complex on V - S, with the weight hypothesis m(S) <= r-1.
 
     The unavoidability of the complex is decided by enumeration whether or
@@ -242,7 +240,7 @@ def check_face_avoidance_unavoidable(
     weight = V.weight(S)
     hypothesis = weight <= r - 1
     K = full_simplex(V.universe - S)
-    verdict = is_unavoidable(K, r, V, guard=guard)
+    verdict = is_unavoidable(K, r, V)
     if hypothesis and not verdict.unavoidable:
         raise AssertionError(
             "a set of weight <= r-1 produced an avoidable complex; "

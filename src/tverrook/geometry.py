@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, json_int
 from .exactlp import solve_equality_feasibility
-from .maps import CollapseTheta, is_prime, multiplicity_vector, power_exceeds
+from .maps import is_prime, multiplicity_vector, power_exceeds
 
 MODES = (
     "prime-power-1.3",
@@ -354,7 +354,7 @@ class TverbergSolution:
     def from_json(cls, data: dict) -> "TverbergSolution":
         try:
             return cls(
-                tuple(tuple(int(v) for v in f) for f in data["faces"]),
+                tuple(tuple(json_int(v, "face index") for v in f) for f in data["faces"]),
                 tuple(parse_rational(c) for c in data["witness"]),
                 tuple(tuple(parse_rational(c) for c in cert) for cert in data["certificates"]),
                 data.get("policy"),
@@ -678,9 +678,7 @@ class LiftResult:
     projection: dict  # lifted vertex index -> abridged vertex index
 
 
-def lift_to_vertex_disjoint(
-    config: PointConfig, solution: TverbergSolution, r: int, theta: CollapseTheta | None = None
-) -> "LiftResult":
+def lift_to_vertex_disjoint(config: PointConfig, solution: TverbergSolution, r: int) -> "LiftResult":
     """Expand multiplicities into distinct fiber vertices per color class.
 
     Each color class of the abridged configuration is blown up into r - 1
@@ -694,24 +692,10 @@ def lift_to_vertex_disjoint(
     d = config.d
     if config.num_colors != d + 2 or len(config.color_class(d + 1)) != 1:
         raise InputError(f"lifting needs {d + 2} color classes, the last a single vertex")
-    r_prime = r - 1
-    class_mults = []
     for color in range(d + 1):
-        cls = config.color_class(color)
-        class_mults.append([config.points[i].multiplicity for i in cls])
-        if sum(class_mults[-1]) != r_prime:
-            raise InputError(
-                f"color class {color} multiplicities sum to {sum(class_mults[-1])}, expected {r_prime}"
-            )
-    if theta is not None:
-        fiber_sizes: dict = {}
-        for j in range(1, theta.source_columns + 1):
-            fiber_sizes[theta(j)] = fiber_sizes.get(theta(j), 0) + 1
-        expected = sorted(class_mults[0])
-        if sorted(fiber_sizes.values()) != expected:
-            raise InputError(
-                f"theta fiber sizes {sorted(fiber_sizes.values())} do not match L = {expected}"
-            )
+        total = sum(config.points[i].multiplicity for i in config.color_class(color))
+        if total != r - 1:
+            raise InputError(f"color class {color} multiplicities sum to {total}, expected {r - 1}")
 
     # lifted vertex layout: per class, consecutive fiber blocks per vertex
     lifted_points = []

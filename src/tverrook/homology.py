@@ -332,7 +332,6 @@ class HomologyProfile:
 
     betti: tuple
     torsion: tuple  # tuple of tuples of invariant factors > 1
-    reduced: bool = True
     # what elimination did to each boundary map, one row per q:
     # {"q", "rows", "compressed", "cols", "units", "peeled", "remainder": [rows, cols]}
     boundary: tuple = field(default=(), compare=False)

@@ -17,13 +17,21 @@ from .errors import InputError
 Simplex = tuple  # strictly increasing tuple of ints
 
 
-def as_simplex(vertices) -> Simplex:
-    """Canonicalize an iterable of vertex ids into a simplex tuple."""
-    out = tuple(sorted(set(vertices)))
+def _vertex_ids(vertices) -> tuple:
+    """The vertex ids as a tuple, each a non-negative int and not a bool.
+
+    Checked before any set is formed: ``{1, True}`` would hide the bool.
+    """
+    out = tuple(vertices)
     for v in out:
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise InputError(f"vertex ids must be non-negative integers, got {v!r}")
     return out
+
+
+def as_simplex(vertices) -> Simplex:
+    """Canonicalize an iterable of vertex ids into a simplex tuple."""
+    return tuple(sorted(set(_vertex_ids(vertices))))
 
 
 def antichain(faces) -> tuple:
@@ -94,10 +102,7 @@ class Complex:
 
 def build_complex(universe, facets) -> Complex:
     """Build a complex from facet lists, deduplicated and antichain-reduced."""
-    uni = frozenset(universe)
-    for v in uni:
-        if not isinstance(v, int) or v < 0:
-            raise InputError(f"vertex ids must be non-negative integers, got {v!r}")
+    uni = frozenset(_vertex_ids(universe))
     # a facet with a vertex outside the universe survives the antichain, or
     # lies in one that has that vertex too, so Complex rejects it
     return Complex(uni, antichain([as_simplex(f) for f in facets]))

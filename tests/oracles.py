@@ -12,8 +12,8 @@ candidate sets replaced in `tverrook.geometry._search`, ranks of
 boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
 the closed-form fixed-point dimensions replaced in `tverrook.maps`, and
-the argparse parse of a row's flags that the one-pass reading of the
-`COMMANDS` table replaced in `tverrook.cli`."""
+the argparse parse of a row's flags, whose exact forms
+`tverrook.cli._parse_row` reads by hand."""
 
 import argparse
 import functools
@@ -606,5 +606,5 @@ def regular_action_subgroup(p, k, subspace):
 
 
 def argparse_row_parse(words: tuple, rest: list, seed: int):
-    """The argparse parse of a row's flags that `cli._parse_row` replaced."""
+    """The argparse parse of a row's flags, as `cli._parse_row` falls back to it."""
     return _row_parser(words).parse_args(rest, argparse.Namespace(seed=seed))

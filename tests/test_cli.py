@@ -402,6 +402,7 @@ ARGV_EXIT_CODES = [
     (["bogus"], 3),
     ([*VALUATION, "--seed", "3"], 3),
     (["collapse", "--seed", "3", "degree", "--caps", "1,2", "--theta", "1,1"], 3),
+    (["--seed", "--help", *VALUATION], 3),
 ]
 
 
@@ -417,9 +418,16 @@ def test_global_flags_and_command_words_exit_codes(capsys, argv, code):
         assert captured.out == ""
 
 
+def test_seed_followed_by_a_flag_expects_one_argument(capsys):
+    assert main(["--seed", "--help", *VALUATION]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected one argument" in captured.err
+
+
 @pytest.mark.parametrize("flags, seed", [
     (["--seed=7"], 7), (["--se", "7"], 7), (["--s=7"], 7), (["--seed", "-3"], -3),
-    (["--seed", "1", "--seed", "2"], 2), ([], 0),
+    (["--seed", "1", "--seed", "2"], 2), ([], 0), (["--se", "-3"], -3),
 ])
 def test_seed_forms_are_echoed(capsys, tmp_path, flags, seed):
     path = write_json(tmp_path, "inst.json", radon_instance())
@@ -759,6 +767,39 @@ def test_row_parse_matches_the_argparse_oracle(case):
         assert (got[1] if got[0] == 0 else got[2]).startswith(f"usage: tverrook {' '.join(words)}")
 
 
+def _exact_pair(flag, kwargs):
+    """`--flag v` with v not starting with "-", or `--flag=v`; ints for int flags."""
+    value = st.integers(-99, 99).map(str) if kwargs.get("type") else st.text("ab1,/ =-", max_size=4)
+    spaced = value.filter(lambda v: v[:1] != "-").map(lambda v: [flag, v])
+    joined = value.filter(lambda v: v != "--").map(lambda v: [f"{flag}={v}"])
+    return spaced | joined
+
+
+@st.composite
+def exact_row_argv(draw):
+    """A row's argv in the forms `_parse_row` reads by hand: every required
+    flag, then any flags again, `--out` among them, in any order."""
+    command = draw(st.sampled_from(COMMANDS))
+    args = command.args + (("--out", {}),)
+    items = [draw(_exact_pair(flag, kw)) for flag, kw in args if kw.get("required")]
+    items += draw(st.lists(st.sampled_from(args).flatmap(lambda a: _exact_pair(*a)), max_size=4))
+    return command.words, [token for item in draw(st.permutations(items)) for token in item]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=exact_row_argv())
+def test_exact_flags_are_read_by_hand_as_argparse_reads_them(case):
+    words, rest = case
+    expected = vars(argparse_row_parse(words, rest, 5))
+
+    def refuse(words):
+        raise AssertionError(f"argparse parser built for {words}")
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_row_parser", refuse)
+        assert vars(cli._parse_row(words, rest, 5)) == expected
+
+
 def test_rows_use_only_the_keywords_the_pass_reads():
     for command in COMMANDS:
         for flag, kwargs in command.args:
@@ -768,9 +809,10 @@ def test_rows_use_only_the_keywords_the_pass_reads():
 
 
 def test_flag_equals_double_dash_is_a_value():
-    # The one input where the pass and the oracle differ on purpose: argparse
-    # 3.11 strips "--" from an explicit value and stores [], which the
-    # loaders cannot read (a traceback); the pass keeps the string.
+    # The one input where the hand reading and argparse differ on purpose:
+    # argparse 3.11 strips "--" from an explicit value and stores [], which
+    # the loaders cannot read; the hand reading keeps the string, and a []
+    # from argparse is a usage error.
     _, args = parse_argv(["collapse", "degree", "--caps=--", "--theta", "1"])
     assert args.caps == "--"
     assert main(["collapse", "degree", "--caps=--", "--theta", "1"]) == 3
@@ -870,6 +912,20 @@ LIFT_SOLUTION = {
         (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, r=2.5)),
         (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
             "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 1.9, "2": 1}})),
+        (["fixed-points"], {
+            "spec": {"m": 2, "n": 3, "row_caps": [1, 1, 1], "col_caps": [1, 1]},
+            "generators": [[2.0, 1.0, 3.0]],
+        }),
+        (["fixed-points"], {
+            "spec": {"m": True, "n": 3, "row_caps": [1, 1, 1], "col_caps": [1]},
+            "generators": [[2, 1, 3]],
+        }),
+        (["lift"], {"config": PRIME_POWER, "r": 4,
+                    "solution": dict(LIFT_SOLUTION, faces=[[4], [0, 2], [1.9, 3], [1, 3]])}),
+        (["homology"], {"universe": [0, 1, 2], "facets": [[True, 2]]}),
+        (["homology"], {"universe": [0, 1, True], "facets": [[0, 1]]}),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
+            "vertices": [0, True, 2.0], "multiplicity": {"0": 1, "1": 1, "2": 1}})),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -878,6 +934,8 @@ LIFT_SOLUTION = {
         "r-float", "d-bool", "d-float", "color-float", "multiplicity-float",
         "constraint-count-float", "dim-caps-k-float", "dim-caps-s-string", "dim-caps-s-negative",
         "dim-caps-k-negative", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
+        "generator-float", "board-size-bool", "lift-face-index-float", "vertex-bool",
+        "universe-bool", "multiset-vertex-bool",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):

@@ -14,6 +14,7 @@ from tverrook import (
     build_complex,
     check_face_avoidance_unavoidable,
     constrain_complex,
+    constraints,
     full_simplex,
     is_V_proper,
     is_unavoidable,
@@ -76,11 +77,12 @@ def test_unavoidable_universe_mismatch():
         is_unavoidable(full_simplex({7}), 2, V_abc())
 
 
-def test_unavoidable_guard():
+def test_unavoidable_guard(monkeypatch):
     V = Multiset.from_dict({v: 3 for v in range(12)})
     K = full_simplex({0})
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 10)
     with pytest.raises(ResourceLimitError):
-        is_unavoidable(K, 6, V, guard=10)
+        is_unavoidable(K, 6, V)
 
 
 def test_minimal_non_faces_sorted_by_size_then_ids():
@@ -99,15 +101,17 @@ def test_minimal_non_faces_degenerate_complexes():
     assert minimal_non_faces(full_simplex({1}), vertices, 100) == [(0,), (2,)]
 
 
-def test_minimal_non_faces_cap_the_intermediate_family():
+def test_minimal_non_faces_cap_the_intermediate_family(monkeypatch):
     # Berge's family reaches 12 sets on the way to the 8 minimal non-faces,
     # so the cap trips at 11 although the collection estimate (r = 1) is 8.
     K = build_complex(range(7), [(0, 2, 5), (1, 3, 4, 6), (2, 3, 4, 5)])
     V = Multiset.from_dict({v: 1 for v in range(7)})
     assert len(minimal_non_faces(K, list(range(7)), 12)) == 8
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 11)
     with pytest.raises(ResourceLimitError, match="minimal non-face"):
-        is_unavoidable(K, 1, V, guard=11)
-    assert is_unavoidable(K, 1, V, guard=12).counterexample == ((0, 1),)
+        is_unavoidable(K, 1, V)
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 12)
+    assert is_unavoidable(K, 1, V).counterexample == ((0, 1),)
 
 
 def test_counterexample_takes_most_copies_first():
@@ -122,13 +126,15 @@ def test_counterexample_takes_most_copies_first():
     assert verdict.stats == {"minimal_non_faces": 2, "collections_examined": 11}
 
 
-def test_guard_counts_collections_of_minimal_non_faces():
+def test_guard_counts_collections_of_minimal_non_faces(monkeypatch):
     # Two minimal non-faces, {0} and {1}: comb(2 + 2 - 1, 2) = 3 collections.
     V = V_abc()
     K = full_simplex({2})
-    assert not is_unavoidable(K, 2, V, guard=3).unavoidable
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 3)
+    assert not is_unavoidable(K, 2, V).unavoidable
+    monkeypatch.setattr(constraints, "COLLECTION_GUARD", 2)
     with pytest.raises(ResourceLimitError, match="candidate collections"):
-        is_unavoidable(K, 2, V, guard=2)
+        is_unavoidable(K, 2, V)
 
 
 def test_unavoidability_is_monotone():
