@@ -59,10 +59,6 @@ class ChessboardSpec:
         """Vertex id of the cell in 1-based (column, row) coordinates."""
         return (row - 1) * self.m + (col - 1)
 
-    def cell_coords(self, vertex: int):
-        """Inverse of `cell`: vertex id -> (column, row), 1-based."""
-        return vertex % self.m + 1, vertex // self.m + 1
-
     def is_pseudomanifold_family(self) -> bool:
         """Row caps all 1 and n = sum(col_caps) + 1."""
         return all(c == 1 for c in self.row_caps) and self.n == sum(self.col_caps) + 1
@@ -81,11 +77,6 @@ class ChessboardSpec:
             return cls(data["m"], data["n"], tuple(data["row_caps"]), tuple(data["col_caps"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed chessboard spec JSON: {exc}") from exc
-
-
-def standard_spec(m: int, n: int) -> ChessboardSpec:
-    """The standard chessboard complex: all capacities 1."""
-    return ChessboardSpec(m, n, (1,) * n, (1,) * m)
 
 
 def one_row_spec(col_caps, n: int | None = None) -> ChessboardSpec:
@@ -280,71 +271,13 @@ class RowPermutation:
     def n(self) -> int:
         return len(self.mapping)
 
-    @property
-    def parity(self) -> int:
-        """+1 for even permutations, -1 for odd."""
-        return _sort_sign(self.mapping)
-
     def compose(self, other: "RowPermutation") -> "RowPermutation":
         """self after other: (self * other)(i) = self(other(i))."""
         return RowPermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def inverse(self) -> "RowPermutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.mapping, start=1):
-            inv[v - 1] = i
-        return RowPermutation(tuple(inv))
-
     @classmethod
     def identity(cls, n: int) -> "RowPermutation":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "RowPermutation":
-        mapping = list(range(1, n + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                mapping[a - 1] = b
-        return cls(tuple(mapping))
-
-
-def _sort_sign(values) -> int:
-    """Sign of the permutation sorting a repetition-free sequence."""
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
-
-
-def act_row_permutation(K: Complex, spec: ChessboardSpec, g: RowPermutation, tau: dict):
-    """Apply a row permutation to the oriented complex.
-
-    Returns (vertex_map, sign) where sign compares g . tau with tau; the
-    comparison must be globally constant (+1 for even g, -1 for odd g).
-    """
-    if g.n != spec.n:
-        raise InputError(f"permutation degree {g.n} does not match n = {spec.n}")
-    vertex_map = {}
-    for v in range(spec.m * spec.n):
-        col, row = spec.cell_coords(v)
-        vertex_map[v] = spec.cell(col, g(row))
-
-    facet_set = set(K.facets)
-    sign = None
-    for facet, coeff in tau.items():
-        image = [vertex_map[v] for v in facet]
-        image_sorted = tuple(sorted(image))
-        if image_sorted not in facet_set:
-            raise AssertionError("row permutation failed to map a facet to a facet")
-        rel = coeff * _sort_sign(image) * tau[image_sorted]
-        if sign is None:
-            sign = rel
-        elif sign != rel:
-            raise AssertionError("row permutation acted with inconsistent signs")
-    return vertex_map, sign
 
 
 @dataclass(frozen=True)
@@ -383,16 +316,8 @@ class Subgroup:
         return cls(gens, element_perms, orbits)
 
     @property
-    def n(self) -> int:
-        return self.generators[0].n if self.generators else len(self.elements[0].mapping)
-
-    @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def trivial_subgroup(n: int) -> Subgroup:
-    return Subgroup.from_generators(n, [RowPermutation.identity(n)])
 
 
 def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
@@ -420,7 +345,7 @@ def verify_orientation(spec: ChessboardSpec, tau: dict) -> bool:
 
     Ridges are keyed by vertex bitmask, as in `check_pseudomanifold`: the
     ridge of a facet without its vertex v carries the facet's sign times
-    (-1)**(position of v), the sign `simplicial.chain_boundary` gives it.
+    (-1)**(position of v), the sign of the simplicial boundary.
     """
     boundary: dict = {}
     for facet, sign in tau.items():

@@ -37,13 +37,6 @@ class Multiset:
                 raise InputError(f"multiplicity of vertex {v} must be >= 1, got {mu}")
         return cls(frozenset(mapping), tuple(sorted(mapping.items())))
 
-    def m(self, vertex: int) -> int:
-        return dict(self.multiplicity)[vertex]
-
-    @property
-    def total_weight(self) -> int:
-        return sum(mu for _, mu in self.multiplicity)
-
     def weight(self, subset) -> int:
         lookup = dict(self.multiplicity)
         for v in subset:
@@ -51,37 +44,20 @@ class Multiset:
                 raise InputError(f"vertex {v} is outside the multiset universe")
         return sum(lookup[v] for v in subset)
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": sorted(self.universe),
-            "multiplicity": {str(v): mu for v, mu in self.multiplicity},
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "Multiset":
         try:
-            mapping = {int(v): json_int(mu, "multiplicity") for v, mu in data["multiplicity"].items()}
+            multiplicity = data["multiplicity"]
+            mapping = {int(v): json_int(mu, "multiplicity") for v, mu in multiplicity.items()}
             vertices = {json_int(v, "multiset vertex") for v in data["vertices"]}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed multiset JSON: {exc}") from exc
+        # only canonical keys, so that "1" and "01" cannot both name vertex 1
+        if [str(v) for v in mapping] != list(multiplicity):
+            raise InputError("multiplicity keys must be canonical decimal integers, one per vertex")
         if set(mapping) != vertices:
             raise InputError("multiset vertices and multiplicity keys disagree")
         return cls.from_dict(mapping)
-
-
-def is_V_proper(V: Multiset, collection, r: int) -> bool:
-    """Every vertex used at most its multiplicity across the r members."""
-    collection = [tuple(sorted(member)) for member in collection]
-    if len(collection) != r:
-        raise InputError(f"expected exactly {r} members, got {len(collection)}")
-    usage: dict = {}
-    lookup = dict(V.multiplicity)
-    for member in collection:
-        for v in member:
-            if v not in lookup:
-                raise InputError(f"vertex {v} is outside the multiset universe")
-            usage[v] = usage.get(v, 0) + 1
-    return all(count <= lookup[v] for v, count in usage.items())
 
 
 @dataclass(frozen=True)

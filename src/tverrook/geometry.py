@@ -665,12 +665,6 @@ def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
     return Exhausted(stats["lp_calls"], stats)
 
 
-def search_tverberg_all(instance: TverbergInstance):
-    """Every solution of the pruned search (used by the oracle-equivalence tests)."""
-    solutions, _ = _search(instance, find_all=True)
-    return [s.faces for s in solutions]
-
-
 @dataclass(frozen=True)
 class LiftResult:
     config: PointConfig
@@ -785,50 +779,3 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
     instance = TverbergInstance(config, p**k, mode="prime-power-1.3")
     instance.validate()
     return config, instance
-
-
-def random_prime_power_config(p: int, k: int, d: int, seed: int) -> PointConfig:
-    """Seeded random rational configuration satisfying the prime-power hypotheses."""
-    rng = random.Random(seed)
-
-    def coord() -> Fraction:
-        return Fraction(rng.randint(-1000, 1000), rng.randint(1, 20))
-
-    mults = multiplicity_vector(p, k)
-    points = []
-    for color in range(d + 1):
-        for mu in mults:
-            points.append(ColoredPoint(tuple(coord() for _ in range(d)), color, mu))
-    points.append(ColoredPoint(tuple(coord() for _ in range(d)), d + 1, 1))
-    return PointConfig(d, tuple(points))
-
-
-def random_balanced_config(r: int, d: int, seed: int) -> PointConfig:
-    """Seeded generic configuration for the balanced search: singleton colors.
-
-    Genericity (no repeated points, no d+1 affinely dependent points for
-    d = 2) is enforced by rejection resampling.
-    """
-    rng = random.Random(seed)
-    n = (r - 1) * (d + 2) + 1
-
-    def coord() -> Fraction:
-        return Fraction(rng.randint(-1000, 1000), rng.randint(1, 20))
-
-    while True:
-        coords = [tuple(coord() for _ in range(d)) for _ in range(n)]
-        if len(set(coords)) != n:
-            continue
-        if d == 2 and _has_collinear_triple(coords):
-            continue
-        break
-    points = tuple(ColoredPoint(c, i, 1) for i, c in enumerate(coords))
-    return PointConfig(d, points)
-
-
-def _has_collinear_triple(coords) -> bool:
-    for a, b, c in itertools.combinations(coords, 3):
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if det == 0:
-            return True
-    return False

@@ -137,20 +137,6 @@ def _boundary_columns(by_dim: dict, q: int, cleared=frozenset()) -> list:
     return columns
 
 
-def boundary_matrix(K: Complex, q: int) -> list:
-    """Dense matrix of the boundary map from q-faces to (q-1)-faces.
-
-    For q = 0 this is the augmentation map onto the empty simplex.
-    """
-    by_dim = faces_by_dimension(K)
-    columns = _boundary_columns(by_dim, q)
-    matrix = [[0] * len(columns) for _ in by_dim.get(q - 1, [])]
-    for col, column in enumerate(columns):
-        for row, value in column.items():
-            matrix[row][col] = value
-    return matrix
-
-
 def eliminate_units(columns: list, n_rows: int):
     """Eliminate +-1 pivots of a sparse integer matrix.
 
@@ -335,12 +321,6 @@ class HomologyProfile:
     # what elimination did to each boundary map, one row per q:
     # {"q", "rows", "compressed", "cols", "units", "peeled", "remainder": [rows, cols]}
     boundary: tuple = field(default=(), compare=False)
-
-    def betti_number(self, q: int) -> int:
-        return self.betti[q] if 0 <= q < len(self.betti) else 0
-
-    def torsion_in(self, q: int) -> tuple:
-        return self.torsion[q] if 0 <= q < len(self.torsion) else ()
 
     def to_json(self) -> list:
         return [

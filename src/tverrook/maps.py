@@ -13,15 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .chessboard import (
-    MAX_FACETS,
-    ChessboardSpec,
-    RowPermutation,
-    build_chessboard,
-    facet_sign,
-    one_row_spec,
-    sphere_spec,
-)
+from .chessboard import MAX_FACETS, ChessboardSpec, facet_sign, one_row_spec, sphere_spec
 from .errors import InputError, ResourceLimitError
 
 # Largest p^k an obstruction report takes.  The degree (p^k - 1)! / prod(L!)
@@ -58,85 +50,9 @@ class CollapseTheta:
             out[self(j) - 1] += a
         return tuple(out)
 
-    def compose(self, first: "CollapseTheta") -> "CollapseTheta":
-        """self after first: [m''] -> [m'] -> [m]."""
-        if first.target_columns != self.source_columns:
-            raise InputError("collapse maps do not compose")
-        return CollapseTheta(
-            first.source_columns,
-            self.target_columns,
-            tuple(self(first(j)) for j in range(1, first.source_columns + 1)),
-        )
-
     @classmethod
     def constant(cls, source_columns: int) -> "CollapseTheta":
         return cls(source_columns, 1, (1,) * source_columns)
-
-    @classmethod
-    def identity(cls, columns: int) -> "CollapseTheta":
-        return cls(columns, columns, tuple(range(1, columns + 1)))
-
-    @classmethod
-    def blocks(cls, fiber_sizes) -> "CollapseTheta":
-        """Consecutive fibers of the given sizes: the canonical L-collapse."""
-        assignment = []
-        for i, size in enumerate(fiber_sizes, start=1):
-            assignment.extend([i] * size)
-        return cls(len(assignment), len(tuple(fiber_sizes)), tuple(assignment))
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    target_spec: ChessboardSpec
-    vertex_map: dict
-    facet_map: dict
-
-
-def _cell_map(theta: CollapseTheta, source: ChessboardSpec, target: ChessboardSpec) -> dict:
-    vm = {}
-    for v in range(source.m * source.n):
-        col, row = source.cell_coords(v)
-        vm[v] = target.cell(theta(col), row)
-    return vm
-
-
-def collapse_complex(theta: CollapseTheta, source: ChessboardSpec) -> CollapseResult:
-    """The simplicial map merging columns of `source` along theta.
-
-    Verifies that every facet maps to a face of the target and that the map
-    commutes with the row-permutation action (checked on the generating
-    adjacent transpositions).
-    """
-    if not all(c == 1 for c in source.row_caps):
-        raise InputError("collapse maps are defined for row caps all 1")
-    target = ChessboardSpec(
-        theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
-    )
-    vm = _cell_map(theta, source, target)
-    K = build_chessboard(source)
-    T = build_chessboard(target)
-    facet_map = {}
-    for facet in K.facets:
-        image = tuple(sorted(vm[v] for v in facet))
-        if not T.is_face(image):
-            raise AssertionError("collapse image of a facet is not a face of the target")
-        facet_map[facet] = image
-
-    # equivariance against adjacent row transpositions
-    for r in range(1, source.n):
-        g = RowPermutation.from_cycles(source.n, [(r, r + 1)])
-        for facet in K.facets:
-            src_g = tuple(sorted(_row_act(source, g, v) for v in facet))
-            lhs = tuple(sorted(vm[v] for v in src_g))
-            rhs = tuple(sorted(_row_act(target, g, vm[v]) for v in facet))
-            if lhs != rhs:
-                raise AssertionError("collapse map failed row-permutation equivariance")
-    return CollapseResult(target, vm, facet_map)
-
-
-def _row_act(spec: ChessboardSpec, g: RowPermutation, v: int) -> int:
-    col, row = spec.cell_coords(v)
-    return spec.cell(col, g(row))
 
 
 def degree_formula(caps, theta: CollapseTheta) -> int:
@@ -150,11 +66,6 @@ def degree_formula(caps, theta: CollapseTheta) -> int:
     if num % den:
         raise AssertionError("degree formula produced a non-integer")
     return num // den
-
-
-def degree_by_counting(theta: CollapseTheta, source: ChessboardSpec) -> int:
-    """Signed count of source facets over one fixed target facet."""
-    return sum(preimage_signs(theta, source))
 
 
 def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> list:

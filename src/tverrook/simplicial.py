@@ -83,10 +83,6 @@ class Complex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
-    def is_face(self, simplex) -> bool:
-        s = set(simplex)
-        return any(s <= set(f) for f in self.facets)
-
     def to_json(self) -> dict:
         return {"universe": sorted(self.universe), "facets": [list(f) for f in self.facets]}
 
@@ -108,56 +104,6 @@ def build_complex(universe, facets) -> Complex:
     return Complex(uni, antichain([as_simplex(f) for f in facets]))
 
 
-def link(K: Complex, simplex) -> Complex:
-    """Link of a face: all T disjoint from S with T + S a face of K."""
-    s = as_simplex(simplex)
-    if not K.is_face(s):
-        raise InputError(f"{s} is not a face of the complex")
-    sset = set(s)
-    residues = [tuple(v for v in f if v not in sset) for f in K.facets if sset <= set(f)]
-    facets = antichain(residues)
-    universe = frozenset(itertools.chain.from_iterable(facets))
-    return Complex(universe, facets)
-
-
-def join(K1: Complex, K2: Complex):
-    """Join of two complexes, relabeling K2 into fresh vertex ids.
-
-    Returns `(complex, relabel)` where `relabel` maps old K2 vertex ids to
-    their new ids; K1 keeps its ids.
-    """
-    offset = max(K1.universe, default=-1) + 1
-    relabel = {v: v + offset for v in sorted(K2.universe)}
-    facets = tuple(
-        sorted(f1 + tuple(relabel[v] for v in f2) for f1 in K1.facets for f2 in K2.facets)
-    )
-    universe = K1.universe | frozenset(relabel.values())
-    return Complex(universe, facets), relabel
-
-
-def join_complexes(*complexes: Complex) -> Complex:
-    """Iterated join, discarding the relabeling maps."""
-    out = complexes[0]
-    for K in complexes[1:]:
-        out, _ = join(out, K)
-    return out
-
-
-def skeleton(K: Complex, k: int) -> Complex:
-    """The subcomplex of all faces of dimension at most k."""
-    if k < -1:
-        raise InputError("skeleton dimension must be >= -1")
-    if k >= K.dimension:
-        return K
-    faces = set()
-    for f in K.facets:
-        if len(f) <= k + 1:
-            faces.add(f)
-        else:
-            faces.update(itertools.combinations(f, k + 1))
-    return Complex(K.universe, antichain(faces))
-
-
 def faces_by_dimension(K: Complex) -> dict:
     """All faces of K grouped by dimension (including the empty simplex)."""
     by_dim: dict = {}
@@ -169,28 +115,3 @@ def faces_by_dimension(K: Complex) -> dict:
                     seen.add(face)
                     by_dim.setdefault(q - 1, []).append(face)
     return {q: sorted(fs) for q, fs in sorted(by_dim.items())}
-
-
-def face_counts(K: Complex) -> dict:
-    return {q: len(fs) for q, fs in faces_by_dimension(K).items()}
-
-
-def euler_characteristic(K: Complex, reduced: bool = False) -> int:
-    """Alternating sum of face counts; reduced version includes the empty face."""
-    counts = face_counts(K)
-    lo = -1 if reduced else 0
-    return sum((-1) ** q * c for q, c in counts.items() if q >= lo)
-
-
-def chain_boundary(chain: dict) -> dict:
-    """Simplicial boundary of an integer chain {simplex: coefficient}."""
-    out: dict = {}
-    for simplex, coeff in chain.items():
-        for idx in range(len(simplex)):
-            face = simplex[:idx] + simplex[idx + 1:]
-            val = out.get(face, 0) + (-1) ** idx * coeff
-            if val:
-                out[face] = val
-            else:
-                out.pop(face, None)
-    return out

@@ -13,7 +13,12 @@ boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
 the closed-form fixed-point dimensions replaced in `tverrook.maps`, and
 the argparse parse of a row's flags, whose exact forms
-`tverrook.cli._parse_row` reads by hand."""
+`tverrook.cli._parse_row` reads by hand.
+
+It also holds the simplicial operations that no CLI command uses (links,
+joins, skeleta, chain boundaries, Euler characteristics, dense boundary
+matrices built from chain boundaries), the row-permutation action on an
+oriented complex, and the pruned search's list of every solution."""
 
 import argparse
 import functools
@@ -23,6 +28,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from tverrook import (
+    Complex,
     HomologyProfile,
     InputError,
     ResourceLimitError,
@@ -30,16 +36,15 @@ from tverrook import (
     Subgroup,
     TverbergSolution,
     UnavoidabilityVerdict,
-    boundary_matrix,
+    antichain,
     build_chessboard,
     constraints,
-    faces_by_dimension,
     hulls_intersect,
     rainbow_faces,
     smith_invariants,
 )
 from tverrook.cli import _row_parser
-from tverrook.geometry import _box, _grid_projections
+from tverrook.geometry import _box, _grid_projections, _search
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,7 +72,7 @@ def brute_force_facets(spec):
     """Facets of `build_chessboard(spec)`: all rook placements, cell by cell."""
 
     def admissible(cells):
-        coords = [spec.cell_coords(v) for v in cells]
+        coords = [cell_coords(spec, v) for v in cells]
         return all(
             sum(1 for c, _ in coords if c == col) <= cap
             for col, cap in enumerate(spec.col_caps, start=1)
@@ -104,7 +109,7 @@ def brute_force_fixed_subcomplex(spec, orbits):
 
 def omitted_row(spec, facet):
     """The one row of [1..n] that a facet of a pseudomanifold-family board leaves empty."""
-    (w,) = set(range(1, spec.n + 1)) - {spec.cell_coords(v)[1] for v in facet}
+    (w,) = set(range(1, spec.n + 1)) - {cell_coords(spec, v)[1] for v in facet}
     return w
 
 
@@ -117,12 +122,12 @@ def _oriented_facets(source):
     )
 
 
-def _collapse_map(theta, source):
+def collapse_map(theta, source):
     """Target cell of each source cell: column j of row i goes to column theta(j) of row i."""
     mt = theta.target_columns
     cells = []
     for v in range(source.m * source.n):
-        col, row = source.cell_coords(v)
+        col, row = cell_coords(source, v)
         cells.append((row - 1) * mt + theta(col) - 1)
     return cells
 
@@ -133,7 +138,7 @@ def scan_preimage(theta, source, target_facet):
 
     The reference for `tverrook.maps.preimage`.
     """
-    image = _collapse_map(theta, source).__getitem__
+    image = collapse_map(theta, source).__getitem__
     target_facet = tuple(target_facet)
     return {
         facet: sign
@@ -149,7 +154,7 @@ def scan_preimage_signs(theta, source):
     The reference for `tverrook.maps.preimage_signs`.
     """
     first, _ = _oriented_facets(source)[0]
-    image = _collapse_map(theta, source)
+    image = collapse_map(theta, source)
     target_facet = tuple(sorted(image[v] for v in first))
     used = {v // theta.target_columns + 1 for v in target_facet}
     (w,) = set(range(1, source.n + 1)) - used
@@ -392,11 +397,10 @@ def dense_betti_and_torsion(K):
     The reference for `tverrook.betti_and_torsion`, which must give the same
     Betti numbers and torsion on every complex.
     """
-    by_dim = faces_by_dimension(K)
     dim = K.dimension
     invariants = [smith_invariants(boundary_matrix(K, q)) for q in range(dim + 1)] + [[]]
     betti = tuple(
-        len(by_dim[q]) - len(invariants[q]) - len(invariants[q + 1]) for q in range(dim + 1)
+        len(q_faces(K, q)) - len(invariants[q]) - len(invariants[q + 1]) for q in range(dim + 1)
     )
     torsion = tuple(tuple(d for d in invariants[q + 1] if d > 1) for q in range(dim + 1))
     return HomologyProfile(betti, torsion)
@@ -520,7 +524,7 @@ def scan_is_unavoidable(K, r, V, guard=None):
         subset
         for size in range(1, len(vertices) + 1)
         for subset in itertools.combinations(vertices, size)
-        if not K.is_face(subset)
+        if not is_face(K, subset)
     ]
     estimate = math.comb(len(non_faces) + r - 1, r)
     if estimate > limit:
@@ -608,3 +612,136 @@ def regular_action_subgroup(p, k, subspace):
 def argparse_row_parse(words: tuple, rest: list, seed: int):
     """The argparse parse of a row's flags, as `cli._parse_row` falls back to it."""
     return _row_parser(words).parse_args(rest, argparse.Namespace(seed=seed))
+
+
+def is_face(K, simplex):
+    """Whether the simplex lies in some facet of K."""
+    s = set(simplex)
+    return any(s <= set(f) for f in K.facets)
+
+
+def link(K, simplex):
+    """Link of a face: all T disjoint from S with T + S a face of K."""
+    s = set(simplex)
+    if not is_face(K, s):
+        raise InputError(f"{sorted(s)} is not a face of the complex")
+    residues = [tuple(v for v in f if v not in s) for f in K.facets if s <= set(f)]
+    facets = antichain(residues)
+    return Complex(frozenset(itertools.chain.from_iterable(facets)), facets)
+
+
+def join(K1, K2):
+    """Join of two complexes, relabeling K2 into fresh vertex ids.
+
+    Returns `(complex, relabel)` where `relabel` maps old K2 vertex ids to
+    their new ids; K1 keeps its ids.
+    """
+    offset = max(K1.universe, default=-1) + 1
+    relabel = {v: v + offset for v in sorted(K2.universe)}
+    facets = tuple(
+        sorted(f1 + tuple(relabel[v] for v in f2) for f1 in K1.facets for f2 in K2.facets)
+    )
+    return Complex(K1.universe | frozenset(relabel.values()), facets), relabel
+
+
+def skeleton(K, k):
+    """The subcomplex of all faces of dimension at most k."""
+    faces = {face for f in K.facets for face in itertools.combinations(f, min(k + 1, len(f)))}
+    return Complex(K.universe, antichain(faces))
+
+
+def q_faces(K, q):
+    """The q-faces of K, sorted: every (q+1)-subset of every facet."""
+    return sorted({face for f in K.facets for face in itertools.combinations(f, q + 1)})
+
+
+def euler_characteristic(K, reduced=False):
+    """Alternating sum of face counts; the reduced one counts the empty face too."""
+    lo = -1 if reduced else 0
+    return sum((-1 if q % 2 else 1) * len(q_faces(K, q)) for q in range(lo, K.dimension + 1))
+
+
+def chain_boundary(chain):
+    """Simplicial boundary of an integer chain {simplex: coefficient}."""
+    out = {}
+    for simplex, coeff in chain.items():
+        for idx in range(len(simplex)):
+            face = simplex[:idx] + simplex[idx + 1:]
+            val = out.get(face, 0) + (-1) ** idx * coeff
+            if val:
+                out[face] = val
+            else:
+                out.pop(face, None)
+    return out
+
+
+def boundary_matrix(K, q):
+    """Dense matrix of the boundary map from q-faces to (q-1)-faces.
+
+    Column j is the `chain_boundary` of the j-th q-face, and the faces of
+    both dimensions are indexed in sorted order.  For q = 0 this is the
+    augmentation map onto the empty simplex.
+    """
+    rows = {face: i for i, face in enumerate(q_faces(K, q - 1))}
+    columns = q_faces(K, q)
+    matrix = [[0] * len(columns) for _ in rows]
+    for j, face in enumerate(columns):
+        for subface, coeff in chain_boundary({face: 1}).items():
+            matrix[rows[subface]][j] = coeff
+    return matrix
+
+
+def cell_coords(spec, vertex):
+    """The 1-based (column, row) of a cell id: the inverse of `spec.cell`."""
+    return vertex % spec.m + 1, vertex // spec.m + 1
+
+
+def _sort_sign(values):
+    """Sign of the permutation sorting a repetition-free sequence."""
+    return math.prod(-1 if a > b else 1 for a, b in itertools.combinations(values, 2))
+
+
+def parity(g):
+    """+1 for an even row permutation, -1 for an odd one."""
+    return _sort_sign(g.mapping)
+
+
+def act_row_permutation(K, spec, g, tau):
+    """Apply a row permutation to the oriented complex.
+
+    Returns (vertex_map, sign) where sign compares g . tau with tau; the
+    comparison must be globally constant (+1 for even g, -1 for odd g).
+    """
+    vertex_map = {}
+    for v in range(spec.m * spec.n):
+        col, row = cell_coords(spec, v)
+        vertex_map[v] = spec.cell(col, g(row))
+    facet_set = set(K.facets)
+    signs = set()
+    for facet, coeff in tau.items():
+        image = [vertex_map[v] for v in facet]
+        image_sorted = tuple(sorted(image))
+        assert image_sorted in facet_set, "row permutation failed to map a facet to a facet"
+        signs.add(coeff * _sort_sign(image) * tau[image_sorted])
+    (sign,) = signs
+    return vertex_map, sign
+
+
+def is_V_proper(V, collection, r):
+    """Every vertex used at most its multiplicity across the r members."""
+    if len(collection) != r:
+        raise InputError(f"expected exactly {r} members, got {len(collection)}")
+    lookup = dict(V.multiplicity)
+    usage = {}
+    for member in collection:
+        for v in member:
+            if v not in lookup:
+                raise InputError(f"vertex {v} is outside the multiset universe")
+            usage[v] = usage.get(v, 0) + 1
+    return all(count <= lookup[v] for v, count in usage.items())
+
+
+def search_tverberg_all(instance):
+    """The face tuples of every solution of the pruned search."""
+    solutions, _ = _search(instance, find_all=True)
+    return [s.faces for s in solutions]

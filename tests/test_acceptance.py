@@ -10,7 +10,15 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import gaussian_binomial, naive_search_all, regular_action_subgroup, span_subspaces
+from fixtures import random_balanced_config, random_prime_power_config, standard_spec
+from oracles import (
+    gaussian_binomial,
+    join,
+    naive_search_all,
+    regular_action_subgroup,
+    search_tverberg_all,
+    span_subspaces,
+)
 from tverrook import (
     CollapseTheta,
     ColoredPoint,
@@ -25,25 +33,20 @@ from tverrook import (
     build_example_a,
     check_face_avoidance_unavoidable,
     check_pseudomanifold,
-    degree_by_counting,
     degree_formula,
     elementary_abelian_subgroups,
     fixed_subcomplex,
     homological_connectivity,
-    join,
     legendre_valuation,
     lift_to_vertex_disjoint,
     multiplicity_vector,
     obstruction_report,
     one_row_spec,
-    random_balanced_config,
-    random_prime_power_config,
     search_tverberg,
-    search_tverberg_all,
     sphere_spec,
-    standard_spec,
     verify_solution,
 )
+from tverrook.maps import preimage_signs
 
 F = Fraction
 
@@ -114,16 +117,17 @@ def test_criterion_03_degree_oracle_equivalence():
             spec = one_row_spec(caps)
             for m_target in range(1, len(caps) + 1):
                 for theta in surjections(len(caps), m_target):
-                    assert degree_formula(caps, theta) == degree_by_counting(theta, spec)
+                    assert degree_formula(caps, theta) == sum(preimage_signs(theta, spec))
     for n in (7, 8):
         ones = (1,) * (n - 1)
         ones_spec = one_row_spec(ones)
         for caps in compositions(n - 1):
-            blocks = CollapseTheta.blocks(caps)
-            assert degree_formula(ones, blocks) == degree_by_counting(blocks, ones_spec)
+            fibers = tuple(i for i, a in enumerate(caps, start=1) for _ in range(a))
+            blocks = CollapseTheta(n - 1, len(caps), fibers)
+            assert degree_formula(ones, blocks) == sum(preimage_signs(blocks, ones_spec))
             constant = CollapseTheta.constant(len(caps))
             spec = one_row_spec(caps)
-            assert degree_formula(caps, constant) == degree_by_counting(constant, spec)
+            assert degree_formula(caps, constant) == sum(preimage_signs(constant, spec))
 
 
 def test_criterion_04_mod_p_obstruction():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fixtures import standard_spec
 from oracles import argparse_row_parse, fraction_equality_feasibility
-from tverrook import build_chessboard, cli, constraints, geometry, one_row_spec, standard_spec
+from tverrook import build_chessboard, cli, constraints, geometry, one_row_spec
 from tverrook.cli import COMMANDS, _row_parser, main, parse_argv
 
 
@@ -926,6 +927,8 @@ LIFT_SOLUTION = {
         (["homology"], {"universe": [0, 1, True], "facets": [[0, 1]]}),
         (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
             "vertices": [0, True, 2.0], "multiplicity": {"0": 1, "1": 1, "2": 1}})),
+        (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
+            "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 5, "01": 1, "2": 1}})),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -935,7 +938,7 @@ LIFT_SOLUTION = {
         "constraint-count-float", "dim-caps-k-float", "dim-caps-s-string", "dim-caps-s-negative",
         "dim-caps-k-negative", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
         "generator-float", "board-size-bool", "lift-face-index-float", "vertex-bool",
-        "universe-bool", "multiset-vertex-bool",
+        "universe-bool", "multiset-vertex-bool", "multiset-key-not-canonical",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_search, naive_search_all
+from fixtures import random_balanced_config, random_prime_power_config
+from oracles import loop_search, naive_search_all, search_tverberg_all
 from tverrook import (
     ColoredPoint,
     DimCaps,
@@ -20,10 +21,7 @@ from tverrook import (
     hulls_intersect,
     lift_to_vertex_disjoint,
     rainbow_faces,
-    random_balanced_config,
-    random_prime_power_config,
     search_tverberg,
-    search_tverberg_all,
     solve_balanced_caps,
     verify_solution,
 )

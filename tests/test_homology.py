@@ -1,21 +1,17 @@
 import math
 import random
 
-from oracles import rank_mod_p
+from fixtures import standard_spec
+from oracles import boundary_matrix, euler_characteristic, join, rank_mod_p
 from tverrook import (
     betti_and_torsion,
-    boundary_matrix,
     build_chessboard,
     build_complex,
-    euler_characteristic,
-    face_counts,
     faces_by_dimension,
     homological_connectivity,
     homology,
-    join,
     smith_invariants,
     sphere_spec,
-    standard_spec,
 )
 from tverrook.homology import _boundary_columns, _reduce_boundaries
 
@@ -100,7 +96,7 @@ def test_projective_plane_torsion():
     K = build_complex(set(range(1, 7)), facets)
     profile = betti_and_torsion(K)
     assert list(profile.betti) == [0, 0, 0]
-    assert profile.torsion_in(1) == (2,)
+    assert profile.torsion[1] == (2,)
 
 
 def test_euler_characteristic_matches_betti_sum():
@@ -147,8 +143,7 @@ def test_point_is_fully_connected():
 
 def test_face_counts_feed_euler():
     K = build_chessboard(standard_spec(3, 4))
-    counts = face_counts(K)
-    assert counts[1] == 3 * 4 * 3  # edges: ordered pairs of non-attacking rooks / 2 = 36
+    assert len(faces_by_dimension(K)[1]) == 3 * 4 * 3  # edges: ordered pairs of non-attacking rooks / 2 = 36
 
 
 def reduced_euler_closed_form(m, n):
@@ -256,10 +251,10 @@ def test_connectivity_builds_only_the_maps_it_needs(monkeypatch):
     monkeypatch.setattr(homology, "eliminate_units", counting)
     # H_0..H_2 are decided by d_0..d_3: d_4 (from the 4320 4-faces) is never reduced.
     assert homological_connectivity(K, 2)
-    counts = face_counts(K)
-    assert eliminated == [counts[q] for q in range(4)] == [36, 450, 2400, 5400]
+    by_dim = faces_by_dimension(K)
+    assert eliminated == [len(by_dim[q]) for q in range(4)] == [36, 450, 2400, 5400]
     profile = betti_and_torsion(K)
-    assert all(profile.betti_number(q) == 0 and not profile.torsion_in(q) for q in range(3))
+    assert all(profile.betti[q] == 0 and not profile.torsion[q] for q in range(3))
     assert not homological_connectivity(K, 3)
 
 

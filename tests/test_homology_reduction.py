@@ -7,16 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_betti_and_torsion, markowitz_eliminate_units
+from fixtures import standard_spec
+from oracles import boundary_matrix, dense_betti_and_torsion, join, markowitz_eliminate_units
 from tverrook import (
     betti_and_torsion,
-    boundary_matrix,
     build_chessboard,
     build_complex,
     faces_by_dimension,
-    join,
     smith_invariants,
-    standard_spec,
 )
 from tverrook.homology import _boundary_columns, eliminate_units
 

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import standard_spec
 from oracles import (
+    cell_coords,
+    collapse_map,
     gaussian_binomial,
+    is_face,
     omitted_row,
     regular_action_subgroup,
     scan_preimage,
@@ -16,14 +20,13 @@ from oracles import (
 from tverrook import chessboard, maps
 
 from tverrook import (
+    ChessboardSpec,
     CollapseTheta,
     InputError,
     RowPermutation,
     ResourceLimitError,
     Subgroup,
     build_chessboard,
-    collapse_complex,
-    degree_by_counting,
     degree_formula,
     elementary_abelian_subgroups,
     fixed_subcomplex,
@@ -32,7 +35,6 @@ from tverrook import (
     obstruction_report,
     one_row_spec,
     sphere_spec,
-    standard_spec,
 )
 from tverrook.chessboard import MAX_FACETS
 from tverrook.maps import preimage, preimage_signs
@@ -55,39 +57,53 @@ def test_collapse_caps_sum_over_fibers():
     assert theta.collapse_caps((1, 2, 4)) == (5, 2)
 
 
+def collapse_target(theta, source):
+    """The board that theta collapses `source` onto: fiber caps added, rows kept."""
+    return ChessboardSpec(
+        theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
+    )
+
+
+def facet_images(theta, source):
+    """The image of each facet of the source complex under the collapse map."""
+    cells = collapse_map(theta, source)
+    return [tuple(sorted(cells[v] for v in f)) for f in build_chessboard(source).facets]
+
+
 def test_constant_collapse_targets_simplex_boundary():
     spec = one_row_spec((1, 2))
-    result = collapse_complex(CollapseTheta.constant(2), spec)
-    assert result.target_spec == sphere_spec(4)
+    theta = CollapseTheta.constant(2)
+    assert collapse_target(theta, spec) == sphere_spec(4)
     # Every facet image must be a target facet (non-degenerate map).
-    target = build_chessboard(result.target_spec)
-    assert set(result.facet_map.values()) <= set(target.facets)
+    target = build_chessboard(sphere_spec(4))
+    assert set(facet_images(theta, spec)) <= set(target.facets)
 
 
 def test_identity_collapse_is_identity():
     spec = one_row_spec((1, 2))
-    result = collapse_complex(CollapseTheta.identity(2), spec)
-    assert result.target_spec == spec
-    assert all(v == w for v, w in result.vertex_map.items())
+    identity = CollapseTheta(2, 2, (1, 2))
+    assert collapse_target(identity, spec) == spec
+    assert collapse_map(identity, spec) == list(range(spec.m * spec.n))
 
 
 def test_collapse_of_standard_board():
-    result = collapse_complex(CollapseTheta(3, 2, (1, 1, 2)), standard_spec(3, 4))
-    assert result.target_spec.col_caps == (2, 1)
-    assert result.target_spec.n == 4
+    theta, spec = CollapseTheta(3, 2, (1, 1, 2)), standard_spec(3, 4)
+    target = collapse_target(theta, spec)
+    assert target.col_caps == (2, 1)
+    assert target.n == 4
+    T = build_chessboard(target)
+    assert all(is_face(T, image) for image in facet_images(theta, spec))
 
 
 def test_functoriality_of_composition():
     spec = standard_spec(3, 4)
     theta1 = CollapseTheta(3, 2, (1, 1, 2))
     theta2 = CollapseTheta.constant(2)
-    composed = theta2.compose(theta1)
-    step1 = collapse_complex(theta1, spec)
-    step2 = collapse_complex(theta2, step1.target_spec)
-    direct = collapse_complex(composed, spec)
-    assert direct.target_spec == step2.target_spec
-    for v, w in direct.vertex_map.items():
-        assert step2.vertex_map[step1.vertex_map[v]] == w
+    composed = CollapseTheta.constant(3)  # theta2 after theta1
+    step1 = collapse_map(theta1, spec)
+    step2 = collapse_map(theta2, collapse_target(theta1, spec))
+    assert collapse_target(composed, spec) == collapse_target(theta2, collapse_target(theta1, spec))
+    assert collapse_map(composed, spec) == [step2[w] for w in step1]
 
 
 def test_degrees_multiply_along_composition():
@@ -96,7 +112,7 @@ def test_degrees_multiply_along_composition():
     theta2 = CollapseTheta.constant(2)
     d1 = degree_formula(caps, theta1)
     d2 = degree_formula(theta1.collapse_caps(caps), theta2)
-    assert degree_formula(caps, theta2.compose(theta1)) == d1 * d2
+    assert degree_formula(caps, CollapseTheta.constant(3)) == d1 * d2  # theta2 after theta1
 
 
 def test_degree_formula_examples():
@@ -108,9 +124,9 @@ def test_degree_formula_examples():
 
 
 def test_degree_by_counting_examples():
-    assert degree_by_counting(CollapseTheta.constant(2), one_row_spec((1, 2))) == 3
-    assert degree_by_counting(CollapseTheta.identity(2), one_row_spec((1, 2))) == 1
-    assert degree_by_counting(CollapseTheta.constant(2), standard_spec(2, 3)) == 2
+    assert sum(preimage_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))) == 3
+    assert sum(preimage_signs(CollapseTheta(2, 2, (1, 2)), one_row_spec((1, 2)))) == 1
+    assert sum(preimage_signs(CollapseTheta.constant(2), standard_spec(2, 3))) == 2
 
 
 def test_preimage_signs_all_positive():
@@ -140,7 +156,7 @@ def test_degree_oracle_equivalence_exhaustive_small():
             spec = one_row_spec(caps)
             for m_target in range(1, len(caps) + 1):
                 for theta in all_surjections(len(caps), m_target):
-                    assert degree_formula(caps, theta) == degree_by_counting(theta, spec)
+                    assert degree_formula(caps, theta) == sum(preimage_signs(theta, spec))
 
 
 def criterion_03_cases():
@@ -152,7 +168,8 @@ def criterion_03_cases():
                     yield caps, theta
     for n in (7, 8):
         for caps in compositions(n - 1):
-            yield (1,) * (n - 1), CollapseTheta.blocks(caps)
+            blocks = tuple(i for i, a in enumerate(caps, start=1) for _ in range(a))
+            yield (1,) * (n - 1), CollapseTheta(n - 1, len(caps), blocks)
             yield caps, CollapseTheta.constant(len(caps))
 
 
@@ -231,14 +248,15 @@ def test_preimage_size_guard_raises_before_enumerating(monkeypatch):
 def test_equivariance_of_collapse():
     # Collapsing then permuting rows equals permuting rows then collapsing.
     spec = one_row_spec((1, 2))
-    result = collapse_complex(CollapseTheta.constant(2), spec)
-    tgt = result.target_spec
+    theta = CollapseTheta.constant(2)
+    cells = collapse_map(theta, spec)
+    tgt = collapse_target(theta, spec)
     for perm in itertools.permutations(range(1, 5)):
         g = RowPermutation(perm)
         for v in range(spec.m * spec.n):
-            col, row = spec.cell_coords(v)
-            acted_then_mapped = result.vertex_map[spec.cell(col, g(row))]
-            tcol, trow = tgt.cell_coords(result.vertex_map[v])
+            col, row = cell_coords(spec, v)
+            acted_then_mapped = cells[spec.cell(col, g(row))]
+            tcol, trow = cell_coords(tgt, cells[v])
             mapped_then_acted = tgt.cell(tcol, g(trow))
             assert acted_then_mapped == mapped_then_acted
 
@@ -368,7 +386,7 @@ def test_obstruction_builds_no_fixed_subcomplex(monkeypatch):
 
     for name in ("_maximal_placements", "fixed_subcomplex", "build_chessboard"):
         monkeypatch.setattr(chessboard, name, never)
-    monkeypatch.setattr(maps, "build_chessboard", never)
+    monkeypatch.setattr(maps, "build_chessboard", never, raising=False)  # maps imports none today
     monkeypatch.setattr(Subgroup, "from_generators", never)
     rep = obstruction_report(2, 4, 1)
     assert rep.verdict and len(rep.subgroup_results) == 67

@@ -1,0 +1,84 @@
+"""Every function, class and method of `src/tverrook` is reached from the CLI.
+
+An AST pass starts from `cli.main` and from the module-level statements of
+each module (the `COMMANDS` table and the other constants run on import)
+and marks a def live once a live body names it, as a bare name or as an
+attribute.  A name that two defs share makes both live, so the pass may
+call a dead def live but never the reverse.  A method is live only in a
+live class; a dunder method of a live class is called implicitly and is
+live with it.  The body of a live def includes its nested functions, its
+decorators and, for a class, its fields.  Imports name nothing, so an
+export in `__init__` keeps nothing alive.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tverrook"
+
+
+def _named(nodes) -> set:
+    """Every identifier the nodes name as an `ast.Name` or an attribute."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _defs_and_roots():
+    """({qualified name: (simple name, class or None, body nodes)}, root nodes)."""
+    defs, roots = {}, []
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, kinds):
+                if module != "__init__" and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    roots.append(node)
+                continue
+            qualified = f"{module}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                fields = [n for n in node.body if not isinstance(n, kinds)]
+                defs[qualified] = (node.name, None, node.decorator_list + node.bases + fields)
+                for method in node.body:
+                    if isinstance(method, kinds):
+                        defs[f"{qualified}.{method.name}"] = (method.name, qualified, [method])
+            else:
+                defs[qualified] = (node.name, None, [node])
+    return defs, roots
+
+
+def unreached() -> list:
+    defs, roots = _defs_and_roots()
+    live = {"cli.main"}
+    named = _named(roots) | _named(defs["cli.main"][2])
+    grew = True
+    while grew:
+        grew = False
+        for qualified, (name, owner, body) in defs.items():
+            if qualified in live:
+                continue
+            if owner is None:
+                reached = name in named
+            else:
+                dunder = name.startswith("__") and name.endswith("__")
+                reached = owner in live and (dunder or name in named)
+            if reached:
+                live.add(qualified)
+                named |= _named(body)
+                grew = True
+    return sorted(set(defs) - live)
+
+
+def test_the_pass_sees_the_whole_package():
+    defs, roots = _defs_and_roots()
+    assert {"cli.main", "cli.Command", "homology.eliminate_units"} <= set(defs)
+    assert "COMMANDS" in _named(roots)
+
+
+def test_every_def_is_reached_from_the_cli():
+    assert unreached() == []
