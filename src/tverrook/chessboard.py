@@ -21,7 +21,7 @@ enumerator recurses once per rook.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
 from .simplicial import Complex
@@ -31,16 +31,20 @@ MAX_FACETS = 100_000
 MAX_PLACEMENT_SIZE = 600  # leaves 400 of Python's 1000 default frames to callers
 
 
-@dataclass(frozen=True)
-class ChessboardSpec:
-    """Board dimensions plus row/column capacity vectors."""
-
+class _ChessboardSpecFields(NamedTuple):
     m: int
     n: int
     row_caps: tuple
     col_caps: tuple
 
-    def __post_init__(self):
+
+class ChessboardSpec(_ChessboardSpecFields):
+    """Board dimensions plus row/column capacity vectors."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(
             isinstance(x, int) and not isinstance(x, bool)
             for x in (self.m, self.n, *self.row_caps, *self.col_caps)
@@ -54,6 +58,7 @@ class ChessboardSpec:
             raise InputError(f"expected {self.m} col caps, got {len(self.col_caps)}")
         if any(c < 0 for c in self.row_caps) or any(c < 0 for c in self.col_caps):
             raise InputError("capacities must be non-negative")
+        return self
 
     def cell(self, col: int, row: int) -> int:
         """Vertex id of the cell in 1-based (column, row) coordinates."""
@@ -176,8 +181,7 @@ def _union_find(size: int, pairs) -> list:
     return [find(x) for x in range(size)]
 
 
-@dataclass(frozen=True)
-class PseudomanifoldReport:
+class PseudomanifoldReport(NamedTuple):
     pure: bool
     ridge_degrees_ok: bool
     strongly_connected: bool
@@ -253,16 +257,21 @@ def facet_sign(spec: ChessboardSpec, facet) -> int:
     return 1 if omitted % 2 else -1
 
 
-@dataclass(frozen=True)
-class RowPermutation:
-    """A permutation of [n], 1-based, as the tuple (g(1), ..., g(n))."""
-
+class _RowPermutationFields(NamedTuple):
     mapping: tuple
 
-    def __post_init__(self):
+
+class RowPermutation(_RowPermutationFields):
+    """A permutation of [n], 1-based, as the tuple (g(1), ..., g(n))."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of [1..{n}]: {self.mapping}")
+        return self
 
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
@@ -280,13 +289,12 @@ class RowPermutation:
         return cls(tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup of row permutations, closed under the group operations."""
 
     generators: tuple
-    elements: tuple = field(default=())
-    orbits: tuple = field(default=())
+    elements: tuple = ()
+    orbits: tuple = ()
 
     @classmethod
     def from_generators(cls, n: int, generators) -> "Subgroup":

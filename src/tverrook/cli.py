@@ -17,6 +17,7 @@ the words up in ``ROWS``.  argparse is the one grammar of the row's flags
 (``_row_parser``, built from the row's ``args``); ``_parse_row`` reads its
 exact ``--flag value`` and ``--flag=value`` forms by hand and hands any
 other argv to argparse, which parses it or prints help or a usage error.
+argparse is imported only when such a parser is built.
 ``run_command`` runs the selected row: digest, timing, the ``--out``
 certificate file, the JSON report on stdout, the summary on stderr and the
 exit code.  ``main`` turns input errors and tripped guards into error
@@ -27,16 +28,19 @@ refuted, 2 exhausted (free mode), 3 input error, 4 resource guard tripped.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
 import sys
 import time
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
 from .errors import InputError, ResourceLimitError, json_int
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -409,6 +413,8 @@ def _menu(group: str = "") -> argparse.ArgumentParser:
     ``parse_argv`` reads the global flags by hand; this parser reads only a
     spaced ``--seed`` value that starts with ``-``.
     """
+    import argparse
+
     rows = [c for c in COMMANDS if not group or c.words[0] == group]
     listing = "\n".join(f"  {' '.join(c.words):<19} {c.help}" for c in rows)
     parser = argparse.ArgumentParser(
@@ -435,6 +441,8 @@ def _row_parser(words: tuple) -> argparse.ArgumentParser:
     It parses every argv of the row that ``_parse_row`` does not read by
     hand, and so prints the row's help and its usage errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"tverrook {' '.join(words)}")
     for flag, kwargs in ROWS[words].args + (OUT_ARG,):
         parser.add_argument(flag, **kwargs)
@@ -450,8 +458,8 @@ def _row_flags(words: tuple) -> tuple:
     return flags, defaults, tuple(flags[flag][0] for flag, kw in args if kw.get("required"))
 
 
-def _parse_row(words: tuple, rest: list, seed: int) -> argparse.Namespace:
-    """The namespace of a row's flags, as argparse gives it.
+def _parse_row(words: tuple, rest: list, seed: int) -> SimpleNamespace:
+    """The namespace of a row's flags, with the attributes argparse gives it.
 
     Exact flags are read by hand: ``--flag value``, with a value that does
     not start with ``-``, and ``--flag=value``; a repeated flag keeps its
@@ -482,9 +490,9 @@ def _parse_row(words: tuple, rest: list, seed: int) -> argparse.Namespace:
     else:
         # hand-read values are never None, so None marks a missing flag
         if all(values[dest] is not None for dest in required):
-            return argparse.Namespace(seed=seed, **values)
+            return SimpleNamespace(seed=seed, **values)
     parser = _row_parser(words)
-    args = parser.parse_args(rest, argparse.Namespace(seed=seed))
+    args = parser.parse_args(rest, SimpleNamespace(seed=seed))
     # argparse 3.11 strips "--" from an explicit "--flag=--" and stores []
     for flag, (dest, _) in flags.items():
         if isinstance(getattr(args, dest), list):

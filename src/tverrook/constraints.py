@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, json_int
+from .errors import InputError, ResourceLimitError, eq_but_last, hash_but_last, json_int, ne_but_last
 from .simplicial import Complex, antichain
 
 COLLECTION_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
-class Multiset:
+class Multiset(NamedTuple):
     """Vertex set with positive multiplicities."""
 
     universe: frozenset
@@ -60,12 +59,13 @@ class Multiset:
         return cls.from_dict(mapping)
 
 
-@dataclass(frozen=True)
-class UnavoidabilityVerdict:
+class UnavoidabilityVerdict(NamedTuple):
     unavoidable: bool
     counterexample: tuple | None = None
     # {"minimal_non_faces": ..., "collections_examined": ...}; not part of the certificate
-    stats: dict | None = field(default=None, compare=False)
+    stats: dict | None = None
+
+    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> dict:
         out = {"unavoidable": self.unavoidable}
@@ -179,13 +179,14 @@ def is_unavoidable(K: Complex, r: int, V: Multiset) -> UnavoidabilityVerdict:
     return UnavoidabilityVerdict(counterexample is None, counterexample, stats)
 
 
-@dataclass(frozen=True)
-class FaceAvoidanceVerdict:
+class FaceAvoidanceVerdict(NamedTuple):
     m_weight: int
     hypothesis_holds: bool  # m(S) <= r - 1
     unavoidable: bool
     counterexample: tuple | None = None
-    stats: dict | None = field(default=None, compare=False)  # as in UnavoidabilityVerdict
+    stats: dict | None = None  # as in UnavoidabilityVerdict
+
+    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> dict:
         out = {

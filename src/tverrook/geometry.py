@@ -17,16 +17,15 @@ direction is infeasible, and that direction separates two of its faces.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, json_int
+from .errors import InputError, ResourceLimitError, eq_but_last, hash_but_last, json_int, ne_but_last
 from .exactlp import solve_equality_feasibility
 from .maps import is_prime, multiplicity_vector, power_exceeds
 
@@ -71,21 +70,24 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-@dataclass(frozen=True)
-class ColoredPoint:
+class ColoredPoint(NamedTuple):
     coords: tuple
     color: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Exact-rational points with contiguous color labels and multiplicities."""
-
+class _PointConfigFields(NamedTuple):
     d: int
     points: tuple
 
-    def __post_init__(self):
+
+class PointConfig(_PointConfigFields):
+    """Exact-rational points with contiguous color labels and multiplicities."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 1:
             raise InputError("ambient dimension must be positive")
         colors = sorted({pt.color for pt in self.points})
@@ -96,6 +98,7 @@ class PointConfig:
                 raise InputError("point dimension mismatch")
             if pt.multiplicity < 1:
                 raise InputError("multiplicities must be >= 1")
+        return self
 
     @property
     def num_colors(self) -> int:
@@ -133,17 +136,22 @@ class PointConfig:
             raise InputError(f"malformed point config JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DimCaps:
+class _DimCapsFields(NamedTuple):
     k: int
     s: int
     policy: str = POLICY_SHIFTED
 
-    def __post_init__(self):
+
+class DimCaps(_DimCapsFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.policy not in (POLICY_SHIFTED, POLICY_LITERAL):
             raise InputError(f"unknown dimension-cap policy {self.policy!r}")
         if self.k < 0 or self.s < 0:
             raise InputError(f"dimension caps must be non-negative, got k = {self.k}, s = {self.s}")
+        return self
 
     @property
     def max_dim(self) -> int:
@@ -151,15 +159,19 @@ class DimCaps:
         return self.k + 1 if self.policy == POLICY_SHIFTED else self.k
 
 
-@dataclass(frozen=True)
-class TverbergInstance:
+class _TverbergInstanceFields(NamedTuple):
     config: PointConfig
     r: int
     mode: str = "free"
     dim_caps: DimCaps | None = None
     disjointness: str = "multiset-proper"
 
-    def __post_init__(self):
+
+class TverbergInstance(_TverbergInstanceFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.disjointness not in ("multiset-proper", "vertex-disjoint"):
@@ -168,6 +180,7 @@ class TverbergInstance:
             raise InputError("need at least r = 2 parts")
         if self.r > MAX_PARTS:
             raise ResourceLimitError(f"search depth r = {self.r} exceeds the cap ({MAX_PARTS})")
+        return self
 
     def validate(self, constraint_count: int = 0) -> None:
         """Mode-specific hypothesis checks; InputError on failure."""
@@ -331,14 +344,15 @@ def _validate_balanced(config: PointConfig, r: int) -> None:
             raise InputError(f"color class {color} exceeds the size bound {q}")
 
 
-@dataclass(frozen=True)
-class TverbergSolution:
+class TverbergSolution(NamedTuple):
     faces: tuple  # tuple of tuples of point indices
     witness: tuple
     certificates: tuple  # per face, tuple of convex coefficients
     policy: str | None = None
     # the counters of the search that found it; not part of the certificate
-    stats: dict | None = field(default=None, compare=False)
+    stats: dict | None = None
+
+    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> dict:
         out = {
@@ -363,10 +377,11 @@ class TverbergSolution:
             raise InputError(f"malformed solution JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     candidates_examined: int
-    stats: dict | None = field(default=None, compare=False)  # as in TverbergSolution
+    stats: dict | None = None  # as in TverbergSolution
+
+    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
 
 def hulls_intersect(config: PointConfig, faces):
@@ -654,19 +669,19 @@ def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
     """
     if instance.mode == "balanced-1.6" and instance.dim_caps is None:
         k, s = solve_balanced_caps(instance.r, instance.config.d)
-        instance = dataclasses.replace(instance, dim_caps=DimCaps(k, s))
+        # _replace skips validation, which the other fields passed already
+        instance = instance._replace(dim_caps=DimCaps(k, s))
     instance.validate(constraint_count)
     solutions, stats = _search(instance, find_all=False)
     if solutions:
         sol = solutions[0]
         if not verify_solution(instance.config, sol):
             raise AssertionError("LP produced a certificate that failed re-substitution")
-        return dataclasses.replace(sol, stats=stats)
+        return sol._replace(stats=stats)
     return Exhausted(stats["lp_calls"], stats)
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     config: PointConfig
     solution: TverbergSolution
     projection: dict  # lifted vertex index -> abridged vertex index
@@ -679,8 +694,11 @@ def lift_to_vertex_disjoint(config: PointConfig, solution: TverbergSolution, r: 
     vertices of multiplicity one (one fiber element per unit of multiplicity);
     each use of an abridged vertex lands on a fresh fiber element.  The
     witness transfers verbatim because fiber vertices keep the coordinates
-    of their images.
+    of their images.  r above `MAX_PARTS` raises `ResourceLimitError` before
+    anything is checked or built.
     """
+    if r > MAX_PARTS:
+        raise ResourceLimitError(f"lift to r = {r} parts exceeds the cap ({MAX_PARTS})")
     if not verify_solution(config, solution):
         raise InputError("the solution fails re-substitution on the configuration")
     d = config.d

@@ -32,10 +32,10 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, eq_but_last, hash_but_last, ne_but_last
 from .simplicial import Complex, faces_by_dimension
 
 
@@ -312,15 +312,16 @@ def eliminate_units(columns: list, n_rows: int):
     return pivots, remainder, peeled
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Reduced Betti numbers and torsion coefficients per dimension."""
 
     betti: tuple
     torsion: tuple  # tuple of tuples of invariant factors > 1
     # what elimination did to each boundary map, one row per q:
     # {"q", "rows", "compressed", "cols", "units", "peeled", "remainder": [rows, cols]}
-    boundary: tuple = field(default=(), compare=False)
+    boundary: tuple = ()
+
+    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> list:
         return [
@@ -371,17 +372,19 @@ def betti_and_torsion(K: Complex) -> HomologyProfile:
 def homological_connectivity(K: Complex, c: int) -> bool:
     """True iff reduced homology (rank and torsion) vanishes in dimensions <= c.
 
-    Only d_0, ..., d_{c+1} decide it, so no higher boundary map is built.
+    Only d_0, ..., d_{c+1} decide it, so no higher boundary map is built and
+    no face above dimension c + 1 is listed.
     Necessary for topological c-connectivity; does not certify pi_1.
     """
     if c < -1:
         raise InputError("connectivity level must be >= -1")
     if K.facets == ((),):
         return False
-    by_dim = faces_by_dimension(K)
+    top = min(c, K.dimension) + 1
+    by_dim = faces_by_dimension(K, top)
     # past the top dimension, d_{dim+1} has no columns
     previous = 0
-    for q, (rank, torsion, _) in enumerate(_reduce_boundaries(by_dim, min(c, K.dimension) + 1)):
+    for q, (rank, torsion, _) in enumerate(_reduce_boundaries(by_dim, top)):
         # H_{q-1} = Z^(faces - rank d_{q-1} - rank d_q) + the torsion of d_q
         if q and (torsion or len(by_dim[q - 1]) != previous + rank):
             return False

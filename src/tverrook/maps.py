@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chessboard import MAX_FACETS, ChessboardSpec, facet_sign, one_row_spec, sphere_spec
 from .errors import InputError, ResourceLimitError
@@ -24,19 +24,24 @@ MAX_OBSTRUCTION_ORDER = 16
 MAX_VALUATION_PRIME = 10**9
 
 
-@dataclass(frozen=True)
-class CollapseTheta:
-    """A surjection of column index sets, 1-based: assignment[j-1] = theta(j)."""
-
+class _CollapseThetaFields(NamedTuple):
     source_columns: int
     target_columns: int
     assignment: tuple
 
-    def __post_init__(self):
+
+class CollapseTheta(_CollapseThetaFields):
+    """A surjection of column index sets, 1-based: assignment[j-1] = theta(j)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.assignment) != self.source_columns:
             raise InputError("theta assignment length must equal the source column count")
         if set(self.assignment) != set(range(1, self.target_columns + 1)):
             raise InputError(f"theta must be surjective onto [1..{self.target_columns}]")
+        return self
 
     def __call__(self, j: int) -> int:
         return self.assignment[j - 1]
@@ -213,8 +218,7 @@ def _free_fixed_dimension(spec: ChessboardSpec, order: int) -> int:
     return min(spec.n // order, sum(l // order for l in spec.col_caps)) - 1
 
 
-@dataclass(frozen=True)
-class SubgroupResult:
+class SubgroupResult(NamedTuple):
     descriptor: str
     order: int
     dim_fixed_source: int
@@ -231,8 +235,7 @@ class SubgroupResult:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     p: int
     k: int
     d: int

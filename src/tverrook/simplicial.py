@@ -10,11 +10,18 @@ facet `()` and dimension -1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 Simplex = tuple  # strictly increasing tuple of ints
+
+# Most faces `faces_by_dimension` lists, counted over the facets with
+# repeats: M(7,7) has 645 120 and the multiple chessboard complex with column
+# caps (2,2,2,2) on 9 rows has 5 806 080.  A single facet of 23 vertices, all
+# 2^23 of its faces, still fits.
+MAX_LISTED_FACES = 1 << 23
 
 
 def _vertex_ids(vertices) -> tuple:
@@ -60,17 +67,22 @@ def antichain(faces) -> tuple:
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
-class Complex:
-    """Finite abstract simplicial complex given by universe and facets."""
-
+class _ComplexFields(NamedTuple):
     universe: frozenset
     facets: tuple
 
-    def __post_init__(self):
+
+class Complex(_ComplexFields):
+    """Finite abstract simplicial complex given by universe and facets."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for f in self.facets:
             if not set(f) <= self.universe:
                 raise InputError(f"facet {f} has vertices outside the universe")
+        return self
 
     @property
     def dimension(self) -> int:
@@ -104,12 +116,34 @@ def build_complex(universe, facets) -> Complex:
     return Complex(uni, antichain([as_simplex(f) for f in facets]))
 
 
-def faces_by_dimension(K: Complex) -> dict:
-    """All faces of K grouped by dimension (including the empty simplex)."""
+def faces_by_dimension(K: Complex, top: int | None = None) -> dict:
+    """The faces of K of dimension at most `top` (default: all), by dimension.
+
+    The empty simplex is included, as dimension -1.  When the facets have
+    more than `MAX_LISTED_FACES` such faces, counted with repeats, this
+    raises `ResourceLimitError` before any face is listed.
+    """
+    largest = max(map(len, K.facets))
+    if top is None:
+        top = largest - 1
+    # a facet has at most 2^size faces, so most complexes need no exact count;
+    # the count stops once it passes the cap, so a huge facet costs few terms
+    if len(K.facets) << largest > MAX_LISTED_FACES:
+        sizes = list(map(len, K.facets))
+        bound = 0
+        for size in set(sizes):
+            count = sizes.count(size)
+            for k in range(min(size, top + 1) + 1):
+                bound += count * math.comb(size, k)
+                if bound > MAX_LISTED_FACES:
+                    raise ResourceLimitError(
+                        f"more than MAX_LISTED_FACES = {MAX_LISTED_FACES} faces "
+                        f"up to dimension {top}"
+                    )
     by_dim: dict = {}
     seen = set()
     for facet in K.facets:
-        for q in range(len(facet) + 1):
+        for q in range(top + 2):  # no combinations of more than len(facet)
             for face in itertools.combinations(facet, q):
                 if face not in seen:
                     seen.add(face)

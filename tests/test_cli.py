@@ -3,6 +3,9 @@ import copy
 import io
 import itertools
 import json
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -460,6 +463,26 @@ def one_point_colours(n):
 FORTY_COLOURS = one_point_colours(40)
 
 
+def simplex(n):
+    """The complex of one facet on n vertices."""
+    return {"universe": list(range(n)), "facets": [list(range(n))]}
+
+
+# A valid two-face solution for r = 10^8 + 1: lifting it would build 2 * 10^8 points.
+HUGE_LIFT = {
+    "config": {
+        "d": 1,
+        "points": [
+            {"coords": ["0"], "color": 0, "multiplicity": 10**8},
+            {"coords": ["2"], "color": 1, "multiplicity": 10**8},
+            {"coords": ["1"], "color": 2, "multiplicity": 1},
+        ],
+    },
+    "solution": {"faces": [[0, 1], [2]], "witness": ["1"], "certificates": [["1/2", "1/2"], ["1"]]},
+    "r": 10**8 + 1,
+}
+
+
 # Inputs that used to hang or end in a traceback: each is refused at once.
 @pytest.mark.parametrize(
     "argv, data, code",
@@ -471,9 +494,14 @@ FORTY_COLOURS = one_point_colours(40)
         (["tverberg", "search"], FORTY_COLOURS, 4),
         (["tverberg", "search"], one_point_colours(16), 4),
         (["example-a", "--p", "2", "--k", "1", "--d", "40"], None, 4),
+        (["homology"], simplex(24), 4),
+        (["homology"], simplex(40), 4),
+        (["connectivity", "--level", "30"], simplex(24), 4),
+        (["lift"], HUGE_LIFT, 4),
     ],
     ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
-         "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces"],
+         "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces",
+         "homology-2^24-faces", "homology-2^40-faces", "connectivity-2^24-faces", "lift-huge-r"],
 )
 def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     if data is not None:
@@ -483,6 +511,14 @@ def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     assert time.monotonic() - start < 1.0
     assert (got, report["verdict"]) == (code, "error")
     assert "Traceback" not in err
+
+
+def test_low_connectivity_of_a_large_simplex_lists_only_low_faces(capsys, tmp_path):
+    path = write_json(tmp_path, "in.json", simplex(40))
+    start = time.monotonic()
+    code, report, _ = run(capsys, "connectivity", "--json", path, "--level", "0")
+    assert time.monotonic() - start < 1.0
+    assert (code, report["verdict"]) == (0, "verified")
 
 
 def test_rainbow_faces_under_the_mask_cap_answer(capsys, tmp_path):
@@ -520,6 +556,41 @@ def test_every_report_is_one_json_line(capsys, tmp_path):
     capsys.readouterr()
     text = cert.read_text()
     assert text.count("\n") == 1 and json.loads(text) == {"m": 8, "ord_p_m_factorial": 7, "p": 2}
+
+
+START_UP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tverrook.cli import main
+codes = [
+    main(["collapse", "degree", "--caps", "1,2", "--theta", "1,1"]),
+    main(["homology", "--json", sys.argv[2]]),
+    main(["tverberg", "search", "--json", sys.argv[3]]),
+]
+lean = [name for name in ("dataclasses", "inspect", "argparse") if name in sys.modules]
+help_code = main(["--help"])
+print(json.dumps([codes, lean, help_code, "argparse" in sys.modules]))
+"""
+
+
+def test_start_up_imports_neither_dataclasses_nor_argparse(tmp_path):
+    """A fresh interpreter answers three requests without importing dataclasses,
+    inspect or argparse; only help builds a parser and imports argparse.
+
+    It runs without ``site`` (``-S``), whose start-up hooks are the host's.
+    """
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    complex_path = write_json(tmp_path, "k.json", {"universe": [0, 1, 2], "facets": [[0, 1], [1, 2]]})
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP, src, complex_path,
+         write_json(tmp_path, "inst.json", radon_instance())],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, lean, help_code, argparse_after_help = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert lean == []
+    assert (help_code, argparse_after_help) == (0, True)
 
 
 def test_balanced_search(capsys, tmp_path):

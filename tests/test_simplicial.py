@@ -3,7 +3,17 @@ import itertools
 import pytest
 
 from oracles import chain_boundary, euler_characteristic, is_face, join, link, skeleton
-from tverrook import Complex, InputError, antichain, build_complex, faces_by_dimension
+from tverrook import (
+    Complex,
+    InputError,
+    ResourceLimitError,
+    antichain,
+    build_chessboard,
+    build_complex,
+    faces_by_dimension,
+    one_row_spec,
+    simplicial,
+)
 
 
 def face_counts(K):
@@ -151,3 +161,30 @@ def test_all_subsets_of_facets_are_faces():
         for size in range(len(facet) + 1):
             for sub in itertools.combinations(facet, size):
                 assert is_face(K, sub)
+
+
+@pytest.mark.parametrize("cols, rows, bound", [((1,) * 7, 7, 645_120), ((2, 2, 2, 2), 9, 5_806_080)],
+                         ids=["M(7,7)", "(2,2,2,2)-on-9-rows"])
+def test_face_listing_cap_admits_the_large_boards(monkeypatch, cols, rows, bound):
+    """The cap admits both boards; one below their face bound refuses them unlisted."""
+    assert 2**23 <= simplicial.MAX_LISTED_FACES < 2**24
+    assert bound <= simplicial.MAX_LISTED_FACES
+    K = build_chessboard(one_row_spec(cols, n=rows))
+    monkeypatch.setattr(simplicial, "MAX_LISTED_FACES", bound - 1)
+    with pytest.raises(ResourceLimitError):
+        faces_by_dimension(K)
+
+
+def test_faces_by_dimension_stops_at_top():
+    K = build_complex(range(6), [range(5), [4, 5]])
+    full = faces_by_dimension(K)
+    assert faces_by_dimension(K, 1) == {q: full[q] for q in (-1, 0, 1)}
+    assert faces_by_dimension(K, 9) == full
+
+
+def test_face_bound_counts_faces_up_to_top(monkeypatch):
+    K = build_complex(range(6), [range(6)])
+    monkeypatch.setattr(simplicial, "MAX_LISTED_FACES", 1 + 6 + 15)
+    assert len(faces_by_dimension(K, 1)[1]) == 15
+    with pytest.raises(ResourceLimitError):
+        faces_by_dimension(K, 2)

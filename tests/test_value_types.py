@@ -1,0 +1,89 @@
+"""The value types are NamedTuples: equality, hashing and validation.
+
+A tuple's own ``==``, ``!=`` and ``hash`` read every field.  The results
+whose last field is a by-product (search counters, elimination sizes) leave
+it out of all three, and the types that check their fields do so in
+``__new__``.  ``_replace`` does not call ``__new__``, so it is used only to
+put in a field that its own constructor checked.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from tverrook import (
+    ChessboardSpec,
+    CollapseTheta,
+    ColoredPoint,
+    Complex,
+    DimCaps,
+    Exhausted,
+    FaceAvoidanceVerdict,
+    HomologyProfile,
+    InputError,
+    PointConfig,
+    ResourceLimitError,
+    RowPermutation,
+    TverbergInstance,
+    TverbergSolution,
+    UnavoidabilityVerdict,
+)
+
+SOLUTION = (((0, 1), (2,)), (Fraction(1),), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)))
+
+# (value, the same value with another by-product, a value that differs before it)
+BY_PRODUCT_LAST = [
+    (HomologyProfile((0, 1), ((), ())), HomologyProfile((0, 1), ((), ()), ({"q": 0},)),
+     HomologyProfile((0, 2), ((), ()))),
+    (TverbergSolution(*SOLUTION), TverbergSolution(*SOLUTION, None, {"lp_calls": 1}),
+     TverbergSolution(*SOLUTION, "literal-k")),
+    (Exhausted(3), Exhausted(3, {"lp_calls": 3}), Exhausted(4)),
+    (UnavoidabilityVerdict(True), UnavoidabilityVerdict(True, None, {"minimal_non_faces": 1}),
+     UnavoidabilityVerdict(False)),
+    (FaceAvoidanceVerdict(1, True, True), FaceAvoidanceVerdict(1, True, True, None, {"x": 1}),
+     FaceAvoidanceVerdict(2, True, True)),
+]
+
+
+@pytest.mark.parametrize("value, other_stats, different", BY_PRODUCT_LAST,
+                         ids=[type(v).__name__ for v, _, _ in BY_PRODUCT_LAST])
+def test_the_last_field_is_left_out_of_equality_and_hash(value, other_stats, different):
+    assert value == other_stats and not value != other_stats
+    assert hash(value) == hash(other_stats)
+    assert value != different and not value == different
+    # as dataclass equality was, it is only between values of one type
+    assert value != tuple(value) and not value == tuple(value)
+
+
+POINTS = (ColoredPoint((Fraction(0),), 0, 1), ColoredPoint((Fraction(1),), 1, 1))
+CONFIG = PointConfig(1, POINTS)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: ChessboardSpec(1, 2, (1,), (1,)), InputError),
+    (lambda: ChessboardSpec(m=1, n=1, row_caps=(1,), col_caps=(True,)), InputError),
+    (lambda: RowPermutation((1, 1)), InputError),
+    (lambda: Complex(frozenset({0}), ((0, 1),)), InputError),
+    (lambda: CollapseTheta(2, 2, (1, 1)), InputError),
+    (lambda: PointConfig(1, POINTS[1:]), InputError),
+    (lambda: PointConfig(d=0, points=POINTS), InputError),
+    (lambda: DimCaps(1, -1), InputError),
+    (lambda: DimCaps(1, 0, policy="bogus"), InputError),
+    (lambda: TverbergInstance(CONFIG, 1), InputError),
+    (lambda: TverbergInstance(CONFIG, 2, disjointness="bogus"), InputError),
+    (lambda: TverbergInstance(CONFIG, 65), ResourceLimitError),
+], ids=["spec-caps", "spec-bool", "permutation", "complex", "theta", "colours", "dimension",
+        "dim-caps", "policy", "parts", "disjointness", "depth"])
+def test_checked_types_check_in_their_constructor(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_checked_types_keep_their_defaults_and_methods():
+    instance = TverbergInstance(CONFIG, 2)
+    assert (instance.mode, instance.dim_caps, instance.disjointness) == ("free", None, "multiset-proper")
+    assert DimCaps(1, 0).max_dim == 2 and DimCaps(1, 0, "literal-k").max_dim == 1
+    assert instance._replace(dim_caps=DimCaps(1, 0)).dim_caps == DimCaps(1, 0)
+    assert type(instance._replace(r=3)) is TverbergInstance
+    assert RowPermutation((2, 1))(1) == 2 and RowPermutation((2, 1)).n == 2
+    assert Complex(frozenset({0, 1}), ((0, 1),)).dimension == 1
