@@ -16,7 +16,8 @@ still use up exceeds what they can take, so only maximal placements are
 completed, and they come out lex sorted.  More than `MAX_FACETS` facets
 raise `ResourceLimitError`, and so does a board whose placements may hold
 more than `MAX_PLACEMENT_SIZE` rooks, before anything is enumerated: the
-enumerator recurses once per rook.
+enumerator recurses once per rook.  `one_row_spec` refuses a board of more
+than `MAX_BOARD_CELLS` cells before it forms the row caps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .simplicial import Complex
 SUBGROUP_ELEMENT_CAP = 100_000
 MAX_FACETS = 100_000
 MAX_PLACEMENT_SIZE = 600  # leaves 400 of Python's 1000 default frames to callers
+# Most cells of a board that `one_row_spec` forms: a one-column board of
+# 5000 rows and the 991 rows of a single cap of 990 fit.
+MAX_BOARD_CELLS = 100_000
 
 
 class _ChessboardSpecFields(NamedTuple):
@@ -85,10 +89,19 @@ class ChessboardSpec(_ChessboardSpecFields):
 
 
 def one_row_spec(col_caps, n: int | None = None) -> ChessboardSpec:
-    """Row caps all 1; by default n = sum(col_caps) + 1 (pseudomanifold family)."""
+    """Row caps all 1; by default n = sum(col_caps) + 1 (pseudomanifold family).
+
+    A board of more than `MAX_BOARD_CELLS` cells, or rows, raises
+    `ResourceLimitError` before the n row caps are formed.
+    """
     col_caps = tuple(col_caps)
     if n is None:
         n = sum(col_caps) + 1
+    if max(len(col_caps), 1) * n > MAX_BOARD_CELLS:  # no columns is an input error, later
+        raise ResourceLimitError(
+            f"a board of {len(col_caps)} columns and {n} rows exceeds "
+            f"MAX_BOARD_CELLS = {MAX_BOARD_CELLS} cells"
+        )
     return ChessboardSpec(len(col_caps), n, (1,) * n, col_caps)
 
 
@@ -109,6 +122,10 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
     no spare capacity is complete at once, whatever rows remain.  The next
     row is reached by looping, not recursing, so the recursion depth is a
     placement's size.
+
+    Each rook lowers the excess by what its column was above its limit, at
+    most w; a row that ends caps the limit of every column it skipped at
+    w - 1 (the columns it took keep theirs) and recounts the excess once.
     """
     n = len(row_caps)
     size = min(sum(min(k, m) for k in row_caps), sum(col_caps))
@@ -136,17 +153,18 @@ def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
                     if s >= w:
                         spare[j] = s - w
                         total_spare -= w
-                        cut = max(0, min(w, s - limit[j]))
+                        over = s - limit[j]
+                        cut = w if over > w else over if over > 0 else 0
                         extend(i, j + 1, taken + 1, limit, excess - cut, prefix + (base + j,))
                         spare[j] = s
                         total_spare += w
                 if excess > reach[i + 1]:  # ending the row short only adds to the excess
                     return
-                own = prefix[len(prefix) - taken:]
-                limit = [
-                    l if l < w or base + j in own else w - 1 for j, l in enumerate(limit)
-                ]
-                excess = sum(s - l for s, l in zip(spare, limit) if s > l)
+                kept = limit
+                limit = [l if l < w else w - 1 for l in kept]
+                for v in prefix[len(prefix) - taken:]:  # the row's own rooks
+                    limit[v - base] = kept[v - base]
+                excess = sum([s - l for s, l in zip(spare, limit) if s > l])
             if excess > reach[i + 1]:
                 return
             if i + 1 == n or not total_spare:  # a full board takes no more rooks
@@ -243,17 +261,19 @@ def orient(spec: ChessboardSpec, K: Complex | None = None) -> dict:
         raise InputError("orientation requires row caps 1 and n = sum(col_caps) + 1")
     if K is None:
         K = build_chessboard(spec)
-    return {facet: facet_sign(spec, facet) for facet in K.facets}
+    m, n = spec.m, spec.n
+    return {facet: facet_sign(m, n, facet) for facet in K.facets}
 
 
-def facet_sign(spec: ChessboardSpec, facet) -> int:
-    """The sign `orient` gives a facet of a pseudomanifold-family board: (-1)**(w-1).
+def facet_sign(m: int, n: int, facet) -> int:
+    """The sign `orient` gives a facet of a pseudomanifold-family board of m
+    columns and n rows: (-1)**(w-1), read from the facet's own rows.
 
     The facet has one rook in each row but w, and vertex v lies in row
     v // m + 1, so w is what the facet's rows leave of 1 + 2 + ... + n.
+    Only m and n are read, so a board needs no spec to sign its facets.
     """
-    m = spec.m
-    omitted = spec.n * (spec.n + 1) // 2 - sum(v // m + 1 for v in facet)
+    omitted = n * (n + 1) // 2 - len(facet) - sum([v // m for v in facet])
     return 1 if omitted % 2 else -1
 
 
@@ -332,19 +352,21 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
     """Simplicial model of the H-fixed-point set of a one-rook-per-row complex.
 
     Vertices are orbit barycenters b(i, j) for column i and orbit O_j,
-    admissible iff |O_j| <= l_i, numbered (j-1)*m + (i-1).  A face uses each
-    orbit in at most one column, with per-column orbit sizes summing to at
-    most the column capacity: a placement with one row per orbit, of row
-    cap 1 and weight |O_j|.
+    admissible iff |O_j| <= l_i, numbered as the cell of column i in row j,
+    (j-1)*m + (i-1).  A face uses each orbit in at most one column, with
+    per-column orbit sizes summing to at most the column capacity: a
+    placement with one row per orbit, of row cap 1 and weight |O_j|.
     """
     if not all(c == 1 for c in spec.row_caps):
         raise InputError("fixed subcomplex is defined for row caps all 1")
-    m = spec.m
     sizes = [len(o) for o in H.orbits]
     admissible = frozenset(
-        j * m + i for j, size in enumerate(sizes) for i in range(m) if size <= spec.col_caps[i]
+        spec.cell(i, j)
+        for j, size in enumerate(sizes, start=1)
+        for i, cap in enumerate(spec.col_caps, start=1)
+        if size <= cap
     )
-    facets = _maximal_placements(m, spec.col_caps, (1,) * len(sizes), sizes)
+    facets = _maximal_placements(spec.m, spec.col_caps, (1,) * len(sizes), sizes)
     return Complex(admissible, facets)
 
 

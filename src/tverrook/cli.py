@@ -104,7 +104,9 @@ def _load_collapse(args):
     caps = _caps_list(args.caps)
     theta_vals = _caps_list(args.theta)
     theta = maps.CollapseTheta(len(caps), max(theta_vals), theta_vals)
-    return {"caps": list(caps), "theta": list(theta_vals)}, (caps, theta)
+    # the source board's size guard runs before any factorial is formed
+    source = chessboard.one_row_spec(caps)
+    return {"caps": list(caps), "theta": list(theta_vals)}, (source, theta)
 
 
 def _load_complex(args):
@@ -219,15 +221,14 @@ def _orient(spec):
     return _verdict(boundary_zero), details, certificate, summary
 
 
-def _collapse_degree(caps, theta):
-    formula = maps.degree_formula(caps, theta)
-    signs = maps.preimage_signs(theta, chessboard.one_row_spec(caps))
+def _collapse_degree(source, theta):
+    target_caps, formula, signs = maps.preimage_signs(theta, source)
     counting = sum(signs)
     verdict = _verdict(formula == counting)
     certificate = {
         "degree_formula": str(formula),
         "degree_by_counting": str(counting),
-        "target_caps": list(theta.collapse_caps(caps)),
+        "target_caps": list(target_caps),
     }
     details = {**certificate, "stats": {"preimages": len(signs)}}
     return verdict, details, certificate, f"degree = {formula} (counting: {counting}) -> {verdict}"

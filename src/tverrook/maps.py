@@ -39,7 +39,11 @@ class CollapseTheta(_CollapseThetaFields):
         self = super().__new__(cls, *args, **kwargs)
         if len(self.assignment) != self.source_columns:
             raise InputError("theta assignment length must equal the source column count")
-        if set(self.assignment) != set(range(1, self.target_columns + 1)):
+        # more target columns than source columns cannot be onto, and the
+        # set of a huge target would not fit in memory
+        if self.target_columns > self.source_columns or (
+            set(self.assignment) != set(range(1, self.target_columns + 1))
+        ):
             raise InputError(f"theta must be surjective onto [1..{self.target_columns}]")
         return self
 
@@ -65,37 +69,44 @@ def degree_formula(caps, theta: CollapseTheta) -> int:
     caps = tuple(caps)
     if any(a < 0 for a in caps):
         raise InputError("capacities must be non-negative")
-    b = theta.collapse_caps(caps)
-    num = math.prod(math.factorial(x) for x in b)
-    den = math.prod(math.factorial(x) for x in caps)
+    return _factorial_ratio(theta.collapse_caps(caps), caps)
+
+
+def _factorial_ratio(b, a) -> int:
+    """prod(b_i!) / prod(a_j!), which must be an integer."""
+    num = math.prod(map(math.factorial, b))
+    den = math.prod(map(math.factorial, a))
     if num % den:
         raise AssertionError("degree formula produced a non-integer")
     return num // den
 
 
-def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> list:
-    """Orientation signs of the source facets over one fixed target facet.
+def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> tuple:
+    """(target caps b, degree by the formula, signs over one target facet) of a collapse.
 
-    The target facet is the image of the source's first facet, which puts
-    rows 1..n-1 in order, each in the first column with room left.  Its
-    preimage is enumerated directly (`preimage`), and each source facet's
-    `orient` sign is multiplied by the target facet's.  The signs do not
-    depend on `degree_formula`; only the size guard reads it, so that a
-    preimage of more than `MAX_FACETS` facets raises `ResourceLimitError`
-    before it is enumerated.
+    The collapsed caps, the formula prod(b!)/prod(a!) and the target facet
+    are each computed once.  The target facet is the image of the source's
+    first facet, which puts rows 1..n-1 in order, each in the first column
+    with room left, so it omits row n.  Its preimage is enumerated directly
+    (`preimage`), and each source facet's `orient` sign, read from its own
+    rows, is multiplied by the target facet's.  The signs do not depend on
+    the formula; only the size guard reads it, so that a preimage of more
+    than `MAX_FACETS` facets raises `ResourceLimitError` before it is
+    enumerated.
     """
     if not source.is_pseudomanifold_family():
         raise InputError("degree by counting requires the pseudomanifold condition")
-    target = ChessboardSpec(
-        theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
-    )
-    count = degree_formula(source.col_caps, theta)
-    if count > MAX_FACETS:
-        raise ResourceLimitError(f"{count} preimage facets exceed MAX_FACETS = {MAX_FACETS}")
-    first = [j for j, a in enumerate(source.col_caps, start=1) for _ in range(a)]
-    target_facet = tuple(target.cell(theta(j), row) for row, j in enumerate(first, start=1))
-    target_sign = facet_sign(target, target_facet)
-    return [sign * target_sign for sign in preimage(theta, source, target_facet).values()]
+    caps = source.col_caps
+    target_caps = theta.collapse_caps(caps)
+    degree = _factorial_ratio(target_caps, caps)
+    if degree > MAX_FACETS:
+        raise ResourceLimitError(f"{degree} preimage facets exceed MAX_FACETS = {MAX_FACETS}")
+    mt = theta.target_columns
+    columns = [t for t, a in zip(theta.assignment, caps) for _ in range(a)]
+    target_facet = tuple([row * mt + t - 1 for row, t in enumerate(columns)])
+    target_sign = facet_sign(mt, source.n, target_facet)
+    over = preimage(theta, source, target_facet)
+    return target_caps, degree, [sign * target_sign for sign in over.values()]
 
 
 def preimage(theta: CollapseTheta, source: ChessboardSpec, target_facet) -> dict:
@@ -105,30 +116,34 @@ def preimage(theta: CollapseTheta, source: ChessboardSpec, target_facet) -> dict
     puts each row of target column t in a column of theta^-1(t).  So the
     rows of each target column are dealt out to the columns of its fiber,
     a_j rows to column j, and one deal per target column makes one facet.
-    The deals grow column by column, with no recursion.
+    The fibers are grouped once.  The deals grow column by column, with no
+    recursion, and the last column of a fiber takes the rows left when
+    they are as many as its cap.  Each facet is signed from its own rows
+    (`facet_sign`).
     """
-    m, mt = source.m, theta.target_columns
+    m, n, mt = source.m, source.n, theta.target_columns
+    fibers = [[] for _ in range(mt)]  # (source column, cap) over each target column
+    for j, (t, a) in enumerate(zip(theta.assignment, source.col_caps)):
+        fibers[t - 1].append((j, a))
     rows = [[] for _ in range(mt)]
     for v in target_facet:
         rows[v % mt].append(v // mt)
     deals = []
-    for t, own in enumerate(rows, start=1):
+    for fiber, own in zip(fibers, rows):  # theta is onto, so no fiber is empty
+        *dealt, (last, rest) = fiber
         partial = [((), tuple(own))]  # (source cells dealt, rows left)
-        for j, a in enumerate(source.col_caps):
-            if theta.assignment[j] != t:
-                continue
-            grown = []
-            for cells, left in partial:
-                for block in itertools.combinations(left, a):
-                    taken = set(block)
-                    grown.append(
-                        (cells + tuple(r * m + j for r in block),
-                         tuple(r for r in left if r not in taken))
-                    )
-            partial = grown
-        deals.append([cells for cells, left in partial if not left])
+        for j, a in dealt:
+            partial = [
+                (cells + tuple([r * m + j for r in block]),
+                 tuple([r for r in left if r not in block]))
+                for cells, left in partial
+                for block in itertools.combinations(left, a)
+            ]
+        deals.append(
+            [cells + tuple([r * m + last for r in left]) for cells, left in partial if len(left) == rest]
+        )
     facets = (tuple(sorted(itertools.chain(*deal))) for deal in itertools.product(*deals))
-    return {facet: facet_sign(source, facet) for facet in facets}
+    return {facet: facet_sign(m, n, facet) for facet in facets}
 
 
 def is_prime(p: int) -> bool:

@@ -22,6 +22,11 @@ Simplex = tuple  # strictly increasing tuple of ints
 # caps (2,2,2,2) on 9 rows has 5 806 080.  A single facet of 23 vertices, all
 # 2^23 of its faces, still fits.
 MAX_LISTED_FACES = 1 << 23
+# Most boundary-matrix entries those faces make, also counted with repeats:
+# a face of k vertices has k entries.  M(7,7) makes 2 257 920 and (2,2,2,2)
+# on 9 rows 23 224 320; one facet of 22 vertices makes 46 137 344 and is
+# refused.
+MAX_BOUNDARY_ENTRIES = 1 << 25
 
 
 def _vertex_ids(vertices) -> tuple:
@@ -120,25 +125,38 @@ def faces_by_dimension(K: Complex, top: int | None = None) -> dict:
     """The faces of K of dimension at most `top` (default: all), by dimension.
 
     The empty simplex is included, as dimension -1.  When the facets have
-    more than `MAX_LISTED_FACES` such faces, counted with repeats, this
-    raises `ResourceLimitError` before any face is listed.
+    more than `MAX_LISTED_FACES` such faces, or their boundary matrices more
+    than `MAX_BOUNDARY_ENTRIES` entries (k for a face of k vertices), both
+    counted with repeats, this raises `ResourceLimitError` before any face
+    is listed.
     """
     largest = max(map(len, K.facets))
     if top is None:
         top = largest - 1
-    # a facet has at most 2^size faces, so most complexes need no exact count;
-    # the count stops once it passes the cap, so a huge facet costs few terms
-    if len(K.facets) << largest > MAX_LISTED_FACES:
+    # a facet of s vertices has at most 2^s faces and s * 2^(s-1) entries, so
+    # most complexes need no exact count; the count stops once it passes a
+    # cap, so a huge facet costs few terms
+    facet_count = len(K.facets)
+    if (
+        facet_count << largest > MAX_LISTED_FACES
+        or (facet_count * largest << largest) >> 1 > MAX_BOUNDARY_ENTRIES
+    ):
         sizes = list(map(len, K.facets))
-        bound = 0
+        faces = entries = 0
         for size in set(sizes):
             count = sizes.count(size)
             for k in range(min(size, top + 1) + 1):
-                bound += count * math.comb(size, k)
-                if bound > MAX_LISTED_FACES:
+                faces += count * math.comb(size, k)
+                entries += count * k * math.comb(size, k)
+                if faces > MAX_LISTED_FACES:
                     raise ResourceLimitError(
                         f"more than MAX_LISTED_FACES = {MAX_LISTED_FACES} faces "
                         f"up to dimension {top}"
+                    )
+                if entries > MAX_BOUNDARY_ENTRIES:
+                    raise ResourceLimitError(
+                        f"more than MAX_BOUNDARY_ENTRIES = {MAX_BOUNDARY_ENTRIES} "
+                        f"boundary-matrix entries up to dimension {top}"
                     )
     by_dim: dict = {}
     seen = set()

@@ -5,6 +5,13 @@ import random
 from fractions import Fraction
 
 from tverrook import ChessboardSpec, ColoredPoint, PointConfig, multiplicity_vector
+from tverrook.maps import preimage_signs
+
+
+def counted_signs(theta, source):
+    """The signs of `preimage_signs`, without the target caps and the formula's degree."""
+    _, _, signs = preimage_signs(theta, source)
+    return signs
 
 
 def standard_spec(m, n):

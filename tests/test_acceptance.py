@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from fixtures import random_balanced_config, random_prime_power_config, standard_spec
+from fixtures import counted_signs, random_balanced_config, random_prime_power_config, standard_spec
 from oracles import (
     gaussian_binomial,
     join,
@@ -46,7 +46,6 @@ from tverrook import (
     sphere_spec,
     verify_solution,
 )
-from tverrook.maps import preimage_signs
 
 F = Fraction
 
@@ -117,17 +116,17 @@ def test_criterion_03_degree_oracle_equivalence():
             spec = one_row_spec(caps)
             for m_target in range(1, len(caps) + 1):
                 for theta in surjections(len(caps), m_target):
-                    assert degree_formula(caps, theta) == sum(preimage_signs(theta, spec))
+                    assert degree_formula(caps, theta) == sum(counted_signs(theta, spec))
     for n in (7, 8):
         ones = (1,) * (n - 1)
         ones_spec = one_row_spec(ones)
         for caps in compositions(n - 1):
             fibers = tuple(i for i, a in enumerate(caps, start=1) for _ in range(a))
             blocks = CollapseTheta(n - 1, len(caps), fibers)
-            assert degree_formula(ones, blocks) == sum(preimage_signs(blocks, ones_spec))
+            assert degree_formula(ones, blocks) == sum(counted_signs(blocks, ones_spec))
             constant = CollapseTheta.constant(len(caps))
             spec = one_row_spec(caps)
-            assert degree_formula(caps, constant) == sum(preimage_signs(constant, spec))
+            assert degree_formula(caps, constant) == sum(counted_signs(constant, spec))
 
 
 def test_criterion_04_mod_p_obstruction():

@@ -497,11 +497,19 @@ HUGE_LIFT = {
         (["homology"], simplex(24), 4),
         (["homology"], simplex(40), 4),
         (["connectivity", "--level", "30"], simplex(24), 4),
+        (["homology"], simplex(22), 4),
         (["lift"], HUGE_LIFT, 4),
+        (["collapse", "degree", "--caps", "1,1", "--theta", "1,1000000000"], None, 3),
+        (["chessboard", "check", "--cols", "1", "--rows", "100000000"], None, 4),
+        (["orient", "--cols", "1", "--rows", "3000000000"], None, 4),
+        (["collapse", "degree", "--caps", "99999999999999999999", "--theta", "1"], None, 4),
+        (["collapse", "degree", "--caps", "1000000", "--theta", "1"], None, 4),
     ],
     ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
          "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces",
-         "homology-2^24-faces", "homology-2^40-faces", "connectivity-2^24-faces", "lift-huge-r"],
+         "homology-2^24-faces", "homology-2^40-faces", "connectivity-2^24-faces",
+         "homology-22*2^21-entries", "lift-huge-r", "collapse-theta-past-the-columns",
+         "check-10^8-rows", "orient-3*10^9-rows", "collapse-10^20-cap", "collapse-10^6-cap"],
 )
 def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     if data is not None:
@@ -511,6 +519,26 @@ def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     assert time.monotonic() - start < 1.0
     assert (got, report["verdict"]) == (code, "error")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["chessboard", "check", "--cols", "1", "--rows", "5000"], "refuted"),
+        (["chessboard", "build", "--cols", "600"], "verified"),
+        (["collapse", "degree", "--caps", "990", "--theta", "1"], "verified"),
+    ],
+    ids=["check-5000-rows", "build-one-cap-of-600", "collapse-one-cap-of-990"],
+)
+def test_boards_inside_the_size_guards_answer(capsys, argv, verdict):
+    code, report, err = run(capsys, *argv)
+    assert (code, report["verdict"]) == (cli.VERDICT_EXIT[verdict], verdict)
+    assert "Traceback" not in err
+
+
+def test_theta_past_the_column_count_keeps_the_surjectivity_message(capsys):
+    code, report, _ = run(capsys, "collapse", "degree", "--caps", "1,1", "--theta", "1,1000000000")
+    assert (code, report["message"]) == (3, "theta must be surjective onto [1..1000000000]")
 
 
 def test_low_connectivity_of_a_large_simplex_lists_only_low_faces(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import standard_spec
+from fixtures import counted_signs, standard_spec
 from oracles import (
     cell_coords,
     collapse_map,
@@ -124,13 +124,20 @@ def test_degree_formula_examples():
 
 
 def test_degree_by_counting_examples():
-    assert sum(preimage_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))) == 3
-    assert sum(preimage_signs(CollapseTheta(2, 2, (1, 2)), one_row_spec((1, 2)))) == 1
-    assert sum(preimage_signs(CollapseTheta.constant(2), standard_spec(2, 3))) == 2
+    assert sum(counted_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))) == 3
+    assert sum(counted_signs(CollapseTheta(2, 2, (1, 2)), one_row_spec((1, 2)))) == 1
+    assert sum(counted_signs(CollapseTheta.constant(2), standard_spec(2, 3))) == 2
+
+
+def test_preimage_signs_report_the_target_caps_and_the_formula():
+    for caps, theta in [((1, 2), CollapseTheta.constant(2)), ((1, 2, 4), CollapseTheta(3, 2, (1, 2, 1)))]:
+        target_caps, degree, signs = preimage_signs(theta, one_row_spec(caps))
+        assert target_caps == theta.collapse_caps(caps)
+        assert degree == degree_formula(caps, theta) == len(signs)
 
 
 def test_preimage_signs_all_positive():
-    signs = preimage_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))
+    signs = counted_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))
     assert signs == [1, 1, 1]
 
 
@@ -156,7 +163,7 @@ def test_degree_oracle_equivalence_exhaustive_small():
             spec = one_row_spec(caps)
             for m_target in range(1, len(caps) + 1):
                 for theta in all_surjections(len(caps), m_target):
-                    assert degree_formula(caps, theta) == sum(preimage_signs(theta, spec))
+                    assert degree_formula(caps, theta) == sum(counted_signs(theta, spec))
 
 
 def criterion_03_cases():
@@ -176,7 +183,7 @@ def criterion_03_cases():
 def test_preimage_signs_match_the_scan_on_criterion_03():
     for caps, theta in criterion_03_cases():
         spec = one_row_spec(caps)
-        assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+        assert sorted(counted_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
 
 
 @st.composite
@@ -198,7 +205,7 @@ def collapse_cases(draw):
 def test_random_preimage_signs_match_the_scan(case):
     caps, theta = case
     spec = one_row_spec(caps)
-    assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+    assert sorted(counted_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
 
 
 @pytest.mark.parametrize(
@@ -207,8 +214,8 @@ def test_random_preimage_signs_match_the_scan(case):
 def test_zero_capacity_columns_match_the_scan(caps, assignment):
     theta = CollapseTheta(len(caps), max(assignment), assignment)
     spec = one_row_spec(caps)
-    assert sorted(preimage_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
-    assert sum(preimage_signs(theta, spec)) == degree_formula(caps, theta)
+    assert sorted(counted_signs(theta, spec)) == sorted(scan_preimage_signs(theta, spec))
+    assert sum(counted_signs(theta, spec)) == degree_formula(caps, theta)
 
 
 def test_preimage_signs_follow_the_omitted_row():
@@ -226,6 +233,24 @@ def test_preimage_signs_follow_the_omitted_row():
         assert set(over.values()) == {(-1) ** (w - 1)}
         seen.add(w % 2)
     assert seen == {0, 1}
+
+
+def test_preimage_of_every_row_placement_matches_the_scan():
+    # One cell in each of n - 1 rows, or in all n, whatever the target
+    # column caps: a column given more rows than its fiber holds has an
+    # empty preimage.
+    for n in range(2, 5):
+        for caps in compositions(n - 1):
+            source = one_row_spec(caps)
+            for m_target in range(1, len(caps) + 1):
+                for theta in all_surjections(len(caps), m_target):
+                    for omitted in range(n + 1):
+                        rows = [r for r in range(n) if r != omitted]
+                        for cols in itertools.product(range(m_target), repeat=len(rows)):
+                            target_facet = tuple(r * m_target + c for r, c in zip(rows, cols))
+                            assert preimage(theta, source, target_facet) == scan_preimage(
+                                theta, source, target_facet
+                            )
 
 
 def test_preimage_of_a_non_facet_is_empty():

@@ -163,16 +163,31 @@ def test_all_subsets_of_facets_are_faces():
                 assert is_face(K, sub)
 
 
-@pytest.mark.parametrize("cols, rows, bound", [((1,) * 7, 7, 645_120), ((2, 2, 2, 2), 9, 5_806_080)],
-                         ids=["M(7,7)", "(2,2,2,2)-on-9-rows"])
-def test_face_listing_cap_admits_the_large_boards(monkeypatch, cols, rows, bound):
-    """The cap admits both boards; one below their face bound refuses them unlisted."""
+@pytest.mark.parametrize(
+    "cols, rows, faces, entries",
+    [((1,) * 7, 7, 645_120, 2_257_920), ((2, 2, 2, 2), 9, 5_806_080, 23_224_320)],
+    ids=["M(7,7)", "(2,2,2,2)-on-9-rows"],
+)
+def test_face_listing_cap_admits_the_large_boards(monkeypatch, cols, rows, faces, entries):
+    """Both caps admit both boards; either cap one below its count refuses them unlisted."""
     assert 2**23 <= simplicial.MAX_LISTED_FACES < 2**24
-    assert bound <= simplicial.MAX_LISTED_FACES
+    assert 23_224_320 <= simplicial.MAX_BOUNDARY_ENTRIES < 22 * 2**21
+    assert faces <= simplicial.MAX_LISTED_FACES and entries <= simplicial.MAX_BOUNDARY_ENTRIES
     K = build_chessboard(one_row_spec(cols, n=rows))
-    monkeypatch.setattr(simplicial, "MAX_LISTED_FACES", bound - 1)
-    with pytest.raises(ResourceLimitError):
+    for cap, count in (("MAX_LISTED_FACES", faces), ("MAX_BOUNDARY_ENTRIES", entries)):
+        with monkeypatch.context() as patch:
+            patch.setattr(simplicial, cap, count - 1)
+            with pytest.raises(ResourceLimitError, match=cap):
+                faces_by_dimension(K)
+
+
+@pytest.mark.parametrize("size", [22, 23])
+def test_boundary_entries_cap_refuses_one_large_facet(size):
+    # 2^22 and 2^23 faces pass the face cap; size * 2^(size-1) entries do not
+    K = build_complex(range(size), [range(size)])
+    with pytest.raises(ResourceLimitError, match="MAX_BOUNDARY_ENTRIES"):
         faces_by_dimension(K)
+    assert len(faces_by_dimension(K, 1)[1]) == size * (size - 1) // 2
 
 
 def test_faces_by_dimension_stops_at_top():
