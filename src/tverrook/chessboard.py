@@ -218,9 +218,14 @@ class PseudomanifoldReport(NamedTuple):
         }
 
 
-def _mask_vertices(mask: int) -> tuple:
-    """The sorted vertex ids of the set bits of a vertex bitmask."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+def _vertex_weights(facets) -> list:
+    """3**v for each vertex v up to the largest in the facets.
+
+    A vertex set is keyed exactly by the sum of its weights, a base-3 number
+    of digits 0 and 1.  (Bitmask keys, sums of 2**v, collide in bulk: CPython
+    hashes an int modulo 2**61 - 1, so 2**v and 2**(v + 61) hash alike.)
+    """
+    return [3**v for v in range(max((max(f) for f in facets if f), default=0) + 1)]
 
 
 def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
@@ -230,15 +235,17 @@ def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
         raise InputError("pseudomanifold check requires a nonempty complex")
     pure = K.is_pure()
 
-    # ridges are keyed by vertex bitmask, so each costs one int, not a tuple
+    # ridges are keyed by `_vertex_weights`, so each costs one int, not a tuple
+    weights = _vertex_weights(facets)
     ridge_incidence: dict = {}
     for fi, facet in enumerate(facets):
-        facet_mask = sum(1 << v for v in facet)
+        facet_key = sum([weights[v] for v in facet])
         for v in facet:
-            ridge_incidence.setdefault(facet_mask ^ (1 << v), []).append(fi)
+            ridge_incidence.setdefault(facet_key - weights[v], []).append(fi)
 
     offending = tuple(sorted(
-        _mask_vertices(mask) for mask, fs in ridge_incidence.items() if len(fs) != 2
+        tuple(v for v, w in enumerate(weights) if key // w % 3)
+        for key, fs in ridge_incidence.items() if len(fs) != 2
     ))
     ridge_degrees_ok = not offending
 
@@ -370,18 +377,19 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
     return Complex(admissible, facets)
 
 
-def verify_orientation(spec: ChessboardSpec, tau: dict) -> bool:
+def verify_orientation(tau: dict) -> bool:
     """A fundamental class must have zero simplicial boundary.
 
-    Ridges are keyed by vertex bitmask, as in `check_pseudomanifold`: the
+    Ridges are keyed by `_vertex_weights`, as in `check_pseudomanifold`: the
     ridge of a facet without its vertex v carries the facet's sign times
     (-1)**(position of v), the sign of the simplicial boundary.
     """
+    weights = _vertex_weights(tau)
     boundary: dict = {}
     for facet, sign in tau.items():
-        facet_mask = sum(1 << v for v in facet)
+        facet_key = sum([weights[v] for v in facet])
         for v in facet:
-            ridge = facet_mask ^ (1 << v)
+            ridge = facet_key - weights[v]
             value = boundary.get(ridge, 0) + sign
             if value:
                 boundary[ridge] = value

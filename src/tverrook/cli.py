@@ -214,7 +214,7 @@ def _chessboard_check(spec):
 
 def _orient(spec):
     tau = chessboard.orient(spec, chessboard.build_chessboard(spec))
-    boundary_zero = chessboard.verify_orientation(spec, tau)
+    boundary_zero = chessboard.verify_orientation(tau)
     certificate = {"chain": [{"facet": list(f), "sign": s} for f, s in sorted(tau.items())]}
     details = {"facets": len(tau), "boundary_zero": boundary_zero}
     summary = f"orientation on {len(tau)} facets, boundary zero: {boundary_zero}"

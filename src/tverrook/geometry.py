@@ -185,10 +185,12 @@ class TverbergInstance(_TverbergInstanceFields):
     def validate(self, constraint_count: int = 0) -> None:
         """Mode-specific hypothesis checks; InputError on failure."""
         if self.mode in ("prime-power-1.3", "lifted-1.4"):
-            _validate_prime_power(self.config, self.r)
+            _validate_generalized(self.config, self.r, 0)
         elif self.mode == "equal-classes-6.3":
             _validate_equal_classes(self.config, self.r)
         elif self.mode == "generalized-6.2":
+            if constraint_count < 1:
+                raise InputError("generalized mode needs the constraint count c >= 1")
             _validate_generalized(self.config, self.r, constraint_count)
         elif self.mode == "balanced-1.6":
             _validate_balanced(self.config, self.r)
@@ -197,62 +199,47 @@ class TverbergInstance(_TverbergInstanceFields):
             solve_balanced_caps(self.r, self.config.d)  # raises when no k exists
 
 
-def prime_power_root(r: int):
-    """(p, k) with r = p^k, or None when r is not a prime power."""
-    for p in range(2, r + 1):
-        if r % p == 0:
-            if not is_prime(p):
-                return None
-            k = 0
-            n = r
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-    return None
+def prime_power_root(r: int) -> tuple:
+    """(p, k) with r = p^k, for r >= 2; InputError when r is not a prime power.
 
-
-def _prime_power_parts(r: int) -> tuple:
-    """(p, k) with r = p^k; InputError when r is not a prime power."""
-    pk = prime_power_root(r)
-    if pk is None:
+    The least divisor p > 1 of r is prime, so r is a prime power iff it is a
+    power of p.
+    """
+    p = next(q for q in range(2, r + 1) if r % q == 0)
+    k, n = 0, r
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
         raise InputError(f"r = {r} is not a prime power")
-    return pk
+    return p, k
 
 
-def _validate_prime_power(config: PointConfig, r: int) -> None:
-    p, k = _prime_power_parts(r)
-    d = config.d
-    if config.num_colors != d + 2:
-        raise InputError(f"expected {d + 2} color classes, got {config.num_colors}")
-    want = sorted(multiplicity_vector(p, k))
-    for color in range(d + 1):
-        cls = config.color_class(color)
-        mults = sorted(config.points[i].multiplicity for i in cls)
-        if mults != want:
+def _unused(config: PointConfig, color: int, allowed) -> list:
+    """What color class `color` leaves unused of the multiset `allowed`;
+    InputError unless the class's multiplicities are a sub-multiset of it."""
+    mults = [config.points[i].multiplicity for i in config.color_class(color)]
+    unused = list(allowed)
+    for mu in mults:
+        if mu not in unused:
             raise InputError(
-                f"color class {color} multiplicities {mults} do not match L = {want}"
+                f"color class {color} multiplicities {sorted(mults)} "
+                f"are not a sub-multiset of {sorted(allowed)}"
             )
-    exceptional = config.color_class(d + 1)
-    if len(exceptional) != 1 or config.points[exceptional[0]].multiplicity != 1:
-        raise InputError("the exceptional class must be a single vertex of multiplicity 1")
+        unused.remove(mu)
+    return unused
 
 
 def _validate_equal_classes(config: PointConfig, r: int) -> None:
-    p, k = _prime_power_parts(r)
+    """Theorem 6.3: d + 2 classes, each a sub-multiset of L, of total
+    multiplicity (r-1)(d+1)+1."""
+    p, k = prime_power_root(r)
     d = config.d
     if config.num_colors != d + 2:
         raise InputError(f"expected {d + 2} color classes, got {config.num_colors}")
-    allowed = {p**a for a in range(k)}
+    L = multiplicity_vector(p, k)
     for color in range(d + 2):
-        counts: dict = {}
-        for i in config.color_class(color):
-            mu = config.points[i].multiplicity
-            if mu not in allowed:
-                raise InputError(f"multiplicity {mu} is not a power of {p} below p^{k}")
-            counts[mu] = counts.get(mu, 0) + 1
-        if any(c > p - 1 for c in counts.values()):
-            raise InputError(f"color class {color} repeats a multiplicity more than p-1 times")
+        _unused(config, color, L)
     total = sum(pt.multiplicity for pt in config.points)
     if total != (r - 1) * (d + 1) + 1:
         raise InputError(
@@ -284,37 +271,21 @@ def _can_pack(weights: list, bins: int, cap: int) -> bool:
 
 
 def _validate_generalized(config: PointConfig, r: int, c: int) -> None:
-    """Enlargement check: config + c removed sets of weight <= r-1 fill V."""
-    p, k = _prime_power_parts(r)
-    if c < 1:
-        raise InputError("generalized mode needs the constraint count c >= 1")
-    d = config.d
-    num_classes = d + c + 2
-    if config.num_colors > num_classes:
-        raise InputError(f"expected at most {num_classes} color classes")
-    want = sorted(multiplicity_vector(p, k))
+    """Theorem 6.2's enlargement check, and with c = 0 Theorem 1.3's.
+
+    Classes 0..d+c are sub-multisets of L and class d+c+1 of [1]; what they
+    leave unused must pack into c removed sets of weight <= r-1.  With no
+    sets, nothing may be unused: classes 0..d are L and the last is [1].
+    """
+    p, k = prime_power_root(r)
+    last = config.d + c + 1
+    if config.num_colors > last + 1:
+        raise InputError(f"expected at most {last + 1} color classes")
+    L = multiplicity_vector(p, k)
     missing_weights = []
-    for color in range(num_classes - 1):
-        mults = sorted(
-            config.points[i].multiplicity
-            for i in config.color_class(color)
-            if color < config.num_colors
-        )
-        remaining = list(want)
-        for mu in mults:
-            if mu not in remaining:
-                raise InputError(
-                    f"color class {color} multiplicities {mults} are not a sub-multiset of L"
-                )
-            remaining.remove(mu)
-        missing_weights.extend(remaining)
-    last = config.color_class(num_classes - 1) if config.num_colors == num_classes else ()
-    if len(last) > 1:
-        raise InputError("the exceptional class may contain at most one vertex")
-    if last and config.points[last[0]].multiplicity != 1:
-        raise InputError("the exceptional vertex must have multiplicity 1")
-    if not last:
-        missing_weights.append(1)
+    for color in range(last):
+        missing_weights += _unused(config, color, L)
+    missing_weights += _unused(config, last, (1,))
     if not _can_pack(missing_weights, c, r - 1):
         raise InputError(
             f"missing multiplicities {sorted(missing_weights)} cannot be split into "

@@ -13,9 +13,9 @@ on its row or column, so taking it only deletes that row and column.  These
 come from a small heap ordered by (column, row), and the Markowitz heap over
 (fill, column, row) is built only when none is left, so the pivot order is
 the same as with one heap over every unit.  The dense Smith normal form,
-exact integer elimination with minimal absolute-value pivoting, then runs
-only on the remainder, which carries all the torsion.  Arbitrary-precision
-integers throughout.
+least-entry pivots by integer remainders and then a gcd/lcm pass over the
+diagonal, runs only on the remainder, which carries all the torsion.
+Arbitrary-precision integers throughout.
 
 The maps are reduced upward, d_0 first, and each is compressed by the one
 below it (Bauer, Kerber and Reininghaus, "Clear and compress", 2014): the
@@ -33,6 +33,7 @@ there.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError, eq_but_last, hash_but_last, ne_but_last
@@ -40,75 +41,43 @@ from .simplicial import Complex, faces_by_dimension
 
 
 def smith_invariants(matrix: list) -> list:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    A = [row[:] for row in matrix]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    invariants = []
-    t = 0
-    while True:
-        # locate a nonzero pivot of minimal absolute value in the submatrix
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-        # clear the pivot row and column by remainders
-        dirty = True
-        while dirty:
-            dirty = False
-            p = A[t][t]
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    q = A[i][t] // p
-                    for j in range(t, cols):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    q = A[t][j] // p
-                    for i in range(t, rows):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for i in range(rows):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the remaining submatrix
-            p = A[t][t]
-            for i in range(t + 1, rows):
-                bad = next((j for j in range(t + 1, cols) if A[i][j] % p), None)
-                if bad is not None:
-                    for j in range(t, cols):
-                        A[t][j] += A[i][j]
-                    dirty = True
-                    break
-        invariants.append(abs(A[t][t]))
-        t += 1
-        if t == rows or t == cols:
-            break
-    return invariants
+    Each round pivots on an entry of least absolute value and reduces the rest
+    of its row and column to remainders.  A remainder left is smaller than the
+    pivot and the next round's pivot; else |pivot| is recorded and its row and
+    column deleted.  Replacing each pair (d_i, d_j), i < j, of that diagonal by
+    (gcd, lcm) gives the divisibility chain, as diag(a, b) ~ diag(gcd, lcm)
+    (M. Newman, Integral Matrices, 1972).
+    """
+    A = [row[:] for row in matrix]
+    diagonal = []
+    while any(map(any, A)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v)
+        pivot_row = A[i]
+        p = pivot_row[j]
+        left = False
+        for row in A:
+            if row is not pivot_row and row[j]:
+                q = row[j] // p
+                row[:] = [a - q * b for a, b in zip(row, pivot_row)]
+                left = left or row[j] != 0
+        for c, v in enumerate(pivot_row):
+            if v and c != j:
+                q = v // p
+                for row in A:
+                    row[c] -= q * row[j]
+                left = left or pivot_row[c] != 0
+        if not left:
+            diagonal.append(abs(p))
+            del A[i]
+            for row in A:
+                del row[j]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return diagonal
 
 
 def _boundary_columns(by_dim: dict, q: int, cleared=frozenset()) -> list:

@@ -406,6 +406,34 @@ def dense_betti_and_torsion(K):
     return HomologyProfile(betti, torsion)
 
 
+def _leibniz_det(M):
+    """Exact integer determinant as the signed sum over all permutations."""
+    n = len(M)
+    return sum(
+        _sort_sign(perm) * math.prod(M[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def determinantal_divisors(A):
+    """[D_1, ..., D_rank] of an integer matrix: D_k is the gcd of all k x k minors.
+
+    D_k = d_1 ... d_k for the invariant factors d_i of the Smith normal form,
+    and the first k with every k x k minor zero is rank + 1.
+    """
+    rows, cols = len(A), len(A[0]) if A else 0
+    divisors = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for I in itertools.combinations(range(rows), k):
+            for J in itertools.combinations(range(cols), k):
+                g = math.gcd(g, _leibniz_det([[A[i][j] for j in J] for i in I]))
+        if not g:
+            break
+        divisors.append(g)
+    return divisors
+
+
 def markowitz_eliminate_units(columns: list, n_rows: int):
     """Eliminate +-1 pivots of a sparse integer matrix through one Markowitz heap.
 

@@ -176,7 +176,7 @@ def test_orientation_boundary_zero():
         spec = one_row_spec(caps)
         tau = orient(spec)
         assert set(tau.values()) <= {1, -1}
-        assert verify_orientation(spec, tau)
+        assert verify_orientation(tau)
         chain = chain_boundary(tau)
         assert chain == {}
 
@@ -188,10 +188,20 @@ def test_bitmask_boundary_matches_chain_boundary_on_criterion_02_boards():
         for caps in compositions(n - 1):
             spec = one_row_spec(caps)
             tau = orient(spec)
-            assert verify_orientation(spec, tau) and chain_boundary(tau) == {}
+            assert verify_orientation(tau) and chain_boundary(tau) == {}
             facet = min(tau)
             flipped = {**tau, facet: -tau[facet]}
-            assert not verify_orientation(spec, flipped) and chain_boundary(flipped) != {}
+            assert not verify_orientation(flipped) and chain_boundary(flipped) != {}
+
+
+def test_ridge_keys_of_a_deep_board_hash_apart():
+    # the 20 100 ridges of one column of cap 200: as bitmasks, sums of 2**v,
+    # they take only 1 891 distinct hashes, as CPython hashes modulo 2**61 - 1
+    K = build_chessboard(one_row_spec((200,)))
+    weights = chessboard._vertex_weights(K.facets)
+    keys = {sum(weights[v] for v in facet) - weights[v] for facet in K.facets for v in facet}
+    assert len(keys) == 201 * 200 // 2
+    assert len({hash(key) for key in keys}) == len(keys)
 
 
 def test_orient_rejects_off_family_spec():

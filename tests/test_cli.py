@@ -95,7 +95,7 @@ def test_chessboard_check_reports_the_offending_ridges(capsys):
 
 
 def test_chessboard_check_of_a_deep_one_column_board(capsys):
-    # 201 facets of 200 rooks: every ridge is keyed by a bitmask, not a tuple
+    # 201 facets of 200 rooks: every ridge is keyed by one int, not a tuple
     code, report, _ = run(capsys, "chessboard", "check", "--cols", "200")
     assert code == 0
     del report["elapsed_seconds"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from tverrook import (
     build_example_a,
     hulls_intersect,
     lift_to_vertex_disjoint,
+    multiplicity_vector,
     rainbow_faces,
     search_tverberg,
     solve_balanced_caps,
@@ -266,6 +268,98 @@ def test_mode_validation_failures():
         search_tverberg(TverbergInstance(bad, 4, mode="prime-power-1.3"))
     with pytest.raises(InputError):
         TverbergInstance(good, 4, mode="nonsense")
+
+
+# r = p^k for the r the validator cases draw; 6 is not a prime power
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2)}
+
+
+@st.composite
+def class_cases(draw):
+    """(d, r, classes): the multiplicities of color classes 0, 1, ... in turn.
+
+    d in {1, 2}, r in {2, 3, 4, 6, 8, 9}.  Between d and d + 3 classes near
+    L: all of it (twice as likely as each other kind), one element short,
+    one element extra, or a short random list.  Then a last class [1], two
+    vertices [1, 1], one vertex of multiplicity 2, or none.  Fewer classes
+    than a mode expects leave its last colors missing.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
+    L = list(multiplicity_vector(*PRIME_POWERS.get(r, (2, 2))))
+    weights = st.sampled_from([1, 2, 3, 4, 8, 9])
+    classes = []
+    for _ in range(draw(st.integers(d, d + 3))):
+        kind = draw(st.sampled_from(["L", "L", "short", "extra", "random"]))
+        if kind == "L":
+            mults = L
+        elif kind == "short":
+            i = draw(st.integers(0, len(L) - 1))
+            mults = L[:i] + L[i + 1:]
+        elif kind == "extra":
+            mults = L + [draw(weights)]
+        else:
+            mults = draw(st.lists(weights, min_size=1, max_size=3))
+        classes.append(mults or [draw(weights)])
+    last = draw(st.sampled_from([[1], [1, 1], [2], []]))
+    return d, r, classes + [last] if last else classes
+
+
+def fits_in_removed_sets(weights, c, cap):
+    """Brute force for c <= 2: some sub-multiset of the weights, and the rest,
+    each weigh at most cap (for c = 1 the sub-multiset is empty)."""
+    sums = {0}
+    if c == 2:
+        for w in weights:
+            sums |= {s + w for s in sums}
+    return any(s <= cap and sum(weights) - s <= cap for s in sums)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=class_cases())
+def test_validators_match_the_theorem_statements(case):
+    d, r, classes = case
+    config = PointConfig(d, tuple(
+        ColoredPoint((F(0),) * d, color, mu) for color, mults in enumerate(classes) for mu in mults
+    ))
+
+    def valid(mode, c=0):
+        try:
+            TverbergInstance(config, r, mode=mode).validate(c)
+        except InputError:
+            return False
+        return True
+
+    L = Counter(multiplicity_vector(*PRIME_POWERS[r])) if r in PRIME_POWERS else None
+    counts = [Counter(mults) for mults in classes]
+    # Theorem 1.3 (and its lift, 1.4): classes 0..d are L, the last is [1]
+    theorem_1_3 = (
+        L is not None and len(classes) == d + 2
+        and all(counts[i] == L for i in range(d + 1)) and classes[d + 1] == [1]
+    )
+    assert valid("prime-power-1.3") == valid("lifted-1.4") == theorem_1_3
+    # Theorem 6.3: d + 2 classes, each within L, of total (r-1)(d+1)+1
+    theorem_6_3 = (
+        L is not None and len(classes) == d + 2
+        and all(not count - L for count in counts)
+        and sum(map(sum, classes)) == (r - 1) * (d + 1) + 1
+    )
+    assert valid("equal-classes-6.3") == theorem_6_3
+    # Theorem 6.2: d + c + 2 classes at most, the first d + c + 1 within L
+    # and the last within [1]; what they leave out packs into c removed sets
+    # of weight at most r - 1
+    for c in (0, 1, 2):
+        theorem_6_2 = L is not None and c >= 1 and len(classes) <= d + c + 2
+        if theorem_6_2:
+            allowed = [L] * (d + c + 1) + [Counter([1])]
+            counts_c = counts + [Counter()] * (d + c + 2 - len(classes))
+            theorem_6_2 = not any(count - a for count, a in zip(counts_c, allowed)) and (
+                fits_in_removed_sets(
+                    [w for count, a in zip(counts_c, allowed) for w in (a - count).elements()],
+                    c, r - 1,
+                )
+            )
+        assert valid("generalized-6.2", c) == theorem_6_2
 
 
 def test_equal_classes_mode_total_check():

@@ -2,7 +2,7 @@ import math
 import random
 
 from fixtures import standard_spec
-from oracles import boundary_matrix, euler_characteristic, join, rank_mod_p
+from oracles import boundary_matrix, determinantal_divisors, euler_characteristic, join, rank_mod_p
 from tverrook import (
     betti_and_torsion,
     build_chessboard,
@@ -57,6 +57,32 @@ def test_smith_invariants_stable_under_unimodular_moves():
     for _ in range(10):
         A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         assert smith_invariants(A) == smith_invariants(unimodular_shuffle(A, rng))
+
+
+def random_integer_matrix(rng, values):
+    """A matrix of at most 4 x 5 entries from `values`: drawn entrywise, or
+    half the time a product B C through a random inner dimension, which is
+    often rank-deficient."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+    if rng.random() < 0.5:
+        return [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    inner = rng.randint(1, min(rows, cols))  # a product B C has rank <= inner
+    B = [[rng.choice(values) for _ in range(inner)] for _ in range(rows)]
+    C = [[rng.choice(values) for _ in range(cols)] for _ in range(inner)]
+    return matmul(B, C)
+
+
+def test_smith_invariants_match_the_determinantal_divisors():
+    # d_1 ... d_k is the gcd of the k x k minors; entries without +-1 are the
+    # shape of what unit elimination leaves
+    rng = random.Random(19)
+    for values in (range(-6, 7), (0, 0, 2, -2, 3, 4, -6, 9, 12)):
+        for _ in range(150):
+            A = random_integer_matrix(rng, values)
+            inv = smith_invariants(A)
+            divisors = determinantal_divisors(A)
+            assert len(inv) == len(divisors)
+            assert [math.prod(inv[: k + 1]) for k in range(len(inv))] == divisors
 
 
 def test_boundary_composition_is_zero():

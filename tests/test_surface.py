@@ -8,7 +8,8 @@ call a dead def live but never the reverse.  A method is live only in a
 live class; a dunder method of a live class is called implicitly and is
 live with it.  The body of a live def includes its nested functions, its
 decorators and, for a class, its fields.  Imports name nothing, so an
-export in `__init__` keeps nothing alive.
+export in `__init__` keeps nothing alive.  Every parameter of a live def,
+and of the functions nested in it, must be read in its body.
 """
 
 import ast
@@ -52,7 +53,8 @@ def _defs_and_roots():
     return defs, roots
 
 
-def unreached() -> list:
+def _live_defs():
+    """(the defs of `_defs_and_roots`, the qualified names of the live ones)."""
     defs, roots = _defs_and_roots()
     live = {"cli.main"}
     named = _named(roots) | _named(defs["cli.main"][2])
@@ -71,7 +73,36 @@ def unreached() -> list:
                 live.add(qualified)
                 named |= _named(body)
                 grew = True
+    return defs, live
+
+
+def unreached() -> list:
+    defs, live = _live_defs()
     return sorted(set(defs) - live)
+
+
+def unread_parameters() -> list:
+    """`qualified name:function(parameter)` for every parameter, other than
+    `self` and `cls`, that a live def or a function nested in it never reads."""
+    defs, live = _live_defs()
+    unread = []
+    for qualified in sorted(live):
+        for node in defs[qualified][2]:
+            for fn in ast.walk(node):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = fn.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p]
+                read = {
+                    n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                unread += [
+                    f"{qualified}:{fn.name}({p})"
+                    for p in params
+                    if p not in read and p not in ("self", "cls")
+                ]
+    return unread
 
 
 def test_the_pass_sees_the_whole_package():
@@ -82,3 +113,7 @@ def test_the_pass_sees_the_whole_package():
 
 def test_every_def_is_reached_from_the_cli():
     assert unreached() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
