@@ -1,44 +1,41 @@
-"""Exact rational feasibility for Ax = b, x >= 0.
+"""Exact feasibility for Ax = b, x >= 0, on an integer system.
 
 Phase-1 simplex with Bland's anti-cycling rule on an integer tableau over
 one common denominator (the integer-preserving pivots of Edmonds, 1967, and
-Bareiss, 1968); no floating point anywhere.  Returns a feasible point or
-None.
+Bareiss, 1968); no floating point anywhere.  Returns a feasible point, as
+`Fraction`s, or None.
 
-The rational system is scaled by L, the lcm of all its denominators, so the
-tableau starts integral.  Scaling every row by the same L multiplies the
-phase-1 objective by L and keeps the sign of every reduced cost and the
-order of every ratio, so the pivots, and the point returned, are those of
-the same method run on `Fraction` cells.  The tableau then holds d times
-the rational tableau, where d is the last pivot (1 at the start); each
+The caller clears denominators: A and b hold ints, and a rational system
+enters as its rows times one positive constant L.  Scaling every row by L
+multiplies the phase-1 objective by L and keeps the sign of every reduced
+cost and the order of every ratio, so the pivots, and the point returned,
+are those of the same method run on the rational system with `Fraction`
+cells, whatever L is.  The tableau holds d times the rational tableau
+of the integer system, where d is the last pivot (1 at the start); each
 pivot's update divides exactly by the previous d.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
 def solve_equality_feasibility(A: list, b: list):
     """Find x >= 0 with Ax = b, exactly, or return None.
 
-    A is a list of rows of Fractions (or ints); b a list of the same.
-    The result is a list of Fractions.
+    A is a list of rows of ints and b a list of ints.  The result is a
+    list of Fractions.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    L = math.lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
 
-    # Row i is [L*A_i | e_i | L*b_i], negated where b_i < 0 so the
-    # artificials (columns n..n+m-1, the starting basis) start feasible.
+    # Row i is [A_i | e_i | b_i], negated where b_i < 0 so the artificials
+    # (columns n..n+m-1, the starting basis) start feasible.
     T = []
     for i, (row, bi) in enumerate(zip(A, b)):
-        sign = -1 if bi < 0 else 1
-        scaled = [sign * v.numerator * (L // v.denominator) for v in row]
         unit = [0] * m
         unit[i] = 1
-        T.append(scaled + unit + [sign * bi.numerator * (L // bi.denominator)])
+        T.append([-v for v in row] + unit + [-bi] if bi < 0 else [*row, *unit, bi])
     basis = list(range(n, n + m))
 
     # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row

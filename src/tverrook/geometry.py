@@ -1,17 +1,19 @@
 """Exact-rational colored point configurations and Tverberg partition search.
 
-Points live in Q^d with color labels and multiplicities.  The search
-enumerates tuples of rainbow faces within the multiplicity budget and
-certifies hull intersections by exact linear programming; every returned
+Points live in Q^d with color labels and multiplicities.  `Fraction`s are
+the JSON boundary and the LP's output; the search itself runs on one
+integer grid (`_grid`): every coordinate is multiplied by L, the lcm of all
+coordinate denominators.  The search enumerates tuples of rainbow faces
+within the multiplicity budget and certifies hull intersections by exact
+linear programming on integer rows built from the grid; every returned
 witness carries per-face convex coefficients that are re-checked by direct
-substitution, independently of the LP.
+substitution in integers of the check's own, independently of the LP.
 
-Before the LP, the search prunes by boxes on one integer grid: every
-coordinate is multiplied by L, the lcm of all coordinate denominators, and
-each scaled point is projected onto the d^2 integer directions e_i, e_i + e_j
-and e_i - e_j (i < j).  A face's box is the interval of its projections on
-each direction.  Faces whose hulls share a point x have boxes that all
-contain <L x, u> on every direction u, so a tuple whose boxes miss on some
+Before the LP, the search prunes by boxes on the grid: each grid point is
+projected onto the d^2 integer directions e_i, e_i + e_j and e_i - e_j
+(i < j).  A face's box is the interval of its projections on each
+direction.  Faces whose hulls share a point x have boxes that all contain
+<L x, u> on every direction u, so a tuple whose boxes miss on some
 direction is infeasible, and that direction separates two of its faces.
 """
 
@@ -247,27 +249,23 @@ def _validate_equal_classes(config: PointConfig, r: int) -> None:
         )
 
 
-def _can_pack(weights: list, bins: int, cap: int) -> bool:
-    """Exact bin packing at desk scale (weights and bins are tiny)."""
-    weights = sorted(weights, reverse=True)
-    loads = [0] * bins
+def _can_pack(missing: dict, bins: int, r: int) -> bool:
+    """Whether weights that are powers of p, `missing[w]` of each weight w,
+    pack into `bins` sets of weight <= r - 1, where r = p^k.
 
-    def rec(idx):
-        if idx == len(weights):
-            return True
-        seen = set()
-        for b in range(bins):
-            if loads[b] in seen:
-                continue
-            seen.add(loads[b])
-            if loads[b] + weights[idx] <= cap:
-                loads[b] += weights[idx]
-                if rec(idx + 1):
-                    return True
-                loads[b] -= weights[idx]
-        return False
-
-    return rec(0)
+    The weights divide one another, so in any set the weights >= w total a
+    multiple of w, at most r - w.  Conversely, placed largest first, the
+    weights w fit iff they fit in the room that the larger ones leave,
+    counted in units of w, and that room is the same however the larger
+    ones were placed.  So they pack iff, for every w, the weights >= w total
+    at most bins * (r - w).
+    """
+    total = 0
+    for w in sorted(missing, reverse=True):
+        total += w * missing[w]
+        if total > bins * (r - w):
+            return False
+    return True
 
 
 def _validate_generalized(config: PointConfig, r: int, c: int) -> None:
@@ -276,19 +274,28 @@ def _validate_generalized(config: PointConfig, r: int, c: int) -> None:
     Classes 0..d+c are sub-multisets of L and class d+c+1 of [1]; what they
     leave unused must pack into c removed sets of weight <= r-1.  With no
     sets, nothing may be unused: classes 0..d are L and the last is [1].
+    Only the configuration's classes and the last are walked: every class
+    of 0..d+c past the configuration's is empty and leaves all of L unused,
+    so the work does not grow with c.
     """
     p, k = prime_power_root(r)
     last = config.d + c + 1
-    if config.num_colors > last + 1:
+    t = config.num_colors
+    if t > last + 1:
         raise InputError(f"expected at most {last + 1} color classes")
     L = multiplicity_vector(p, k)
-    missing_weights = []
-    for color in range(last):
-        missing_weights += _unused(config, color, L)
-    missing_weights += _unused(config, last, (1,))
-    if not _can_pack(missing_weights, c, r - 1):
+    missing = dict.fromkeys(L, 0)
+    for w in L:
+        missing[w] += max(last - t, 0)  # the empty classes among 0..d+c
+    for color in range(min(t, last)):
+        for w in _unused(config, color, L):
+            missing[w] += 1
+    for w in _unused(config, last, (1,)):
+        missing[w] += 1
+    if not _can_pack(missing, c, r):
+        shown = {w: count for w, count in sorted(missing.items()) if count}
         raise InputError(
-            f"missing multiplicities {sorted(missing_weights)} cannot be split into "
+            f"missing multiplicities (weight: count) {shown} cannot be split into "
             f"{c} removed sets of weight <= {r - 1}"
         )
 
@@ -355,11 +362,23 @@ class Exhausted(NamedTuple):
     __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
 
+def _grid(config: PointConfig) -> tuple:
+    """(L, every point's coordinates times L as a tuple of ints), where L is
+    the lcm of all coordinate denominators: the search's one integer grid."""
+    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
+    return L, [tuple(c.numerator * (L // c.denominator) for c in pt.coords) for pt in config.points]
+
+
 def hulls_intersect(config: PointConfig, faces):
     """Exact common point of the convex hulls, or None.
 
     Solves for convex coefficients per face equating all barycentric
-    combinations; infeasibility is a definitive verdict, not an error.
+    combinations; infeasibility is a definitive verdict, not an error.  The
+    rows are the rational system's rows times L, as ints on the grid of
+    `_grid`: L on each face's convexity row, and grid coordinates on each
+    coordinate row.  The LP returns the point it would return on the
+    rational rows, and the witness is formed from the grid coordinates over
+    one common denominator.
     """
     faces = [tuple(f) for f in faces]
     if not faces or any(not f for f in faces):
@@ -368,45 +387,41 @@ def hulls_intersect(config: PointConfig, faces):
         for v in f:
             if not 0 <= v < len(config.points):
                 raise InputError(f"point index {v} out of range")
+    L, X = _grid(config)
 
-    offsets = []
-    total = 0
-    for f in faces:
-        offsets.append(total)
-        total += len(f)
-
+    total = sum(map(len, faces))
     rows = []
-    rhs = []
-    one = Fraction(1)
-    zero = Fraction(0)
-    for fi, f in enumerate(faces):
-        row = [zero] * total
-        for j in range(len(f)):
-            row[offsets[fi] + j] = one
-        rows.append(row)
-        rhs.append(one)
-    for fi in range(1, len(faces)):
+    offset = 0
+    for f in faces:
+        rows.append([0] * offset + [L] * len(f) + [0] * (total - offset - len(f)))
+        offset += len(f)
+    rhs = [L] * len(faces)
+    first = faces[0]
+    offset = len(first)
+    for f in faces[1:]:
+        between = [0] * (offset - len(first))
+        after = [0] * (total - offset - len(f))
         for coord in range(config.d):
-            row = [zero] * total
-            for j, v in enumerate(faces[0]):
-                row[offsets[0] + j] += config.points[v].coords[coord]
-            for j, v in enumerate(faces[fi]):
-                row[offsets[fi] + j] -= config.points[v].coords[coord]
-            rows.append(row)
-            rhs.append(zero)
+            rows.append([X[v][coord] for v in first] + between + [-X[v][coord] for v in f] + after)
+            rhs.append(0)
+        offset += len(f)
 
     x = solve_equality_feasibility(rows, rhs)
     if x is None:
         return None
-    certificates = tuple(
-        tuple(x[offsets[fi] + j] for j in range(len(f))) for fi, f in enumerate(faces)
-    )
+    certificates = []
+    offset = 0
+    for f in faces:
+        certificates.append(tuple(x[offset:offset + len(f)]))
+        offset += len(f)
+    # the first face's coefficients are n_j / D; its point is sum n_j X_v / (D L)
+    D = math.lcm(*(c.denominator for c in certificates[0]))
+    weights = [c.numerator * (D // c.denominator) for c in certificates[0]]
     witness = tuple(
-        sum((certificates[0][j] * config.points[v].coords[coord] for j, v in enumerate(faces[0])),
-            Fraction(0))
+        Fraction(sum(w * X[v][coord] for w, v in zip(weights, first)), D * L)
         for coord in range(config.d)
     )
-    return witness, certificates
+    return witness, tuple(certificates)
 
 
 def is_rainbow(config: PointConfig, face) -> bool:
@@ -423,17 +438,28 @@ def respects_multiplicities(config: PointConfig, faces) -> bool:
 
 
 def verify_solution(config: PointConfig, solution: TverbergSolution) -> bool:
-    """Re-check a certificate by direct substitution, independent of the LP."""
+    """Re-check a certificate by direct substitution, independent of the LP.
+
+    The check clears denominators itself: the points' coordinates times M,
+    the lcm of their denominators, and each face's coefficients times D,
+    the lcm of theirs, as ints n_j.  A face passes iff every n_j >= 0, they
+    sum to D, and sum_j n_j (M x_v) = D M w on each coordinate of the
+    witness w, compared as integers by cross-multiplying w's fraction.
+    """
     if len(solution.faces) != len(solution.certificates) or len(solution.witness) != config.d:
         return False
+    M = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
+    scaled = [[c.numerator * (M // c.denominator) for c in pt.coords] for pt in config.points]
     for face, cert in zip(solution.faces, solution.certificates):
         if len(face) != len(cert) or not all(0 <= v < len(config.points) for v in face):
             return False
-        if any(c < 0 for c in cert) or sum(cert) != 1:
+        D = math.lcm(*(c.denominator for c in cert))
+        n = [c.numerator * (D // c.denominator) for c in cert]
+        if any(nj < 0 for nj in n) or sum(n) != D:
             return False
-        for coord in range(config.d):
-            value = sum(c * config.points[v].coords[coord] for c, v in zip(cert, face))
-            if value != solution.witness[coord]:
+        for coord, w in enumerate(solution.witness):
+            value = sum(nj * scaled[v][coord] for nj, v in zip(n, face))
+            if value * w.denominator != D * M * w.numerator:
                 return False
         if not is_rainbow(config, face):
             return False
@@ -460,28 +486,35 @@ def rainbow_faces(config: PointConfig):
     return sorted(set(faces), key=lambda f: (len(f), f))
 
 
-def _grid_projections(config: PointConfig) -> list:
-    """Per point, its projections onto e_i, e_i + e_j and e_i - e_j (i < j), as ints.
+def _grid_projections(points: list) -> list:
+    """Per grid point (of `_grid`), its projections onto e_i, e_i + e_j and
+    e_i - e_j (i < j): d^2 ints per point."""
+    pairs = list(itertools.combinations(range(len(points[0]) if points else 0), 2))
+    return [
+        x + tuple(x[i] + x[j] for i, j in pairs) + tuple(x[i] - x[j] for i, j in pairs)
+        for x in points
+    ]
 
-    Coordinates are scaled by L, the lcm of all coordinate denominators, so
-    every projection is an integer on one grid: d^2 numbers per point.
+
+def _face_boxes(faces: list, projections: list) -> list:
+    """Per face, its box: the least and the greatest projection of its points
+    on each direction.
+
+    Faces come in (size, lex) order, as `rainbow_faces` gives them, so the
+    prefix face f[:-1] comes before f, and f's box is the prefix's box
+    widened by the projections of f's last point.
     """
-    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
-    pairs = list(itertools.combinations(range(config.d), 2))
-    out = []
-    for pt in config.points:
-        x = [c.numerator * (L // c.denominator) for c in pt.coords]
-        out.append(
-            tuple(x)
-            + tuple(x[i] + x[j] for i, j in pairs)
-            + tuple(x[i] - x[j] for i, j in pairs)
-        )
-    return out
-
-
-def _box(projections: list, face):
-    rows = [projections[v] for v in face]
-    return tuple(map(min, zip(*rows))), tuple(map(max, zip(*rows)))
+    index: dict = {}
+    boxes = []
+    for fi, f in enumerate(faces):
+        index[f] = fi
+        x = projections[f[-1]]
+        if len(f) == 1:
+            boxes.append((x, x))
+        else:
+            lo, hi = boxes[index[f[:-1]]]
+            boxes.append((tuple(map(min, lo, x)), tuple(map(max, hi, x))))
+    return boxes
 
 
 def _meet_masks(boxes: list) -> list:
@@ -516,7 +549,7 @@ def _search(instance: TverbergInstance, find_all: bool):
     Tuples are non-decreasing in the face order (killing part relabeling).
     Faces are bits of masks, and each prefix carries three: the faces its
     multiplicity budget (or vertex-disjointness) blocks, the faces whose
-    boxes on the integer grid of `_grid_projections` meet the box of every
+    boxes on the integer grid of `_grid` meet the box of every
     prefix face, and, through its count of faces at the top dimension, the
     faces the dimension caps cut.  Boxes are intervals on each direction,
     and by Helly's theorem on a line intervals share a point iff they meet
@@ -534,8 +567,7 @@ def _search(instance: TverbergInstance, find_all: bool):
     config = instance.config
     r = instance.r
     faces = rainbow_faces(config)
-    projections = _grid_projections(config)
-    meets = _meet_masks([_box(projections, f) for f in faces])
+    meets = _meet_masks(_face_boxes(faces, _grid_projections(_grid(config)[1])))
     everything = (1 << len(faces)) - 1
     touch = [0] * len(config.points)  # touch[v]: the faces that contain v
     for fi, f in enumerate(faces):

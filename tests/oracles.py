@@ -1,6 +1,9 @@
 """Independent reference implementations used as test oracles: brute-force
 enumerators of chessboard facets, fixed subcomplexes and Tverberg solutions,
 the `Fraction` phase-1 LP that `tverrook.exactlp` replaced, the
+`Fraction`-row hull intersection and `Fraction` re-substitution check that
+the integer grid replaced in `tverrook.geometry`, the backtracking bin
+packer that the closed-form Theorem 6.2 packing check replaced there, the
 whole-matrix Smith normal form homology that sparse unit elimination
 replaced in `tverrook.homology`, the one-heap Markowitz elimination that
 the cost-0 heap and the late Markowitz heap replaced there, the
@@ -44,7 +47,7 @@ from tverrook import (
     smith_invariants,
 )
 from tverrook.cli import _row_parser
-from tverrook.geometry import _box, _grid_projections, _search
+from tverrook.geometry import _face_boxes, _grid, _grid_projections, _search, is_rainbow, respects_multiplicities
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -218,8 +221,7 @@ def loop_search(instance, find_all):
     config = instance.config
     r = instance.r
     faces = rainbow_faces(config)
-    projections = _grid_projections(config)
-    boxes = [_box(projections, f) for f in faces]
+    boxes = _face_boxes(faces, _grid_projections(_grid(config)[1]))
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
 
@@ -329,16 +331,14 @@ def fraction_equality_feasibility(A: list, b: list):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    # rows with negative right-hand side are negated so artificials start feasible
+    # rows with negative right-hand side are negated so artificials start
+    # feasible; int cells become Fractions
     T = []
     rhs = []
     for row, bi in zip(A, b):
-        if bi < 0:
-            T.append([-v for v in row])
-            rhs.append(-bi)
-        else:
-            T.append(list(row))
-            rhs.append(bi)
+        sign = -1 if bi < 0 else 1
+        T.append([sign * Fraction(v) for v in row])
+        rhs.append(sign * Fraction(bi))
 
     # columns n..n+m-1 are artificials; basis starts as the artificials
     for i in range(m):
@@ -773,3 +773,86 @@ def search_tverberg_all(instance):
     """The face tuples of every solution of the pruned search."""
     solutions, _ = _search(instance, find_all=True)
     return [s.faces for s in solutions]
+
+
+def fraction_hulls_intersect(config, faces):
+    """Common point of the faces' hulls from `Fraction` rows and the `Fraction`
+    LP: (witness, certificates), or None.
+
+    The reference for `tverrook.geometry.hulls_intersect`, which builds the
+    same rows times L as ints and must return the same point.
+    """
+    faces = [tuple(f) for f in faces]
+    offsets = list(itertools.accumulate((len(f) for f in faces), initial=0))
+    total = offsets.pop()
+    rows = []
+    rhs = []
+    for fi, f in enumerate(faces):
+        row = [_ZERO] * total
+        for j in range(len(f)):
+            row[offsets[fi] + j] = _ONE
+        rows.append(row)
+        rhs.append(_ONE)
+    for fi in range(1, len(faces)):
+        for coord in range(config.d):
+            row = [_ZERO] * total
+            for j, v in enumerate(faces[0]):
+                row[offsets[0] + j] += config.points[v].coords[coord]
+            for j, v in enumerate(faces[fi]):
+                row[offsets[fi] + j] -= config.points[v].coords[coord]
+            rows.append(row)
+            rhs.append(_ZERO)
+    x = fraction_equality_feasibility(rows, rhs)
+    if x is None:
+        return None
+    certificates = tuple(
+        tuple(x[offsets[fi] + j] for j in range(len(f))) for fi, f in enumerate(faces)
+    )
+    witness = tuple(
+        sum((c * config.points[v].coords[coord] for c, v in zip(certificates[0], faces[0])), _ZERO)
+        for coord in range(config.d)
+    )
+    return witness, certificates
+
+
+def fraction_verify_solution(config, solution):
+    """Re-substitution in `Fraction`s: the reference for
+    `tverrook.geometry.verify_solution`, which checks in integers."""
+    if len(solution.faces) != len(solution.certificates) or len(solution.witness) != config.d:
+        return False
+    for face, cert in zip(solution.faces, solution.certificates):
+        if len(face) != len(cert) or not all(0 <= v < len(config.points) for v in face):
+            return False
+        if any(c < 0 for c in cert) or sum(cert) != 1:
+            return False
+        for coord in range(config.d):
+            value = sum(c * config.points[v].coords[coord] for c, v in zip(cert, face))
+            if value != solution.witness[coord]:
+                return False
+        if not is_rainbow(config, face):
+            return False
+    return respects_multiplicities(config, solution.faces)
+
+
+def backtrack_can_pack(weights, bins, cap):
+    """Whether the weights pack into `bins` sets of weight <= cap, by
+    backtracking over the sets, heaviest weight first."""
+    weights = sorted(weights, reverse=True)
+    loads = [0] * bins
+
+    def rec(idx):
+        if idx == len(weights):
+            return True
+        seen = set()
+        for b in range(bins):
+            if loads[b] in seen:
+                continue
+            seen.add(loads[b])
+            if loads[b] + weights[idx] <= cap:
+                loads[b] += weights[idx]
+                if rec(idx + 1):
+                    return True
+                loads[b] -= weights[idx]
+        return False
+
+    return rec(0)

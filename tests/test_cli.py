@@ -463,6 +463,16 @@ def one_point_colours(n):
 FORTY_COLOURS = one_point_colours(40)
 
 
+def generalized(data, c):
+    """The instance in mode generalized-6.2 with c removed sets."""
+    return dict(data, mode="generalized-6.2", constraint_count=c)
+
+
+# Two one-point classes on a line, r = 2: with c removed sets the c empty
+# classes 2..c+1 and the empty last class leave c + 1 > c units unused.
+TWO_COLOURS = one_point_colours(2)
+
+
 def simplex(n):
     """The complex of one facet on n vertices."""
     return {"universe": list(range(n)), "facets": [list(range(n))]}
@@ -504,12 +514,15 @@ HUGE_LIFT = {
         (["orient", "--cols", "1", "--rows", "3000000000"], None, 4),
         (["collapse", "degree", "--caps", "99999999999999999999", "--theta", "1"], None, 4),
         (["collapse", "degree", "--caps", "1000000", "--theta", "1"], None, 4),
+        (["tverberg", "search"], generalized(TWO_COLOURS, 1200), 3),
+        (["tverberg", "search"], generalized(TWO_COLOURS, 10**9), 3),
     ],
     ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
          "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces",
          "homology-2^24-faces", "homology-2^40-faces", "connectivity-2^24-faces",
          "homology-22*2^21-entries", "lift-huge-r", "collapse-theta-past-the-columns",
-         "check-10^8-rows", "orient-3*10^9-rows", "collapse-10^20-cap", "collapse-10^6-cap"],
+         "check-10^8-rows", "orient-3*10^9-rows", "collapse-10^20-cap", "collapse-10^6-cap",
+         "generalized-1200-sets-too-few-classes", "generalized-10^9-sets-too-few-classes"],
 )
 def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     if data is not None:
@@ -518,6 +531,19 @@ def test_guards_answer_within_a_second(capsys, tmp_path, argv, data, code):
     got, report, err = run(capsys, *argv)
     assert time.monotonic() - start < 1.0
     assert (got, report["verdict"]) == (code, "error")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", [1200, 10**9])
+def test_removed_sets_past_the_classes_answer_at_once(capsys, tmp_path, c):
+    # Each empty class among 3..c+1 and the empty last class leaves one unit
+    # unused, c in all, and c sets of weight <= 1 hold them: the hypothesis
+    # holds, whatever c is, and the search finds the Radon partition.
+    path = write_json(tmp_path, "in.json", generalized(radon_instance(), c))
+    start = time.monotonic()
+    code, report, err = run(capsys, "tverberg", "search", "--json", path)
+    assert time.monotonic() - start < 1.0
+    assert (code, report["verdict"], report["certificate"]["witness"]) == (0, "found", ["1/2"])
     assert "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -44,11 +45,18 @@ def systems(draw):
     return A, b
 
 
+def cleared(A, b, factor=1):
+    """The rational system Ax = b times factor * (the lcm of its denominators), as ints."""
+    L = factor * math.lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
+    return [[int(v * L) for v in row] for row in A], [int(v * L) for v in b]
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(system=systems())
-def test_integer_tableau_matches_fraction_oracle(system):
+@given(system=systems(), factor=st.integers(1, 3))
+def test_integer_tableau_matches_fraction_oracle(system, factor):
+    # any positive multiple of the cleared system must give the same point
     A, b = system
-    x = solve_equality_feasibility(A, b)
+    x = solve_equality_feasibility(*cleared(A, b, factor))
     assert x == fraction_equality_feasibility(A, b)
     if x is not None:
         n = len(A[0]) if A else 0
@@ -65,8 +73,8 @@ def test_degenerate_ties_follow_blands_rule():
          [Fraction(1), Fraction(0), Fraction(1)],
          [Fraction(2), Fraction(1), Fraction(1)]]
     b = [Fraction(0), Fraction(0), Fraction(0)]
-    assert solve_equality_feasibility(A, b) == fraction_equality_feasibility(A, b) == [0, 0, 0]
+    assert solve_equality_feasibility(*cleared(A, b)) == fraction_equality_feasibility(A, b) == [0, 0, 0]
     b = [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
-    x = solve_equality_feasibility(A, b)
+    x = solve_equality_feasibility(*cleared(A, b))
     assert x == fraction_equality_feasibility(A, b)
     assert x is not None and x[0] + x[1] == Fraction(1, 3)

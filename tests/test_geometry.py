@@ -1,14 +1,22 @@
+import functools
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import random_balanced_config, random_prime_power_config
-from oracles import loop_search, naive_search_all, search_tverberg_all
+from oracles import (
+    backtrack_can_pack,
+    fraction_hulls_intersect,
+    fraction_verify_solution,
+    loop_search,
+    naive_search_all,
+    search_tverberg_all,
+)
 from tverrook import (
     ColoredPoint,
     DimCaps,
@@ -34,7 +42,9 @@ from tverrook.geometry import (
     MODES,
     POLICY_LITERAL,
     POLICY_SHIFTED,
-    _box,
+    _can_pack,
+    _face_boxes,
+    _grid,
     _grid_projections,
     _meet_masks,
     _search,
@@ -78,12 +88,12 @@ def test_config_json_round_trip():
 
 def test_lp_feasible_and_infeasible():
     # x + y = 1, x - y = 0 -> x = y = 1/2.
-    x = solve_equality_feasibility([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
+    x = solve_equality_feasibility([[1, 1], [1, -1]], [1, 0])
     assert x == [F(1, 2), F(1, 2)]
     # x = 1 and x = 2 cannot hold with x >= 0.
-    assert solve_equality_feasibility([[F(1)], [F(1)]], [F(1), F(2)]) is None
+    assert solve_equality_feasibility([[1], [1]], [1, 2]) is None
     # Nonnegativity matters: x + y = -1 is infeasible.
-    assert solve_equality_feasibility([[F(1), F(1)]], [F(-1)]) is None
+    assert solve_equality_feasibility([[1, 1]], [-1]) is None
 
 
 def test_crossing_segments():
@@ -157,9 +167,11 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
     # The point (3/2, 0) lies in the axis box of the segment from the origin
     # to (3/2, 3/2), but x - y is 3/2 there and 0 on the whole segment.
     config = pts(((0, 0), 0, 1), (("3/2", "3/2"), 1, 1), (("3/2", 0), 2, 1), d=2)
-    projections = _grid_projections(config)
+    projections = _grid_projections(_grid(config)[1])
     assert projections == [(0, 0, 0, 0), (3, 3, 6, 0), (3, 0, 3, 3)]  # x, y, x + y, x - y; L = 2
-    segment, point = _box(projections, (0, 1)), _box(projections, (2,))
+    faces = rainbow_faces(config)
+    boxes = _face_boxes(faces, projections)
+    segment, point = boxes[faces.index((0, 1))], boxes[faces.index((2,))]
     axis = [(lo[:2], hi[:2]) for lo, hi in (segment, point)]
     assert _meet_masks(axis) == [0b11, 0b11]
     assert _meet_masks([segment, point]) == [0b01, 0b10]
@@ -229,11 +241,10 @@ def test_pruned_search_matches_naive_enumerator_on_random_instances(instance):
 @given(instance=free_instances())
 def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
     config = instance.config
-    projections = _grid_projections(config)
-    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
-    assert L > 1
+    L, points = _grid(config)
+    assert L == math.lcm(*(c.denominator for pt in config.points for c in pt.coords)) > 1
     faces = rainbow_faces(config)
-    boxes = [_box(projections, f) for f in faces]
+    boxes = _face_boxes(faces, _grid_projections(points))
     rational = [_rational_box(config, f) for f in faces]
     for (lo, hi), (want_lo, want_hi) in zip(boxes, rational):
         assert lo == tuple(L * x for x in want_lo) and hi == tuple(L * x for x in want_hi)
@@ -257,6 +268,94 @@ def test_mask_search_matches_the_face_at_a_time_loop(instance, find_all):
     assert [(s.faces, s.witness, s.certificates) for s in got] == [
         (s.faces, s.witness, s.certificates) for s in want
     ]
+
+
+def _solution_tuples(instance, data):
+    """The face tuples of the instance's solutions, and a few drawn r-tuples
+    of rainbow faces, most of them infeasible."""
+    solutions, _ = _search(instance, find_all=True)
+    faces = rainbow_faces(instance.config)
+    drawn = data.draw(st.lists(
+        st.lists(st.sampled_from(faces), min_size=instance.r, max_size=instance.r), max_size=6,
+    ))
+    return [s.faces for s in solutions[:6]] + drawn
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instance=free_instances(), data=st.data())
+def test_grid_rows_match_the_fraction_rows(instance, data):
+    config = instance.config
+    for faces in _solution_tuples(instance, data):
+        assert hulls_intersect(config, faces) == fraction_hulls_intersect(config, faces)
+
+
+def test_grid_rows_on_coordinates_of_different_denominators():
+    # L = lcm(3, 2, 4, 5, 7) = 420, and the segments cross at (1715/2102, 3345/4204)
+    config = pts(((0, "1/3"), 0, 1), (("5/2", "7/4"), 1, 1), (("2/5", "3/2"), 0, 1), (("9/7", 0), 1, 1), d=2)
+    assert _grid(config)[0] == 420
+    got = hulls_intersect(config, [(0, 1), (2, 3)])
+    assert got is not None and got == fraction_hulls_intersect(config, [(0, 1), (2, 3)])
+    witness, certificates = got
+    assert witness == (F(1715, 2102), F(3345, 4204))
+    assert verify_solution(config, TverbergSolution(((0, 1), (2, 3)), witness, certificates))
+    assert hulls_intersect(config, [(0,), (2, 3)]) is None is fraction_hulls_intersect(config, [(0,), (2, 3)])
+
+
+@functools.lru_cache(maxsize=None)
+def _example_a_solution(p, k, d, seed):
+    config, instance = build_example_a(p, k, d, epsilon=F(1, 100), seed=seed)
+    return config, search_tverberg(instance)
+
+
+@st.composite
+def found_solutions(draw):
+    """(config, solution): a solution of Example A (p^k = 4 in the plane or
+    3 on a line, seeds 0..11) or of a drawn free instance."""
+    if draw(st.booleans()):
+        p, k, d = draw(st.sampled_from([(2, 2, 2), (3, 1, 1)]))
+        return _example_a_solution(p, k, d, draw(st.integers(0, 11)))
+    instance = draw(free_instances())
+    solutions, _ = _search(instance, find_all=True)
+    assume(solutions)
+    return instance.config, draw(st.sampled_from(solutions))
+
+
+def _moved(values, i, step):
+    return values[:i] + (values[i] + step,) + values[i + 1:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(found=found_solutions(), data=st.data())
+def test_integer_resubstitution_matches_the_fraction_oracle(found, data):
+    config, sol = found
+    assert verify_solution(config, sol) and fraction_verify_solution(config, sol)
+    fi = data.draw(st.integers(0, len(sol.faces) - 1))
+    face, cert = sol.faces[fi], sol.certificates[fi]
+    j = data.draw(st.integers(0, len(face) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    D = math.lcm(*(c.denominator for c in cert))
+    L = math.lcm(*(c.denominator for pt in config.points for c in pt.coords))
+    coord = data.draw(st.integers(0, config.d - 1))
+    swapped = (face[j] + data.draw(st.integers(1, len(config.points)))) % len(config.points)
+    tampered = [
+        sol._replace(certificates=sol.certificates[:fi] + (_moved(cert, j, F(sign, D)),)
+                     + sol.certificates[fi + 1:]),
+        sol._replace(witness=_moved(sol.witness, coord, F(sign, L))),
+        sol._replace(faces=sol.faces[:fi] + (face[:j] + (swapped,) + face[j + 1:],) + sol.faces[fi + 1:]),
+    ]
+    for bad in tampered:
+        assert verify_solution(config, bad) == fraction_verify_solution(config, bad)
+    assert not verify_solution(config, tampered[0]) and not verify_solution(config, tampered[1])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pk=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]), data=st.data())
+def test_closed_form_packing_matches_backtracking(pk, data):
+    p, k = pk
+    r = p**k
+    weights = data.draw(st.lists(st.sampled_from([p**i for i in range(k)]), max_size=9))
+    bins = data.draw(st.integers(0, 4))
+    assert _can_pack(Counter(weights), bins, r) == backtrack_can_pack(weights, bins, r - 1)
 
 
 def test_mode_validation_failures():
