@@ -63,7 +63,6 @@ from .homology import (
 from .maps import (
     CollapseTheta,
     ObstructionReport,
-    degree_formula,
     elementary_abelian_subgroups,
     legendre_valuation,
     multiplicity_vector,

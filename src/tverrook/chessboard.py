@@ -17,7 +17,9 @@ completed, and they come out lex sorted.  More than `MAX_FACETS` facets
 raise `ResourceLimitError`, and so does a board whose placements may hold
 more than `MAX_PLACEMENT_SIZE` rooks, before anything is enumerated: the
 enumerator recurses once per rook.  `one_row_spec` refuses a board of more
-than `MAX_BOARD_CELLS` cells before it forms the row caps.
+than `MAX_BOARD_CELLS` cells before it forms the row caps, and
+`Subgroup.from_generators` a closure of more than `SUBGROUP_ENTRY_CAP`
+stored entries before it stores them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import NamedTuple
 from .errors import InputError, ResourceLimitError
 from .simplicial import Complex
 
-SUBGROUP_ELEMENT_CAP = 100_000
+# Most entries a subgroup closure stores, n per element of a group on [n]:
+# S_8 (40 320 elements) fits, and so does the cyclic group of a 1000-cycle.
+SUBGROUP_ENTRY_CAP = 1_000_000
 MAX_FACETS = 100_000
 MAX_PLACEMENT_SIZE = 600  # leaves 400 of Python's 1000 default frames to callers
 # Most cells of a board that `one_row_spec` forms: a one-column board of
@@ -257,8 +261,8 @@ def check_pseudomanifold(K: Complex) -> PseudomanifoldReport:
     return PseudomanifoldReport(pure, ridge_degrees_ok, strongly_connected, offending)
 
 
-def orient(spec: ChessboardSpec, K: Complex | None = None) -> dict:
-    """Fundamental class of a pseudomanifold-family chessboard complex.
+def orient(spec: ChessboardSpec, K: Complex) -> dict:
+    """Fundamental class of K, the complex of a pseudomanifold-family spec.
 
     Each facet omits exactly one row w; its sign is the sign of the facet
     [n] - {w} in the standard fundamental cycle of the boundary sphere,
@@ -266,8 +270,6 @@ def orient(spec: ChessboardSpec, K: Complex | None = None) -> dict:
     """
     if not spec.is_pseudomanifold_family():
         raise InputError("orientation requires row caps 1 and n = sum(col_caps) + 1")
-    if K is None:
-        K = build_chessboard(spec)
     m, n = spec.m, spec.n
     return {facet: facet_sign(m, n, facet) for facet in K.facets}
 
@@ -300,59 +302,40 @@ class RowPermutation(_RowPermutationFields):
             raise InputError(f"not a permutation of [1..{n}]: {self.mapping}")
         return self
 
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def compose(self, other: "RowPermutation") -> "RowPermutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        return RowPermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
-
-    @classmethod
-    def identity(cls, n: int) -> "RowPermutation":
-        return cls(tuple(range(1, n + 1)))
-
 
 class Subgroup(NamedTuple):
-    """A subgroup of row permutations, closed under the group operations."""
+    """The order and the orbits on [n] of a group of row permutations."""
 
-    generators: tuple
-    elements: tuple = ()
-    orbits: tuple = ()
+    order: int
+    orbits: tuple
 
     @classmethod
     def from_generators(cls, n: int, generators) -> "Subgroup":
-        gens = tuple(g if isinstance(g, RowPermutation) else RowPermutation(tuple(g)) for g in generators)
-        for g in gens:
-            if g.n != n:
-                raise InputError("generator degree mismatch")
-        identity = RowPermutation.identity(n)
-        elements = {identity.mapping}
-        frontier = [identity]
+        """The group the `RowPermutation`s generate, closed as a set of tuples.
+
+        Its orbits are the classes of i ~ g(i) over the generators g.  A
+        closure that would store more than `SUBGROUP_ENTRY_CAP` entries,
+        n per element, raises `ResourceLimitError` before it does.
+        """
+        gens = [g.mapping for g in generators]
+        if any(len(g) != n for g in gens):
+            raise InputError("generator degree mismatch")
+        frontier = [tuple(range(1, n + 1))]
+        elements = set(frontier)
         while frontier:
             current = frontier.pop()
             for g in gens:
-                nxt = g.compose(RowPermutation(current.mapping))
-                if nxt.mapping not in elements:
-                    if len(elements) >= SUBGROUP_ELEMENT_CAP:
-                        raise ResourceLimitError("subgroup closure exceeded the element cap")
-                    elements.add(nxt.mapping)
+                nxt = tuple([g[i - 1] for i in current])  # g after current
+                if nxt not in elements:
+                    if (len(elements) + 1) * n > SUBGROUP_ENTRY_CAP:
+                        raise ResourceLimitError(f"closure past SUBGROUP_ENTRY_CAP = {SUBGROUP_ENTRY_CAP} entries")
+                    elements.add(nxt)
                     frontier.append(nxt)
-        element_perms = tuple(RowPermutation(e) for e in sorted(elements))
-
-        roots = _union_find(n + 1, ((i, g(i)) for g in element_perms for i in range(1, n + 1)))
-        groups: dict = {}
+        roots = _union_find(n + 1, ((i, g[i - 1]) for g in gens for i in range(1, n + 1)))
+        orbits: dict = {}  # root: its class, in ascending order
         for i in range(1, n + 1):
-            groups.setdefault(roots[i], []).append(i)
-        orbits = tuple(sorted(tuple(sorted(o)) for o in groups.values()))
-        return cls(gens, element_perms, orbits)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+            orbits.setdefault(roots[i], []).append(i)
+        return cls(len(elements), tuple(sorted(map(tuple, orbits.values()))))
 
 
 def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:

@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, eq_but_last, hash_but_last, json_int, ne_but_last
+from .errors import InputError, ResourceLimitError, json_int
 from .simplicial import Complex, antichain
 
 COLLECTION_GUARD = 10_000_000
@@ -64,8 +64,6 @@ class UnavoidabilityVerdict(NamedTuple):
     counterexample: tuple | None = None
     # {"minimal_non_faces": ..., "collections_examined": ...}; not part of the certificate
     stats: dict | None = None
-
-    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> dict:
         out = {"unavoidable": self.unavoidable}
@@ -185,8 +183,6 @@ class FaceAvoidanceVerdict(NamedTuple):
     unavoidable: bool
     counterexample: tuple | None = None
     stats: dict | None = None  # as in UnavoidabilityVerdict
-
-    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> dict:
         out = {

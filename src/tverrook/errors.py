@@ -1,4 +1,4 @@
-"""Shared exception types, JSON integer parsing, and the equality of results.
+"""Shared exception types and JSON integer parsing.
 
 InputError maps to CLI exit code 3, ResourceLimitError to exit code 4.
 """
@@ -10,23 +10,6 @@ class InputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A desk-scale guard was exceeded; raise rather than grind forever."""
-
-
-# ``==``, ``!=`` and ``hash`` of a NamedTuple result whose last field is a
-# by-product (search counters, elimination sizes): values of one type that
-# differ only there are equal, and values of two types never are.  A type
-# sets all three, since tuple's own ``!=`` and ``hash`` would read the last
-# field.
-def eq_but_last(self, other):
-    return other.__class__ is self.__class__ and self[:-1] == other[:-1]
-
-
-def ne_but_last(self, other):
-    return other.__class__ is not self.__class__ or self[:-1] != other[:-1]
-
-
-def hash_but_last(self):
-    return hash(self[:-1])
 
 
 def json_int(value, what: str) -> int:

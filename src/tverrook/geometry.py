@@ -23,11 +23,13 @@ import itertools
 import math
 import operator
 import random
+import re
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, eq_but_last, hash_but_last, json_int, ne_but_last
+from .errors import InputError, ResourceLimitError, json_int
 from .exactlp import solve_equality_feasibility
 from .maps import is_prime, multiplicity_vector, power_exceeds
 
@@ -56,20 +58,34 @@ POLICY_SHIFTED = "shifted-k-plus-1"
 POLICY_LITERAL = "literal-k"
 
 
+# The canonical forms of a rational: an integer, or "p/q".
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse a canonical "p/q" string (or int) into an exact rational."""
+    """An int or a canonical "p/q" string as an exact rational; any other form,
+    q = 0 or a part of more digits than `int` converts is an InputError.  The
+    form is checked first: `Fraction` would read "1e-99999999" as well."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise InputError(f"malformed rational {text!r}: expected an integer or \"p/q\"")
+    numerator, denominator = match.groups()
     try:
-        if isinstance(text, bool):
-            raise ValueError("booleans are not rationals")
-        if isinstance(text, int):
-            return Fraction(text)
-        return Fraction(str(text))
+        return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {text!r}: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    """"p/q", or "p" for an integer; ResourceLimitError if a part has more
+    digits than `str` prints of an int (`sys.get_int_max_str_digits()`)."""
+    try:
+        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"a rational part of more than {limit} digits") from exc
 
 
 class ColoredPoint(NamedTuple):
@@ -330,8 +346,6 @@ class TverbergSolution(NamedTuple):
     # the counters of the search that found it; not part of the certificate
     stats: dict | None = None
 
-    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
-
     def to_json(self) -> dict:
         out = {
             "faces": [list(f) for f in self.faces],
@@ -358,8 +372,6 @@ class TverbergSolution(NamedTuple):
 class Exhausted(NamedTuple):
     candidates_examined: int
     stats: dict | None = None  # as in TverbergSolution
-
-    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
 
 def _grid(config: PointConfig) -> tuple:
@@ -543,7 +555,7 @@ def _meet_masks(boxes: list) -> list:
     return meets
 
 
-def _search(instance: TverbergInstance, find_all: bool):
+def _search(instance: TverbergInstance):
     """Canonical-order pruned enumeration of r-tuples of rainbow faces.
 
     Tuples are non-decreasing in the face order (killing part relabeling).
@@ -559,10 +571,10 @@ def _search(instance: TverbergInstance, find_all: bool):
     intersecting hulls.  Each level visits only the faces that survive all
     three masks, in ascending order, and only full tuples reach the LP, so
     the first solution is the first feasible tuple in canonical order.
-    Returns (first or all solutions, stats), where stats counts the rainbow
-    faces, the prefixes each rule pruned (a face counts for the first rule
-    that cuts it, in the order dimension caps, budget, box), and the LP
-    calls and feasible LPs.
+    Returns (the first solution or None, stats), where stats counts the
+    rainbow faces, the prefixes each rule pruned (a face counts for the
+    first rule that cuts it, in the order dimension caps, budget, box), and
+    the LP calls and feasible LPs.
     """
     config = instance.config
     r = instance.r
@@ -586,7 +598,6 @@ def _search(instance: TverbergInstance, find_all: bool):
     # a vertex-disjoint tuple uses each vertex at most once
     budget = [1 if disjoint else pt.multiplicity for pt in config.points]
     chosen: list = []
-    solutions: list = []
     stats = {
         "rainbow_faces": len(faces),
         "pruned_dim_cap": 0,
@@ -600,18 +611,13 @@ def _search(instance: TverbergInstance, find_all: bool):
         if len(chosen) == r:
             stats["lp_calls"] += 1
             got = hulls_intersect(config, [faces[i] for i in chosen])
-            if got is not None:
-                stats["lp_feasible"] += 1
-                witness, certs = got
-                solutions.append(
-                    TverbergSolution(
-                        tuple(faces[i] for i in chosen),
-                        witness,
-                        certs,
-                        caps.policy if caps else None,
-                    )
-                )
-            return bool(solutions) and not find_all
+            if got is None:
+                return None
+            stats["lp_feasible"] += 1
+            witness, certs = got
+            return TverbergSolution(
+                tuple(faces[i] for i in chosen), witness, certs, caps.policy if caps else None
+            )
         window = everything >> start << start
         if caps is None:
             cut = 0
@@ -640,7 +646,7 @@ def _search(instance: TverbergInstance, find_all: bool):
                 if not budget[v]:
                     now_blocked |= touch[v]
             chosen.append(fi)
-            done = rec(
+            found = rec(
                 fi + 1 if disjoint else fi,
                 allowed & meets[fi],
                 now_blocked,
@@ -649,18 +655,17 @@ def _search(instance: TverbergInstance, find_all: bool):
             chosen.pop()
             for v in f:
                 budget[v] += 1
-            if done:
+            if found is not None:
                 # a face counts as pruned only if it comes before the face
                 # that ended the search, as in a face-at-a-time loop
                 above = ~((low << 1) - 1)
                 stats["pruned_dim_cap"] -= (cut & above).bit_count()
                 stats["pruned_budget"] -= (spent & above).bit_count()
                 stats["pruned_box"] -= (missed & above).bit_count()
-                return True
-        return False
+                return found
+        return None
 
-    rec(0, everything, 0, 0)
-    return solutions, stats
+    return rec(0, everything, 0, 0), stats
 
 
 def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
@@ -675,9 +680,8 @@ def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
         # _replace skips validation, which the other fields passed already
         instance = instance._replace(dim_caps=DimCaps(k, s))
     instance.validate(constraint_count)
-    solutions, stats = _search(instance, find_all=False)
-    if solutions:
-        sol = solutions[0]
+    sol, stats = _search(instance)
+    if sol is not None:
         if not verify_solution(instance.config, sol):
             raise AssertionError("LP produced a certificate that failed re-substitution")
         return sol._replace(stats=stats)

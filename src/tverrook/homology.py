@@ -36,7 +36,7 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InputError, eq_but_last, hash_but_last, ne_but_last
+from .errors import InputError
 from .simplicial import Complex, faces_by_dimension
 
 
@@ -289,8 +289,6 @@ class HomologyProfile(NamedTuple):
     # what elimination did to each boundary map, one row per q:
     # {"q", "rows", "compressed", "cols", "units", "peeled", "remainder": [rows, cols]}
     boundary: tuple = ()
-
-    __eq__, __ne__, __hash__ = eq_but_last, ne_but_last, hash_but_last
 
     def to_json(self) -> list:
         return [

@@ -47,29 +47,12 @@ class CollapseTheta(_CollapseThetaFields):
             raise InputError(f"theta must be surjective onto [1..{self.target_columns}]")
         return self
 
-    def __call__(self, j: int) -> int:
-        return self.assignment[j - 1]
-
     def collapse_caps(self, caps) -> tuple:
-        caps = tuple(caps)
-        if len(caps) != self.source_columns:
-            raise InputError("cap vector length must equal the source column count")
+        """The caps of the target columns: `caps`, one per source column, added over fibers."""
         out = [0] * self.target_columns
-        for j, a in enumerate(caps, start=1):
-            out[self(j) - 1] += a
+        for t, a in zip(self.assignment, caps):
+            out[t - 1] += a
         return tuple(out)
-
-    @classmethod
-    def constant(cls, source_columns: int) -> "CollapseTheta":
-        return cls(source_columns, 1, (1,) * source_columns)
-
-
-def degree_formula(caps, theta: CollapseTheta) -> int:
-    """deg = prod(b_i!) / prod(a_j!) with b = theta-collapsed caps; exact."""
-    caps = tuple(caps)
-    if any(a < 0 for a in caps):
-        raise InputError("capacities must be non-negative")
-    return _factorial_ratio(theta.collapse_caps(caps), caps)
 
 
 def _factorial_ratio(b, a) -> int:
@@ -296,8 +279,7 @@ def obstruction_report(p: int, k: int, d: int) -> ObstructionReport:
         raise InputError(f"{p} is not prime")
 
     caps = multiplicity_vector(p, k)
-    theta = CollapseTheta.constant(len(caps))
-    degree = degree_formula(caps, theta)
+    degree = _factorial_ratio((p**k - 1,), caps)  # the collapse onto one column
 
     source = one_row_spec(caps)
     target = sphere_spec(p**k)

@@ -21,7 +21,8 @@ the argparse parse of a row's flags, whose exact forms
 It also holds the simplicial operations that no CLI command uses (links,
 joins, skeleta, chain boundaries, Euler characteristics, dense boundary
 matrices built from chain boundaries), the row-permutation action on an
-oriented complex, and the pruned search's list of every solution."""
+oriented complex, every solution of the face-at-a-time search, and the
+factorial-ratio collapse degree."""
 
 import argparse
 import functools
@@ -31,6 +32,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from tverrook import (
+    CollapseTheta,
     Complex,
     HomologyProfile,
     InputError,
@@ -47,7 +49,7 @@ from tverrook import (
     smith_invariants,
 )
 from tverrook.cli import _row_parser
-from tverrook.geometry import _face_boxes, _grid, _grid_projections, _search, is_rainbow, respects_multiplicities
+from tverrook.geometry import _face_boxes, _grid, _grid_projections, is_rainbow, respects_multiplicities
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -131,8 +133,25 @@ def collapse_map(theta, source):
     cells = []
     for v in range(source.m * source.n):
         col, row = cell_coords(source, v)
-        cells.append((row - 1) * mt + theta(col) - 1)
+        cells.append((row - 1) * mt + theta.assignment[col - 1] - 1)
     return cells
+
+
+def constant_theta(source_columns):
+    """The collapse of every column onto one."""
+    return CollapseTheta(source_columns, 1, (1,) * source_columns)
+
+
+def degree_formula(caps, theta):
+    """The collapse degree prod(b_i!) / prod(a_j!), b the caps that theta
+    adds over its fibers, from the factorials alone."""
+    b = [0] * theta.target_columns
+    for t, a in zip(theta.assignment, caps):
+        b[t - 1] += a
+    num = math.prod(math.factorial(x) for x in b)
+    den = math.prod(math.factorial(x) for x in caps)
+    assert num % den == 0
+    return num // den
 
 
 def scan_preimage(theta, source, target_facet):
@@ -624,17 +643,34 @@ def gaussian_binomial(n, h, p):
     return num // den
 
 
-def regular_action_subgroup(p, k, subspace):
-    """The subspace acting on [p^k] by translation of group elements."""
+def brute_force_subgroup(n, generators):
+    """(order, orbits) of the group of [n] that the permutation tuples
+    generate: products h . g of the elements g found so far with the
+    generators h, until none is new; the orbit of i is its set of images."""
+    elements = {tuple(range(1, n + 1))}
+    while True:
+        grown = elements | {tuple(h[g[i] - 1] for i in range(n)) for g in elements for h in generators}
+        if grown == elements:
+            break
+        elements = grown
+    orbits = {tuple(sorted({g[i] for g in elements})) for i in range(n)}
+    return len(elements), tuple(sorted(orbits))
+
+
+def translations(p, k, subspace):
+    """The row permutation of [p^k] of each element of the subspace, which
+    translates the vectors of F_p^k (numbered 1.. in lex order) by it."""
     vectors = list(itertools.product(range(p), repeat=k))
     index = {v: i + 1 for i, v in enumerate(vectors)}
-    perms = []
-    for u in subspace:
-        mapping = tuple(
-            index[tuple((a + b) % p for a, b in zip(v, u))] for v in vectors
-        )
-        perms.append(RowPermutation(mapping))
-    return Subgroup.from_generators(p**k, perms)
+    return [
+        RowPermutation(tuple(index[tuple((a + b) % p for a, b in zip(v, u))] for v in vectors))
+        for u in subspace
+    ]
+
+
+def regular_action_subgroup(p, k, subspace):
+    """The subspace acting on [p^k] by translation of group elements."""
+    return Subgroup.from_generators(p**k, translations(p, k, subspace))
 
 
 def argparse_row_parse(words: tuple, rest: list, seed: int):
@@ -743,7 +779,7 @@ def act_row_permutation(K, spec, g, tau):
     vertex_map = {}
     for v in range(spec.m * spec.n):
         col, row = cell_coords(spec, v)
-        vertex_map[v] = spec.cell(col, g(row))
+        vertex_map[v] = spec.cell(col, g.mapping[row - 1])
     facet_set = set(K.facets)
     signs = set()
     for facet, coeff in tau.items():
@@ -770,8 +806,8 @@ def is_V_proper(V, collection, r):
 
 
 def search_tverberg_all(instance):
-    """The face tuples of every solution of the pruned search."""
-    solutions, _ = _search(instance, find_all=True)
+    """The face tuples of every solution of the face-at-a-time pruned search."""
+    solutions, _ = loop_search(instance, True)
     return [s.faces for s in solutions]
 
 

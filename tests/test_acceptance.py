@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from fixtures import counted_signs, random_balanced_config, random_prime_power_config, standard_spec
 from oracles import (
+    constant_theta,
+    degree_formula,
     gaussian_binomial,
     join,
     naive_search_all,
@@ -33,7 +35,6 @@ from tverrook import (
     build_example_a,
     check_face_avoidance_unavoidable,
     check_pseudomanifold,
-    degree_formula,
     elementary_abelian_subgroups,
     fixed_subcomplex,
     homological_connectivity,
@@ -46,6 +47,8 @@ from tverrook import (
     sphere_spec,
     verify_solution,
 )
+from tverrook.geometry import _search
+
 
 F = Fraction
 
@@ -124,7 +127,7 @@ def test_criterion_03_degree_oracle_equivalence():
             fibers = tuple(i for i, a in enumerate(caps, start=1) for _ in range(a))
             blocks = CollapseTheta(n - 1, len(caps), fibers)
             assert degree_formula(ones, blocks) == sum(counted_signs(blocks, ones_spec))
-            constant = CollapseTheta.constant(len(caps))
+            constant = constant_theta(len(caps))
             spec = one_row_spec(caps)
             assert degree_formula(caps, constant) == sum(counted_signs(constant, spec))
 
@@ -134,7 +137,7 @@ def test_criterion_04_mod_p_obstruction():
         expected_degree = {(2, 2): 3, (2, 3): 105}
         for p, k in [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
             caps = multiplicity_vector(p, k)
-            degree = degree_formula(caps, CollapseTheta.constant(len(caps)))
+            degree = degree_formula(caps, constant_theta(len(caps)))
             if (p, k) in expected_degree:
                 assert degree == expected_degree[(p, k)]
             assert degree % p != 0
@@ -319,12 +322,14 @@ def _random_small_instance(seed):
 
 
 def test_criterion_12_search_oracle_equivalence():
-    # Pruned search and the naive unpruned enumerator agree on the full
-    # solution set (hence also on found/exhausted) across a seeded corpus of
-    # instances with <= 6 points and r <= 3.
+    # The pruned search, face at a time, and the naive unpruned enumerator
+    # agree on the full solution set, and the search finds the enumerator's
+    # first solution (hence they agree on found/exhausted), across a seeded
+    # corpus of instances with <= 6 points and r <= 3.
     with budget(600):
         for seed in range(40):
             instance = _random_small_instance(seed)
-            pruned = sorted(search_tverberg_all(instance))
-            naive = sorted(naive_search_all(instance))
-            assert pruned == naive, seed
+            naive = naive_search_all(instance)
+            assert sorted(search_tverberg_all(instance)) == sorted(naive), seed
+            first, _ = _search(instance)
+            assert (None if first is None else first.faces) == (naive[0] if naive else None), seed

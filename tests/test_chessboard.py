@@ -10,6 +10,7 @@ from oracles import (
     act_row_permutation,
     brute_force_facets,
     brute_force_fixed_subcomplex,
+    brute_force_subgroup,
     cell_coords,
     chain_boundary,
     link,
@@ -32,6 +33,11 @@ from tverrook import (
     sphere_spec,
     verify_orientation,
 )
+
+
+def subgroup(n, *generators):
+    """The `Subgroup` of [n] that the permutation tuples generate."""
+    return Subgroup.from_generators(n, [RowPermutation(tuple(g)) for g in generators])
 
 
 def compositions(total, parts=None):
@@ -174,7 +180,7 @@ def test_vertex_link_spheres():
 def test_orientation_boundary_zero():
     for caps in [(2,), (1, 2), (1, 1, 1), (2, 2)]:
         spec = one_row_spec(caps)
-        tau = orient(spec)
+        tau = orient(spec, build_chessboard(spec))
         assert set(tau.values()) <= {1, -1}
         assert verify_orientation(tau)
         chain = chain_boundary(tau)
@@ -187,7 +193,7 @@ def test_bitmask_boundary_matches_chain_boundary_on_criterion_02_boards():
     for n in range(2, 8):
         for caps in compositions(n - 1):
             spec = one_row_spec(caps)
-            tau = orient(spec)
+            tau = orient(spec, build_chessboard(spec))
             assert verify_orientation(tau) and chain_boundary(tau) == {}
             facet = min(tau)
             flipped = {**tau, facet: -tau[facet]}
@@ -205,13 +211,14 @@ def test_ridge_keys_of_a_deep_board_hash_apart():
 
 
 def test_orient_rejects_off_family_spec():
+    spec = ChessboardSpec(2, 2, (1, 1), (1, 1))
     with pytest.raises(InputError):
-        orient(ChessboardSpec(2, 2, (1, 1), (1, 1)))
+        orient(spec, build_chessboard(spec))
 
 
 def test_orient_sphere_is_standard_circle():
     spec = one_row_spec((2,))
-    tau = orient(spec)
+    tau = orient(spec, build_chessboard(spec))
     assert len(tau) == 3
     assert chain_boundary(tau) == {}
 
@@ -219,13 +226,23 @@ def test_orient_sphere_is_standard_circle():
 def test_row_permutation_parity():
     assert parity(RowPermutation((2, 1, 3))) == -1
     assert parity(RowPermutation((2, 3, 1))) == 1
-    assert parity(RowPermutation.identity(4)) == 1
+    assert parity(RowPermutation((1, 2, 3, 4))) == 1
     assert parity(RowPermutation((2, 1, 4, 3))) == 1  # (1 2)(3 4)
 
 
 def test_row_permutation_compose_inverse():
-    g = RowPermutation((2, 3, 1))
-    assert g.compose(RowPermutation((3, 1, 2))).mapping == RowPermutation.identity(3).mapping
+    # (2, 3, 1) after its inverse (3, 1, 2) is the identity, so together they
+    # close to the cyclic group of order 3; with (2, 1, 3) they close to S_3
+    assert subgroup(3, (2, 3, 1), (3, 1, 2)).order == 3
+    assert subgroup(3, (2, 3, 1), (2, 1, 3)).order == 6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_subgroup_matches_a_brute_force_closure(data, n):
+    generators = data.draw(st.lists(st.permutations(range(1, n + 1)), max_size=3))
+    H = subgroup(n, *generators)
+    assert (H.order, H.orbits) == brute_force_subgroup(n, [tuple(g) for g in generators])
 
 
 def test_action_sign_equals_parity():
@@ -252,10 +269,10 @@ def test_action_sign_on_standard_spec():
 
 
 def test_subgroup_closure_and_orbits():
-    H = Subgroup.from_generators(4, [(2, 1, 4, 3)])
+    H = subgroup(4, (2, 1, 4, 3))
     assert H.order == 2
     assert sorted(tuple(sorted(o)) for o in H.orbits) == [(1, 2), (3, 4)]
-    K4 = Subgroup.from_generators(4, [(2, 1, 4, 3), (3, 4, 1, 2)])
+    K4 = subgroup(4, (2, 1, 4, 3), (3, 4, 1, 2))
     assert K4.order == 4
     assert [tuple(sorted(o)) for o in K4.orbits] == [(1, 2, 3, 4)]
 
@@ -263,14 +280,14 @@ def test_subgroup_closure_and_orbits():
 def test_trivial_subgroup_fixed_complex_is_everything():
     spec = one_row_spec((1, 2))
     K = build_chessboard(spec)
-    F = fixed_subcomplex(spec, Subgroup.from_generators(spec.n, [RowPermutation.identity(spec.n)]))
+    F = fixed_subcomplex(spec, subgroup(spec.n, tuple(range(1, spec.n + 1))))
     assert sorted(len(f) for f in F.facets) == sorted(len(f) for f in K.facets)
     assert len(F.facets) == len(K.facets)
 
 
 def test_fixed_complex_two_isolated_vertices():
     spec = one_row_spec((1, 2))
-    H = Subgroup.from_generators(4, [(2, 1, 4, 3)])
+    H = subgroup(4, (2, 1, 4, 3))
     F = fixed_subcomplex(spec, H)
     assert F.dimension == 0
     assert len(F.facets) == 2
@@ -278,7 +295,7 @@ def test_fixed_complex_two_isolated_vertices():
 
 def test_fixed_complex_of_simplex_boundary_is_zero_sphere():
     spec = sphere_spec(4)
-    H = Subgroup.from_generators(4, [(2, 1, 4, 3)])
+    H = subgroup(4, (2, 1, 4, 3))
     F = fixed_subcomplex(spec, H)
     assert F.dimension == 0
     assert len(F.facets) == 2
@@ -296,7 +313,7 @@ def test_fixed_complex_dimension_inequality():
         [(1, 2, 4, 3)],
     ]
     for g in gens:
-        H = Subgroup.from_generators(4, g)
+        H = subgroup(4, *g)
         cap = fixed_subcomplex(sphere, H).dimension
         for spec in specs:
             assert fixed_subcomplex(spec, H).dimension <= cap
@@ -322,7 +339,7 @@ def boards_with_row_subgroups(draw):
     n = draw(st.integers(1, min(6, 12 // m)))
     col_caps = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
     generators = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=2))
-    return one_row_spec(col_caps, n=n), Subgroup.from_generators(n, generators)
+    return one_row_spec(col_caps, n=n), subgroup(n, *generators)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

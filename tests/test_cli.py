@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -547,6 +548,59 @@ def test_removed_sets_past_the_classes_answer_at_once(capsys, tmp_path, c):
     assert "Traceback" not in err
 
 
+def big_coordinates_crossing():
+    """Two crossing plane segments, colours 0, 1, 0, 1, each coordinate moved
+    by a seeded fraction of 1200-digit parts: every coordinate prints, but
+    the crossing point has parts of more than 4300 digits."""
+    rng = random.Random(0)
+
+    def coordinate(base):
+        den = rng.randrange(10**1199, 10**1200)
+        return f"{base * den + rng.randrange(1, den // 1000)}/{den}"
+
+    corners = [((0, 0), 0), ((2, 2), 1), ((0, 2), 0), ((2, 0), 1)]
+    return {
+        "d": 2, "r": 2, "mode": "free",
+        "points": [{"coords": [coordinate(x) for x in xy], "color": c, "multiplicity": 1}
+                   for xy, c in corners],
+    }
+
+
+# str() refuses an int of more than sys.get_int_max_str_digits() digits; a
+# report that would print one is a resource error, not a traceback (exit 1).
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["example-a", "--p", "2", "--k", "1", "--d", "1", "--epsilon", "1/1" + "0" * 4298], None),
+        (["tverberg", "search"], big_coordinates_crossing()),
+    ],
+    ids=["example-a-epsilon-of-4299-digits", "search-witness-past-the-limit"],
+)
+def test_reports_past_the_int_digit_limit_are_resource_errors(capsys, tmp_path, argv, data):
+    assert sys.get_int_max_str_digits() == 4300
+    if data is not None:
+        argv = argv + ["--json", write_json(tmp_path, "in.json", data)]
+    code, report, err = run(capsys, *argv)
+    assert (code, report["verdict"]) == (4, "error")
+    assert "Traceback" not in err and "4300 digits" in report["message"]
+
+
+def test_subgroup_closure_guard_trips_before_it_stores_the_closure(capsys, tmp_path):
+    # the 10^5-cycle generates 10^5 elements of 10^5 entries each; the entry
+    # cap stops the closure after 10 of them
+    n = 100_000
+    data = {
+        "spec": {"m": 1, "n": n, "row_caps": [1] * n, "col_caps": [n - 1]},
+        "generators": [list(range(2, n + 1)) + [1]],
+    }
+    path = write_json(tmp_path, "in.json", data)
+    start = time.monotonic()
+    code, report, err = run(capsys, "fixed-points", "--json", path)
+    assert time.monotonic() - start < 1.0
+    assert (code, report["verdict"]) == (4, "error")
+    assert "SUBGROUP_ENTRY_CAP" in report["message"] and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, verdict",
     [
@@ -1054,6 +1108,9 @@ LIFT_SOLUTION = {
             "vertices": [0, True, 2.0], "multiplicity": {"0": 1, "1": 1, "2": 1}})),
         (["unavoidable", "check"], dict(UNAVOIDABLE_INPUT, multiset={
             "vertices": [0, 1, 2], "multiplicity": {"0": 1, "1": 5, "01": 1, "2": 1}})),
+        (["tverberg", "search"], dict(radon_instance(), points=[
+            dict(pt, coords=["1e-100000000"]) for pt in radon_instance()["points"]])),
+        (["example-a", "--p", "2", "--k", "1", "--d", "1", "--epsilon", "1e-10000000"], None),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -1064,12 +1121,15 @@ LIFT_SOLUTION = {
         "dim-caps-k-negative", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
         "generator-float", "board-size-bool", "lift-face-index-float", "vertex-bool",
         "universe-bool", "multiset-vertex-bool", "multiset-key-not-canonical",
+        "coordinate-exponent", "epsilon-exponent",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):
     if data is not None:
         argv = argv + ["--json", write_json(tmp_path, "in.json", data)]
+    start = time.monotonic()
     code, report, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
     assert code == 3
     assert report["verdict"] == "error"
     assert "Traceback" not in err

@@ -260,20 +260,18 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(instance=free_instances(), find_all=st.booleans())
-def test_mask_search_matches_the_face_at_a_time_loop(instance, find_all):
-    got, got_stats = _search(instance, find_all)
-    want, want_stats = loop_search(instance, find_all)
+@given(instance=free_instances())
+def test_mask_search_matches_the_face_at_a_time_loop(instance):
+    got, got_stats = _search(instance)
+    want, want_stats = loop_search(instance, False)
     assert got_stats == want_stats
-    assert [(s.faces, s.witness, s.certificates) for s in got] == [
-        (s.faces, s.witness, s.certificates) for s in want
-    ]
+    assert ([] if got is None else [got]) == want
 
 
 def _solution_tuples(instance, data):
     """The face tuples of the instance's solutions, and a few drawn r-tuples
     of rainbow faces, most of them infeasible."""
-    solutions, _ = _search(instance, find_all=True)
+    solutions, _ = loop_search(instance, True)
     faces = rainbow_faces(instance.config)
     drawn = data.draw(st.lists(
         st.lists(st.sampled_from(faces), min_size=instance.r, max_size=instance.r), max_size=6,
@@ -315,7 +313,7 @@ def found_solutions(draw):
         p, k, d = draw(st.sampled_from([(2, 2, 2), (3, 1, 1)]))
         return _example_a_solution(p, k, d, draw(st.integers(0, 11)))
     instance = draw(free_instances())
-    solutions, _ = _search(instance, find_all=True)
+    solutions, _ = loop_search(instance, True)
     assume(solutions)
     return instance.config, draw(st.sampled_from(solutions))
 
@@ -485,7 +483,7 @@ def test_verify_solution_rejects_tampering():
 def test_solution_json_round_trip():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
     sol = search_tverberg(TverbergInstance(config, 2))
-    assert TverbergSolution.from_json(sol.to_json()) == sol
+    assert TverbergSolution.from_json(sol.to_json()) == sol._replace(stats=None)
 
 
 def test_balanced_caps_solver():

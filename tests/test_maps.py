@@ -9,6 +9,8 @@ from fixtures import counted_signs, standard_spec
 from oracles import (
     cell_coords,
     collapse_map,
+    constant_theta,
+    degree_formula,
     gaussian_binomial,
     is_face,
     omitted_row,
@@ -16,6 +18,7 @@ from oracles import (
     scan_preimage,
     scan_preimage_signs,
     span_subspaces,
+    translations,
 )
 from tverrook import chessboard, maps
 
@@ -23,11 +26,9 @@ from tverrook import (
     ChessboardSpec,
     CollapseTheta,
     InputError,
-    RowPermutation,
     ResourceLimitError,
     Subgroup,
     build_chessboard,
-    degree_formula,
     elementary_abelian_subgroups,
     fixed_subcomplex,
     legendre_valuation,
@@ -72,7 +73,7 @@ def facet_images(theta, source):
 
 def test_constant_collapse_targets_simplex_boundary():
     spec = one_row_spec((1, 2))
-    theta = CollapseTheta.constant(2)
+    theta = constant_theta(2)
     assert collapse_target(theta, spec) == sphere_spec(4)
     # Every facet image must be a target facet (non-degenerate map).
     target = build_chessboard(sphere_spec(4))
@@ -98,8 +99,8 @@ def test_collapse_of_standard_board():
 def test_functoriality_of_composition():
     spec = standard_spec(3, 4)
     theta1 = CollapseTheta(3, 2, (1, 1, 2))
-    theta2 = CollapseTheta.constant(2)
-    composed = CollapseTheta.constant(3)  # theta2 after theta1
+    theta2 = constant_theta(2)
+    composed = constant_theta(3)  # theta2 after theta1
     step1 = collapse_map(theta1, spec)
     step2 = collapse_map(theta2, collapse_target(theta1, spec))
     assert collapse_target(composed, spec) == collapse_target(theta2, collapse_target(theta1, spec))
@@ -109,35 +110,35 @@ def test_functoriality_of_composition():
 def test_degrees_multiply_along_composition():
     caps = (1, 1, 1)
     theta1 = CollapseTheta(3, 2, (1, 1, 2))
-    theta2 = CollapseTheta.constant(2)
+    theta2 = constant_theta(2)
     d1 = degree_formula(caps, theta1)
     d2 = degree_formula(theta1.collapse_caps(caps), theta2)
-    assert degree_formula(caps, CollapseTheta.constant(3)) == d1 * d2  # theta2 after theta1
+    assert degree_formula(caps, constant_theta(3)) == d1 * d2  # theta2 after theta1
 
 
 def test_degree_formula_examples():
-    assert degree_formula((1, 2), CollapseTheta.constant(2)) == 3
-    assert degree_formula((1, 2, 4), CollapseTheta.constant(3)) == 105
+    assert degree_formula((1, 2), constant_theta(2)) == 3
+    assert degree_formula((1, 2, 4), constant_theta(3)) == 105
     # All-ones source: degree is the product of target cap factorials.
     assert degree_formula((1, 1, 1), CollapseTheta(3, 2, (1, 1, 2))) == 2
-    assert degree_formula((1, 1), CollapseTheta.constant(2)) == 2
+    assert degree_formula((1, 1), constant_theta(2)) == 2
 
 
 def test_degree_by_counting_examples():
-    assert sum(counted_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))) == 3
+    assert sum(counted_signs(constant_theta(2), one_row_spec((1, 2)))) == 3
     assert sum(counted_signs(CollapseTheta(2, 2, (1, 2)), one_row_spec((1, 2)))) == 1
-    assert sum(counted_signs(CollapseTheta.constant(2), standard_spec(2, 3))) == 2
+    assert sum(counted_signs(constant_theta(2), standard_spec(2, 3))) == 2
 
 
 def test_preimage_signs_report_the_target_caps_and_the_formula():
-    for caps, theta in [((1, 2), CollapseTheta.constant(2)), ((1, 2, 4), CollapseTheta(3, 2, (1, 2, 1)))]:
+    for caps, theta in [((1, 2), constant_theta(2)), ((1, 2, 4), CollapseTheta(3, 2, (1, 2, 1)))]:
         target_caps, degree, signs = preimage_signs(theta, one_row_spec(caps))
         assert target_caps == theta.collapse_caps(caps)
         assert degree == degree_formula(caps, theta) == len(signs)
 
 
 def test_preimage_signs_all_positive():
-    signs = counted_signs(CollapseTheta.constant(2), one_row_spec((1, 2)))
+    signs = counted_signs(constant_theta(2), one_row_spec((1, 2)))
     assert signs == [1, 1, 1]
 
 
@@ -177,7 +178,7 @@ def criterion_03_cases():
         for caps in compositions(n - 1):
             blocks = tuple(i for i, a in enumerate(caps, start=1) for _ in range(a))
             yield (1,) * (n - 1), CollapseTheta(n - 1, len(caps), blocks)
-            yield caps, CollapseTheta.constant(len(caps))
+            yield caps, constant_theta(len(caps))
 
 
 def test_preimage_signs_match_the_scan_on_criterion_03():
@@ -254,7 +255,7 @@ def test_preimage_of_every_row_placement_matches_the_scan():
 
 
 def test_preimage_of_a_non_facet_is_empty():
-    theta, source = CollapseTheta.constant(2), one_row_spec((1, 2))
+    theta, source = constant_theta(2), one_row_spec((1, 2))
     assert preimage(theta, source, (0, 1)) == {}
     assert preimage(theta, source, (0, 1, 2, 3)) == {}
 
@@ -265,24 +266,23 @@ def test_preimage_size_guard_raises_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(maps, "preimage", enumerate_preimage)
     ones = one_row_spec((1,) * 9)
-    assert degree_formula(ones.col_caps, CollapseTheta.constant(9)) > MAX_FACETS
+    assert degree_formula(ones.col_caps, constant_theta(9)) > MAX_FACETS
     with pytest.raises(ResourceLimitError):
-        preimage_signs(CollapseTheta.constant(9), ones)
+        preimage_signs(constant_theta(9), ones)
 
 
 def test_equivariance_of_collapse():
     # Collapsing then permuting rows equals permuting rows then collapsing.
     spec = one_row_spec((1, 2))
-    theta = CollapseTheta.constant(2)
+    theta = constant_theta(2)
     cells = collapse_map(theta, spec)
     tgt = collapse_target(theta, spec)
     for perm in itertools.permutations(range(1, 5)):
-        g = RowPermutation(perm)
         for v in range(spec.m * spec.n):
             col, row = cell_coords(spec, v)
-            acted_then_mapped = cells[spec.cell(col, g(row))]
+            acted_then_mapped = cells[spec.cell(col, perm[row - 1])]
             tcol, trow = cell_coords(tgt, cells[v])
-            mapped_then_acted = tgt.cell(tcol, g(trow))
+            mapped_then_acted = tgt.cell(tcol, perm[trow - 1])
             assert acted_then_mapped == mapped_then_acted
 
 
@@ -351,14 +351,14 @@ def test_rref_subspaces_match_the_span_oracle():
 
 def test_regular_action_is_fixed_point_free():
     for p, k in IN_GUARD_PK:
-        identity = RowPermutation.identity(p**k)
+        identity = tuple(range(1, p**k + 1))
         for subspace in elementary_abelian_subgroups(p, k):
             H = regular_action_subgroup(p, k, subspace)
             assert H.order == len(subspace)
             assert all(len(orbit) == H.order for orbit in H.orbits)
-            for g in H.elements:
-                if g != identity:
-                    assert all(g(i) != i for i in range(1, p**k + 1))
+            for g in translations(p, k, subspace):
+                if g.mapping != identity:
+                    assert all(g.mapping[i - 1] != i for i in range(1, p**k + 1))
 
 
 def test_obstruction_degrees():
@@ -383,7 +383,7 @@ def test_obstruction_guard(monkeypatch):
     def never(*args):
         raise AssertionError("computed past the guard")
 
-    for name in ("is_prime", "elementary_abelian_subgroups", "degree_formula"):
+    for name in ("is_prime", "elementary_abelian_subgroups", "_factorial_ratio"):
         monkeypatch.setattr(maps, name, never)
     # 2^61 - 1 is prime; trial division up to its square root would not end.
     for p, k in [(2, 5), (17, 1), (3, 3), (2, 10**9), (2**61 - 1, 1)]:

@@ -9,7 +9,9 @@ live class; a dunder method of a live class is called implicitly and is
 live with it.  The body of a live def includes its nested functions, its
 decorators and, for a class, its fields.  Imports name nothing, so an
 export in `__init__` keeps nothing alive.  Every parameter of a live def,
-and of the functions nested in it, must be read in its body.
+and of the functions nested in it, must be read in its body, and every
+field of a live NamedTuple must be read as an attribute somewhere in the
+package.
 """
 
 import ast
@@ -105,10 +107,39 @@ def unread_parameters() -> list:
     return unread
 
 
+def _fields_and_reads():
+    """({qualified name: field names} of each NamedTuple class, every
+    attribute that the package reads)."""
+    fields, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and "NamedTuple" in _named(node.bases):
+                fields[f"{path.stem}.{node.name}"] = [
+                    n.target.id for n in node.body if isinstance(n, ast.AnnAssign)
+                ]
+    return fields, read
+
+
+def unread_fields() -> list:
+    """`qualified name.field` for every field of a live NamedTuple class that
+    no attribute of the package reads."""
+    _, live = _live_defs()
+    fields, read = _fields_and_reads()
+    return [
+        f"{qualified}.{field}"
+        for qualified in sorted(live & set(fields))
+        for field in fields[qualified]
+        if field not in read
+    ]
+
+
 def test_the_pass_sees_the_whole_package():
     defs, roots = _defs_and_roots()
     assert {"cli.main", "cli.Command", "homology.eliminate_units"} <= set(defs)
     assert "COMMANDS" in _named(roots)
+    assert _fields_and_reads()[0]["chessboard.Subgroup"] == ["order", "orbits"]
 
 
 def test_every_def_is_reached_from_the_cli():
@@ -117,3 +148,7 @@ def test_every_def_is_reached_from_the_cli():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
