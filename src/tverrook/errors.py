@@ -12,8 +12,15 @@ class ResourceLimitError(RuntimeError):
     """A desk-scale guard was exceeded; raise rather than grind forever."""
 
 
+def shown(value) -> str:
+    """`repr(value)` for an error message: its first 40 characters and its
+    length when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a JSON integer (not a bool, float or string), else InputError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {shown(value)}")
     return value

@@ -25,11 +25,11 @@ import operator
 import random
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, json_int
+from .errors import InputError, ResourceLimitError, json_int, shown
 from .exactlp import solve_equality_feasibility
 from .maps import is_prime, multiplicity_vector, power_exceeds
 
@@ -70,12 +70,12 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise InputError(f"malformed rational {text!r}: expected an integer or \"p/q\"")
+        raise InputError(f"malformed rational {shown(text)}: expected an integer or \"p/q\"")
     numerator, denominator = match.groups()
     try:
         return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {text!r}: {exc}") from exc
+        raise InputError(f"malformed rational {shown(text)}: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -309,9 +309,9 @@ def _validate_generalized(config: PointConfig, r: int, c: int) -> None:
     for w in _unused(config, last, (1,)):
         missing[w] += 1
     if not _can_pack(missing, c, r):
-        shown = {w: count for w, count in sorted(missing.items()) if count}
+        left = {w: count for w, count in sorted(missing.items()) if count}
         raise InputError(
-            f"missing multiplicities (weight: count) {shown} cannot be split into "
+            f"missing multiplicities (weight: count) {left} cannot be split into "
             f"{c} removed sets of weight <= {r - 1}"
         )
 
@@ -478,24 +478,34 @@ def verify_solution(config: PointConfig, solution: TverbergSolution) -> bool:
     return respects_multiplicities(config, solution.faces)
 
 
-def rainbow_faces(config: PointConfig):
-    """All nonempty rainbow faces, in lexicographic (size, vertex ids) order.
+def _rainbow_count(config: PointConfig) -> int:
+    """prod(1 + |class|) - 1: the number of nonempty rainbow faces."""
+    return math.prod(1 + n for n in Counter(pt.color for pt in config.points).values()) - 1
 
-    There are prod(1 + |class|) - 1 of them; more than `MAX_RAINBOW_FACES`
-    raise `ResourceLimitError` before any is built.
+
+def rainbow_faces(config: PointConfig, top: int | None = None):
+    """The nonempty rainbow faces of at most `top` vertices (all when None),
+    in lexicographic (size, vertex ids) order.
+
+    More than `MAX_RAINBOW_FACES` in all raise `ResourceLimitError` before
+    any is built.  A vertex has one color, so the faces made are distinct.
     """
-    classes = [config.color_class(c) for c in range(config.num_colors)]
-    count = math.prod(1 + len(members) for members in classes) - 1
+    count = _rainbow_count(config)
     if count > MAX_RAINBOW_FACES:
         raise ResourceLimitError(
             f"{count} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
         )
+    classes = [[] for _ in range(config.num_colors)]
+    for i, pt in enumerate(config.points):
+        classes[pt.color].append(i)
     faces = []
-    for count in range(1, config.num_colors + 1):
-        for chosen in itertools.combinations(range(config.num_colors), count):
-            for verts in itertools.product(*(classes[c] for c in chosen)):
-                faces.append(tuple(sorted(verts)))
-    return sorted(set(faces), key=lambda f: (len(f), f))
+    for size in range(1, len(classes) + 1)[:top]:
+        faces += sorted(
+            tuple(sorted(verts))
+            for chosen in itertools.combinations(classes, size)
+            for verts in itertools.product(*chosen)
+        )
+    return faces
 
 
 def _grid_projections(points: list) -> list:
@@ -508,50 +518,36 @@ def _grid_projections(points: list) -> list:
     ]
 
 
-def _face_boxes(faces: list, projections: list) -> list:
-    """Per face, its box: the least and the greatest projection of its points
-    on each direction.
+def _meet_masks(faces: list, projections: list, touch: list) -> list:
+    """Per face i, the bitmask of the faces j whose box meets box i on every
+    direction; touch[q] is the bitmask of the faces that contain point q.
 
-    Faces come in (size, lex) order, as `rainbow_faces` gives them, so the
-    prefix face f[:-1] comes before f, and f's box is the prefix's box
-    widened by the projections of f's last point.
+    A face's box spans its points' projections (lo to hi) on each
+    direction, and boxes meet iff hi_j >= lo_i and lo_j <= hi_i there.
+    The faces with hi_j >= lo_i have a point at or above one of i's: the
+    OR of i's points' masks, suffix ORs of `touch` over the sorted distinct
+    projections; lo_j <= hi_i takes prefix ORs.  Faces come in (size, lex)
+    order, so f's masks are its prefix face's OR its last point's.
     """
-    index: dict = {}
-    boxes = []
-    for fi, f in enumerate(faces):
-        index[f] = fi
-        x = projections[f[-1]]
-        if len(f) == 1:
-            boxes.append((x, x))
-        else:
-            lo, hi = boxes[index[f[:-1]]]
-            boxes.append((tuple(map(min, lo, x)), tuple(map(max, hi, x))))
-    return boxes
-
-
-def _meet_masks(boxes: list) -> list:
-    """Per face i, the bitmask of the faces j whose box meets box i on every direction.
-
-    On direction u the intervals meet iff lo_j <= hi_i and hi_j >= lo_i.
-    With the faces sorted by lo, the first condition holds on a prefix, and
-    with them sorted by hi, the second holds on a suffix; prefix and suffix
-    OR masks, found by bisection, give both without comparing every pair.
-    """
-    n = len(boxes)
-    meets = [(1 << n) - 1] * n
-    for u in range(len(boxes[0][0]) if boxes else 0):
-        lo = [box[0][u] for box in boxes]
-        hi = [box[1][u] for box in boxes]
-        by_lo = sorted(range(n), key=lo.__getitem__)
-        by_hi = sorted(range(n), key=hi.__getitem__)
-        sorted_lo = [lo[i] for i in by_lo]
-        sorted_hi = [hi[i] for i in by_hi]
-        # prefix[k]: the faces of by_lo[:k]; suffix[k]: the faces of by_hi[k:]
-        prefix = list(itertools.accumulate((1 << i for i in by_lo), operator.or_, initial=0))
-        suffix = list(itertools.accumulate((1 << i for i in reversed(by_hi)), operator.or_, initial=0))
-        suffix.reverse()
-        for i in range(n):
-            meets[i] &= prefix[bisect_right(sorted_lo, hi[i])] & suffix[bisect_left(sorted_hi, lo[i])]
+    index = {f: fi for fi, f in enumerate(faces)}
+    # parent[fi]: 1 + the prefix face's index, 0 for the empty face
+    parent = [index[f[:-1]] + 1 if len(f) > 1 else 0 for f in faces]
+    last = [f[-1] for f in faces]
+    meets = [(1 << len(faces)) - 1] * len(faces)
+    for column in zip(*projections):
+        rank = {value: k for k, value in enumerate(sorted(set(column)))}
+        ranks = [rank[value] for value in column]
+        level = [0] * len(rank)  # level[k]: the faces with a point of the k-th value
+        for q, k in enumerate(ranks):
+            level[k] |= touch[q]
+        below = list(itertools.accumulate(level, operator.or_))
+        above = list(itertools.accumulate(reversed(level), operator.or_))
+        above.reverse()
+        up, down = [0], [0]
+        for pi, q in zip(parent, last):
+            up.append(up[pi] | above[ranks[q]])
+            down.append(down[pi] | below[ranks[q]])
+        meets = list(map(operator.and_, meets, map(operator.and_, up[1:], down[1:])))
     return meets
 
 
@@ -561,45 +557,44 @@ def _search(instance: TverbergInstance):
     Tuples are non-decreasing in the face order (killing part relabeling).
     Faces are bits of masks, and each prefix carries three: the faces its
     multiplicity budget (or vertex-disjointness) blocks, the faces whose
-    boxes on the integer grid of `_grid` meet the box of every
-    prefix face, and, through its count of faces at the top dimension, the
-    faces the dimension caps cut.  Boxes are intervals on each direction,
-    and by Helly's theorem on a line intervals share a point iff they meet
-    pairwise, so the running box of a prefix is nonempty iff its faces'
-    boxes meet pairwise: the mask is the AND of the prefix faces' rows of
-    `_meet_masks`.  An empty running box proves that no extension has
-    intersecting hulls.  Each level visits only the faces that survive all
-    three masks, in ascending order, and only full tuples reach the LP, so
-    the first solution is the first feasible tuple in canonical order.
-    Returns (the first solution or None, stats), where stats counts the
-    rainbow faces, the prefixes each rule pruned (a face counts for the
-    first rule that cuts it, in the order dimension caps, budget, box), and
-    the LP calls and feasible LPs.
+    boxes on the integer grid of `_grid` meet the box of every prefix face,
+    and, through its count of faces at the top dimension, the faces the
+    dimension caps cut.  By Helly's theorem on a line, intervals share a
+    point iff they meet pairwise, so the box mask is the AND of the prefix
+    faces' rows of `_meet_masks`, and an empty running box proves that no
+    extension has intersecting hulls.  Caps build only the faces of at most
+    max_dim + 1 vertices; the rest are the high bits, always cut.  Each
+    level visits the faces that survive all three masks in ascending order,
+    and only full tuples reach the LP, so the first solution is the first
+    feasible tuple in canonical order.  Returns (the first solution or None,
+    stats): the rainbow faces, the prefixes each rule pruned (a face counts
+    for the first rule that cuts it: dimension caps, budget, box), and the
+    LP calls and feasible LPs.
     """
     config = instance.config
     r = instance.r
-    faces = rainbow_faces(config)
-    meets = _meet_masks(_face_boxes(faces, _grid_projections(_grid(config)[1])))
-    everything = (1 << len(faces)) - 1
+    caps = instance.dim_caps
+    faces = rainbow_faces(config, None if caps is None else caps.max_dim + 1)
     touch = [0] * len(config.points)  # touch[v]: the faces that contain v
     for fi, f in enumerate(faces):
         for v in f:
             touch[v] |= 1 << fi
-    disjoint = instance.disjointness == "vertex-disjoint"
-    caps = instance.dim_caps
-    over_cap = at_cap = 0  # faces above the top dimension, and at it
+    meets = _meet_masks(faces, _grid_projections(_grid(config)[1]), touch)
+    count = _rainbow_count(config)
+    everything = (1 << count) - 1
+    built = (1 << len(faces)) - 1
+    over_cap = everything ^ built  # faces above the top dimension
+    at_cap = 0  # faces at it, the last block built
     if caps is not None:
-        for fi, f in enumerate(faces):
-            if len(f) - 1 > caps.max_dim:
-                over_cap |= 1 << fi
-            elif len(f) - 1 == caps.max_dim:
-                at_cap |= 1 << fi
+        lower = sum(len(f) <= caps.max_dim for f in faces)
+        at_cap = built >> lower << lower
+    disjoint = instance.disjointness == "vertex-disjoint"
 
     # a vertex-disjoint tuple uses each vertex at most once
     budget = [1 if disjoint else pt.multiplicity for pt in config.points]
     chosen: list = []
     stats = {
-        "rainbow_faces": len(faces),
+        "rainbow_faces": count,
         "pruned_dim_cap": 0,
         "pruned_budget": 0,
         "pruned_box": 0,

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, shown
 
 Simplex = tuple  # strictly increasing tuple of ints
 
@@ -37,7 +37,7 @@ def _vertex_ids(vertices) -> tuple:
     out = tuple(vertices)
     for v in out:
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise InputError(f"vertex ids must be non-negative integers, got {v!r}")
+            raise InputError(f"vertex ids must be non-negative integers, got {shown(v)}")
     return out
 
 

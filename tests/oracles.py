@@ -11,7 +11,9 @@ whole-complex preimage scan that
 direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
 `tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
-candidate sets replaced in `tverrook.geometry._search`, ranks of
+candidate sets replaced in `tverrook.geometry._search`, the face boxes
+and the pairwise box comparison that the per-point masks replaced in
+`tverrook.geometry._meet_masks`, ranks of
 boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
 the closed-form fixed-point dimensions replaced in `tverrook.maps`, and
@@ -49,7 +51,7 @@ from tverrook import (
     smith_invariants,
 )
 from tverrook.cli import _row_parser
-from tverrook.geometry import _face_boxes, _grid, _grid_projections, is_rainbow, respects_multiplicities
+from tverrook.geometry import _grid, _grid_projections, is_rainbow, respects_multiplicities
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -229,6 +231,40 @@ def naive_search_all(instance):
     return solutions
 
 
+def face_boxes(faces: list, projections: list) -> list:
+    """Per face, its box: the least and the greatest projection of its points
+    on each direction.
+
+    Faces come in (size, lex) order, as `rainbow_faces` gives them, so the
+    prefix face f[:-1] comes before f, and f's box is the prefix's box
+    widened by the projections of f's last point.
+    """
+    index: dict = {}
+    boxes = []
+    for fi, f in enumerate(faces):
+        index[f] = fi
+        x = projections[f[-1]]
+        if len(f) == 1:
+            boxes.append((x, x))
+        else:
+            lo, hi = boxes[index[f[:-1]]]
+            boxes.append((tuple(map(min, lo, x)), tuple(map(max, hi, x))))
+    return boxes
+
+
+def pairwise_meet_masks(boxes):
+    """Per face i, the bitmask of the faces j whose box meets box i on every
+    direction, by comparing every pair of boxes."""
+    return [
+        sum(
+            1 << j
+            for j, (lo_j, hi_j) in enumerate(boxes)
+            if all(a <= d and c <= b for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j))
+        )
+        for lo_i, hi_i in boxes
+    ]
+
+
 def loop_search(instance, find_all):
     """The pruned search of `tverrook.geometry._search`, one candidate face at a time.
 
@@ -240,7 +276,7 @@ def loop_search(instance, find_all):
     config = instance.config
     r = instance.r
     faces = rainbow_faces(config)
-    boxes = _face_boxes(faces, _grid_projections(_grid(config)[1]))
+    boxes = face_boxes(faces, _grid_projections(_grid(config)[1]))
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
 

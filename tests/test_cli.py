@@ -585,6 +585,18 @@ def test_reports_past_the_int_digit_limit_are_resource_errors(capsys, tmp_path, 
     assert "Traceback" not in err and "4300 digits" in report["message"]
 
 
+@pytest.mark.parametrize("field, value", [("coords", ["1" * 100_000]), ("color", "x" * 100_000)],
+                         ids=["coordinate-of-100000-digits", "color-of-100000-characters"])
+def test_a_long_rejected_value_is_echoed_short(capsys, tmp_path, field, value):
+    data = radon_instance()
+    data["points"][0][field] = value
+    code = main(["tverberg", "search", "--json", write_json(tmp_path, "in.json", data)])
+    captured = capsys.readouterr()
+    assert code == 3 and json.loads(captured.out)["verdict"] == "error"
+    assert len(captured.out.encode()) < 1024 and len(captured.err.encode()) < 1024
+    assert "(100002 characters)" in captured.out
+
+
 def test_subgroup_closure_guard_trips_before_it_stores_the_closure(capsys, tmp_path):
     # the 10^5-cycle generates 10^5 elements of 10^5 entries each; the entry
     # cap stops the closure after 10 of them

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from fixtures import random_balanced_config, random_prime_power_config
 from oracles import (
     backtrack_can_pack,
+    face_boxes,
     fraction_hulls_intersect,
     fraction_verify_solution,
     loop_search,
     naive_search_all,
+    pairwise_meet_masks,
     search_tverberg_all,
 )
 from tverrook import (
@@ -43,7 +47,6 @@ from tverrook.geometry import (
     POLICY_LITERAL,
     POLICY_SHIFTED,
     _can_pack,
-    _face_boxes,
     _grid,
     _grid_projections,
     _meet_masks,
@@ -170,11 +173,13 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
     projections = _grid_projections(_grid(config)[1])
     assert projections == [(0, 0, 0, 0), (3, 3, 6, 0), (3, 0, 3, 3)]  # x, y, x + y, x - y; L = 2
     faces = rainbow_faces(config)
-    boxes = _face_boxes(faces, projections)
-    segment, point = boxes[faces.index((0, 1))], boxes[faces.index((2,))]
-    axis = [(lo[:2], hi[:2]) for lo, hi in (segment, point)]
-    assert _meet_masks(axis) == [0b11, 0b11]
-    assert _meet_masks([segment, point]) == [0b01, 0b10]
+    touch = _touch(config, faces)
+    segment, point = faces.index((0, 1)), faces.index((2,))
+    both = 1 << segment | 1 << point
+    axis = _meet_masks(faces, [x[:2] for x in projections], touch)
+    assert (axis[segment] & both, axis[point] & both) == (both, both)
+    meets = _meet_masks(faces, projections, touch)
+    assert (meets[segment] & both, meets[point] & both) == (1 << segment, 1 << point)
     out = search_tverberg(TverbergInstance(config, 2))
     assert isinstance(out, Exhausted)
     assert out.candidates_examined == 0
@@ -200,6 +205,11 @@ def _rational_box(config, face):
         for direction in directions
     ]
     return tuple(min(vs) for vs in values), tuple(max(vs) for vs in values)
+
+
+def _touch(config, faces):
+    """Per point, the bitmask of the faces that contain it."""
+    return [sum(1 << fi for fi, f in enumerate(faces) if v in f) for v in range(len(config.points))]
 
 
 @st.composite
@@ -244,13 +254,15 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
     L, points = _grid(config)
     assert L == math.lcm(*(c.denominator for pt in config.points for c in pt.coords)) > 1
     faces = rainbow_faces(config)
-    boxes = _face_boxes(faces, _grid_projections(points))
+    projections = _grid_projections(points)
+    boxes = face_boxes(faces, projections)
     rational = [_rational_box(config, f) for f in faces]
     for (lo, hi), (want_lo, want_hi) in zip(boxes, rational):
         assert lo == tuple(L * x for x in want_lo) and hi == tuple(L * x for x in want_hi)
     # On a line, intervals meet as a family iff they meet pairwise, so the
     # boxes of a tuple miss iff those of one pair of its faces do.
-    meets = _meet_masks(boxes)
+    meets = _meet_masks(faces, projections, _touch(config, faces))
+    assert meets == pairwise_meet_masks(boxes)
     for i, j in itertools.combinations_with_replacement(range(len(faces)), 2):
         (lo_i, hi_i), (lo_j, hi_j) = rational[i], rational[j]
         meet = all(a <= d and c <= b for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j))
@@ -266,6 +278,52 @@ def test_mask_search_matches_the_face_at_a_time_loop(instance):
     want, want_stats = loop_search(instance, False)
     assert got_stats == want_stats
     assert ([] if got is None else [got]) == want
+
+
+@pytest.mark.parametrize("policy", [POLICY_LITERAL, POLICY_SHIFTED])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_capped_search_builds_only_the_faces_it_can_visit(monkeypatch, policy, s):
+    built = []
+
+    def spy(config, top=None):
+        built.append(rainbow_faces(config, top))
+        return built[-1]
+
+    monkeypatch.setattr(geometry, "rainbow_faces", spy)
+    rng = random.Random(s)
+    totals = Counter()
+    for n, r, disjointness in [(5, 2, "vertex-disjoint"), (5, 3, "multiset-proper"),
+                               (6, 2, "multiset-proper"), (6, 3, "vertex-disjoint")]:
+        # one color class of two points, the others single points
+        config = PointConfig(2, tuple(
+            ColoredPoint((F(rng.randint(-4, 4), rng.choice([1, 2])), F(rng.randint(-4, 4))),
+                         max(i - 1, 0), rng.randint(1, 2))
+            for i in range(n)
+        ))
+        all_faces = rainbow_faces(config)
+        for k in (0, 1):
+            caps = DimCaps(k, s, policy)
+            instance = TverbergInstance(config, r, dim_caps=caps, disjointness=disjointness)
+            got, got_stats = _search(instance)
+            want, want_stats = loop_search(instance, False)
+            assert got_stats == want_stats
+            assert ([] if got is None else [got]) == want
+            assert got_stats["rainbow_faces"] == len(all_faces)
+            assert built[-1] == [f for f in all_faces if len(f) <= caps.max_dim + 1]
+            totals.update(got_stats)
+    assert totals["pruned_dim_cap"] > 0 and totals["lp_calls"] > 0
+
+
+def test_free_search_on_one_large_color_class():
+    # 8191 faces, just inside MAX_RAINBOW_FACES: the boxes of two distinct
+    # points miss on the x axis, and multiplicity 1 keeps a point from
+    # pairing with itself, so no tuple reaches the LP
+    points = tuple(ColoredPoint((F(i), F(i * i % 97)), 0, 1) for i in range(8191))
+    start = time.perf_counter()
+    out = search_tverberg(TverbergInstance(PointConfig(2, points), 2))
+    assert time.perf_counter() - start < 2
+    assert isinstance(out, Exhausted)
+    assert (out.stats["rainbow_faces"], out.stats["lp_calls"]) == (8191, 0)
 
 
 def _solution_tuples(instance, data):
