@@ -1,24 +1,23 @@
 """Multiple chessboard complexes of rook placements on an m x n board.
 
-Columns carry the capacity vector L (at most l_j rooks in column j), rows
-carry the capacity vector K (at most k_i rooks in row i); the main family
-has all row capacities equal to 1.  Cells are numbered row-major:
+Columns carry the capacity vector L (at most l_j rooks in column j), and
+every row holds at most one rook: the configuration spaces of the colored
+Tverberg theorems.  Cells are numbered row-major:
 id = (row - 1) * m + (col - 1), with 1-based rows and columns.
 
 One enumerator, `_maximal_placements`, lists the facets of every complex
-here.  Row i takes at most k_i distinct columns and uses a weight w_i of
-each column it takes; `build_chessboard` gives every row weight 1, and
-`fixed_subcomplex` makes one row of cap 1 per orbit, weighted by the orbit
-size.  A placement is maximal iff every row that is not full left each
-column it skipped with less spare capacity than w_i.  Rows are filled in
-order and a branch is cut once the spare capacity the remaining rows must
-still use up exceeds what they can take, so only maximal placements are
-completed, and they come out lex sorted.  More than `MAX_FACETS` facets
-raise `ResourceLimitError`, and so does a board whose placements may hold
-more than `MAX_PLACEMENT_SIZE` rooks, before anything is enumerated: the
-enumerator recurses once per rook.  `one_row_spec` refuses a board of more
-than `MAX_BOARD_CELLS` cells before it forms the row caps, and
-`Subgroup.from_generators` a closure of more than `SUBGROUP_ENTRY_CAP`
+here.  Row i takes at most one column and uses a weight w_i of it;
+`build_chessboard` gives every row weight 1, and `fixed_subcomplex` makes
+one row per orbit, weighted by the orbit size.  A placement is maximal iff
+every empty row left each column with less spare capacity than w_i.  Rows
+are filled in order and a branch is cut once the spare capacity the
+remaining rows must still use up exceeds what they can take, so only
+maximal placements are completed, and they come out lex sorted.  More than
+`MAX_FACETS` facets raise `ResourceLimitError`, and so does a board whose
+placements may hold more than `MAX_PLACEMENT_SIZE` rooks, before anything
+is enumerated: the enumerator recurses once per rook.  `one_row_spec`
+refuses a board of more than `MAX_BOARD_CELLS` cells before it is formed,
+and `Subgroup.from_generators` a closure of more than `SUBGROUP_ENTRY_CAP`
 stored entries before it stores them.
 """
 
@@ -42,12 +41,11 @@ MAX_BOARD_CELLS = 100_000
 class _ChessboardSpecFields(NamedTuple):
     m: int
     n: int
-    row_caps: tuple
     col_caps: tuple
 
 
 class ChessboardSpec(_ChessboardSpecFields):
-    """Board dimensions plus row/column capacity vectors."""
+    """Board dimensions plus the column capacity vector; every row holds one rook."""
 
     __slots__ = ()
 
@@ -55,16 +53,14 @@ class ChessboardSpec(_ChessboardSpecFields):
         self = super().__new__(cls, *args, **kwargs)
         if not all(
             isinstance(x, int) and not isinstance(x, bool)
-            for x in (self.m, self.n, *self.row_caps, *self.col_caps)
+            for x in (self.m, self.n, *self.col_caps)
         ):
             raise InputError("board sizes and capacities must be integers")
         if self.m < 1 or self.n < 1:
             raise InputError("board must have at least one row and one column")
-        if len(self.row_caps) != self.n:
-            raise InputError(f"expected {self.n} row caps, got {len(self.row_caps)}")
         if len(self.col_caps) != self.m:
             raise InputError(f"expected {self.m} col caps, got {len(self.col_caps)}")
-        if any(c < 0 for c in self.row_caps) or any(c < 0 for c in self.col_caps):
+        if any(c < 0 for c in self.col_caps):
             raise InputError("capacities must be non-negative")
         return self
 
@@ -73,30 +69,37 @@ class ChessboardSpec(_ChessboardSpecFields):
         return (row - 1) * self.m + (col - 1)
 
     def is_pseudomanifold_family(self) -> bool:
-        """Row caps all 1 and n = sum(col_caps) + 1."""
-        return all(c == 1 for c in self.row_caps) and self.n == sum(self.col_caps) + 1
+        """n = sum(col_caps) + 1."""
+        return self.n == sum(self.col_caps) + 1
 
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
-            "row_caps": list(self.row_caps),
+            "row_caps": [1] * self.n,
             "col_caps": list(self.col_caps),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ChessboardSpec":
         try:
-            return cls(data["m"], data["n"], tuple(data["row_caps"]), tuple(data["col_caps"]))
+            spec = cls(data["m"], data["n"], tuple(data["col_caps"]))
+            row_caps = data["row_caps"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed chessboard spec JSON: {exc}") from exc
+        # bools and floats are not ints, however they compare
+        if type(row_caps) is not list or len(row_caps) != spec.n or any(
+            type(c) is not int or c != 1 for c in row_caps
+        ):
+            raise InputError(f"row_caps must be a list of n = {spec.n} 1s: a row holds one rook")
+        return spec
 
 
 def one_row_spec(col_caps, n: int | None = None) -> ChessboardSpec:
-    """Row caps all 1; by default n = sum(col_caps) + 1 (pseudomanifold family).
+    """By default n = sum(col_caps) + 1 rows (the pseudomanifold family).
 
     A board of more than `MAX_BOARD_CELLS` cells, or rows, raises
-    `ResourceLimitError` before the n row caps are formed.
+    `ResourceLimitError` before its spec is formed.
     """
     col_caps = tuple(col_caps)
     if n is None:
@@ -106,85 +109,79 @@ def one_row_spec(col_caps, n: int | None = None) -> ChessboardSpec:
             f"a board of {len(col_caps)} columns and {n} rows exceeds "
             f"MAX_BOARD_CELLS = {MAX_BOARD_CELLS} cells"
         )
-    return ChessboardSpec(len(col_caps), n, (1,) * n, col_caps)
+    return ChessboardSpec(len(col_caps), n, col_caps)
 
 
 def sphere_spec(n: int) -> ChessboardSpec:
     """The boundary of a simplex on [n] as a one-column chessboard."""
-    return ChessboardSpec(1, n, (1,) * n, (n - 1,))
+    return ChessboardSpec(1, n, (n - 1,))
 
 
-def _maximal_placements(m: int, col_caps, row_caps, weights) -> tuple:
-    """Every maximal placement on n = len(row_caps) rows and m columns, lex sorted.
+def _maximal_placements(m: int, col_caps, weights) -> tuple:
+    """Every maximal placement on n = len(weights) rows and m columns, lex sorted.
 
-    Row i takes at most row_caps[i] distinct columns, and each column it
-    takes uses weights[i] of that column's capacity.  A placement is the
-    tuple of its cell ids i * m + j.  Rows are filled in order, each trying
-    its columns in ascending order before it ends, so the placements come
-    out in lex order.  A branch is cut as soon as the remaining rows cannot
-    make it maximal (see the module docstring), and a placement that leaves
-    no spare capacity is complete at once, whatever rows remain.  The next
-    row is reached by looping, not recursing, so the recursion depth is a
-    placement's size.
+    Row i takes at most one column, and uses weights[i] of its capacity.  A
+    placement is the tuple of its cell ids i * m + j.  Rows are filled in
+    order, each trying its columns in ascending order before it stays
+    empty, so the placements come out in lex order.  A branch is cut as
+    soon as the remaining rows cannot make it maximal (see the module
+    docstring), and a placement that leaves no spare capacity is complete
+    at once, whatever rows remain.  An empty row is passed by looping, not
+    recursing, so the recursion depth is a placement's size.
 
     Each rook lowers the excess by what its column was above its limit, at
-    most w; a row that ends caps the limit of every column it skipped at
-    w - 1 (the columns it took keep theirs) and recounts the excess once.
+    most w; a row that stays empty caps the limit of every column at w - 1
+    and recounts the excess once.
     """
-    n = len(row_caps)
-    size = min(sum(min(k, m) for k in row_caps), sum(col_caps))
+    n = len(weights)
+    size = min(n, sum(col_caps))
     if size > MAX_PLACEMENT_SIZE:
         raise ResourceLimitError(
             f"placements of up to {size} rooks exceed MAX_PLACEMENT_SIZE = {MAX_PLACEMENT_SIZE}"
         )
     reach = [0] * (n + 1)  # reach[i]: capacity rows i.. can still use
     for i in reversed(range(n)):
-        reach[i] = reach[i + 1] + min(row_caps[i], m) * weights[i]
+        reach[i] = reach[i + 1] + weights[i]
     spare = list(col_caps)
     total_spare = sum(spare)
     facets = []
 
-    def extend(i, start, taken, limit, excess, prefix):
+    def extend(i, limit, excess, prefix):
         # limit[j]: the most spare capacity column j may keep in a maximal
         # placement; excess: how far the columns are above their limits in all
         nonlocal total_spare
         while True:
-            w = weights[i]
-            if taken < row_caps[i]:
-                base = i * m
-                for j in range(start, m):
-                    s = spare[j]
-                    if s >= w:
-                        spare[j] = s - w
-                        total_spare -= w
-                        over = s - limit[j]
-                        cut = w if over > w else over if over > 0 else 0
-                        extend(i, j + 1, taken + 1, limit, excess - cut, prefix + (base + j,))
-                        spare[j] = s
-                        total_spare += w
-                if excess > reach[i + 1]:  # ending the row short only adds to the excess
-                    return
-                kept = limit
-                limit = [l if l < w else w - 1 for l in kept]
-                for v in prefix[len(prefix) - taken:]:  # the row's own rooks
-                    limit[v - base] = kept[v - base]
-                excess = sum([s - l for s, l in zip(spare, limit) if s > l])
-            if excess > reach[i + 1]:
+            if excess > reach[i]:
                 return
-            if i + 1 == n or not total_spare:  # a full board takes no more rooks
+            if i == n or not total_spare:  # a full board takes no more rooks
                 facets.append(prefix)
                 if len(facets) > MAX_FACETS:
                     raise ResourceLimitError(f"more than MAX_FACETS = {MAX_FACETS} facets")
                 return
-            i, start, taken = i + 1, 0, 0
+            w = weights[i]
+            for j in range(m):
+                s = spare[j]
+                if s >= w:
+                    spare[j] = s - w
+                    total_spare -= w
+                    over = s - limit[j]
+                    cut = w if over > w else over if over > 0 else 0
+                    extend(i + 1, limit, excess - cut, prefix + (i * m + j,))
+                    spare[j] = s
+                    total_spare += w
+            if excess > reach[i + 1]:  # staying empty only adds to the excess
+                return
+            limit = [l if l < w else w - 1 for l in limit]
+            excess = sum([s - l for s, l in zip(spare, limit) if s > l])
+            i += 1
 
-    extend(0, 0, 0, list(col_caps), 0, ())
+    extend(0, list(col_caps), 0, ())
     return tuple(facets)
 
 
 def build_chessboard(spec: ChessboardSpec) -> Complex:
-    """The complex of rook placements respecting both capacity vectors."""
-    facets = _maximal_placements(spec.m, spec.col_caps, spec.row_caps, (1,) * spec.n)
+    """The complex of rook placements: one rook per row, l_j per column j."""
+    facets = _maximal_placements(spec.m, spec.col_caps, (1,) * spec.n)
     return Complex(frozenset(range(spec.m * spec.n)), facets)
 
 
@@ -269,7 +266,7 @@ def orient(spec: ChessboardSpec, K: Complex) -> dict:
     namely (-1)**(w-1), matching the row-order collapse onto it.
     """
     if not spec.is_pseudomanifold_family():
-        raise InputError("orientation requires row caps 1 and n = sum(col_caps) + 1")
+        raise InputError("orientation requires n = sum(col_caps) + 1")
     m, n = spec.m, spec.n
     return {facet: facet_sign(m, n, facet) for facet in K.facets}
 
@@ -345,10 +342,8 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
     admissible iff |O_j| <= l_i, numbered as the cell of column i in row j,
     (j-1)*m + (i-1).  A face uses each orbit in at most one column, with
     per-column orbit sizes summing to at most the column capacity: a
-    placement with one row per orbit, of row cap 1 and weight |O_j|.
+    placement with one row per orbit, of weight |O_j|.
     """
-    if not all(c == 1 for c in spec.row_caps):
-        raise InputError("fixed subcomplex is defined for row caps all 1")
     sizes = [len(o) for o in H.orbits]
     admissible = frozenset(
         spec.cell(i, j)
@@ -356,7 +351,7 @@ def fixed_subcomplex(spec: ChessboardSpec, H: Subgroup) -> Complex:
         for i, cap in enumerate(spec.col_caps, start=1)
         if size <= cap
     )
-    facets = _maximal_placements(spec.m, spec.col_caps, (1,) * len(sizes), sizes)
+    facets = _maximal_placements(spec.m, spec.col_caps, sizes)
     return Complex(admissible, facets)
 
 

@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError, json_int
+from .errors import InputError, ResourceLimitError, json_int, shown
 from .simplicial import Complex, antichain
 
 COLLECTION_GUARD = 10_000_000
@@ -170,7 +170,7 @@ def is_unavoidable(K: Complex, r: int, V: Multiset) -> UnavoidabilityVerdict:
     estimate = math.comb(len(members) + r - 1, r)
     if estimate > limit:
         raise ResourceLimitError(
-            f"about {estimate} candidate collections exceed the guard ({limit})"
+            f"about {shown(estimate)} candidate collections exceed the guard ({limit})"
         )
     counterexample, placements = _least_proper_collection(members, r, dict(V.multiplicity))
     stats = {"minimal_non_faces": len(members), "collections_examined": placements}

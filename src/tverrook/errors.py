@@ -14,7 +14,11 @@ class ResourceLimitError(RuntimeError):
 
 def shown(value) -> str:
     """`repr(value)` for an error message: its first 40 characters and its
-    length when it is longer."""
+    length when it is longer.  An int of more than 128 bits, too long to
+    show whole, shows its bit length: `repr` refuses ints of more than
+    `sys.get_int_max_str_digits()` digits."""
+    if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 128:
+        return f"<an int of {value.bit_length()} bits>"
     text = repr(value)
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 

@@ -493,7 +493,7 @@ def rainbow_faces(config: PointConfig, top: int | None = None):
     count = _rainbow_count(config)
     if count > MAX_RAINBOW_FACES:
         raise ResourceLimitError(
-            f"{count} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
+            f"{shown(count)} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
         )
     classes = [[] for _ in range(config.num_colors)]
     for i, pt in enumerate(config.points):
@@ -545,8 +545,9 @@ def _meet_masks(faces: list, projections: list, touch: list) -> list:
         above.reverse()
         up, down = [0], [0]
         for pi, q in zip(parent, last):
-            up.append(up[pi] | above[ranks[q]])
-            down.append(down[pi] | below[ranks[q]])
+            # a singleton face shares its point's masks: `0 | mask` would copy F bits
+            up.append(up[pi] | above[ranks[q]] if pi else above[ranks[q]])
+            down.append(down[pi] | below[ranks[q]] if pi else below[ranks[q]])
         meets = list(map(operator.and_, meets, map(operator.and_, up[1:], down[1:])))
     return meets
 
@@ -585,9 +586,11 @@ def _search(instance: TverbergInstance):
     built = (1 << len(faces)) - 1
     over_cap = everything ^ built  # faces above the top dimension
     at_cap = 0  # faces at it, the last block built
+    quota = 0  # how many of those a tuple may hold
     if caps is not None:
         lower = sum(len(f) <= caps.max_dim for f in faces)
         at_cap = built >> lower << lower
+        quota = caps.s
     disjoint = instance.disjointness == "vertex-disjoint"
 
     # a vertex-disjoint tuple uses each vertex at most once
@@ -614,14 +617,7 @@ def _search(instance: TverbergInstance):
                 tuple(faces[i] for i in chosen), witness, certs, caps.policy if caps else None
             )
         window = everything >> start << start
-        if caps is None:
-            cut = 0
-        elif capped_used > caps.s:
-            cut = window
-        elif capped_used + 1 > caps.s:
-            cut = window & (over_cap | at_cap)
-        else:
-            cut = window & over_cap
+        cut = window & ((over_cap | at_cap) if capped_used == quota else over_cap)
         live = window & ~cut
         spent = live & blocked
         live &= ~blocked
@@ -741,16 +737,11 @@ def lift_to_vertex_disjoint(config: PointConfig, solution: TverbergSolution, r: 
         lifted_faces.append(tuple(v for v, _ in pairs))
         lifted_certs.append(tuple(c for _, c in pairs))
 
-    # disjointness audit
-    seen: set = set()
-    for f in lifted_faces:
-        if seen & set(f):
-            raise AssertionError("lifted faces are not pairwise vertex disjoint")
-        seen.update(f)
-
     lifted_solution = TverbergSolution(
         tuple(lifted_faces), solution.witness, tuple(lifted_certs), solution.policy
     )
+    # every lifted vertex has multiplicity 1, so this also checks that the
+    # lifted faces are pairwise vertex disjoint
     if not verify_solution(lifted_config, lifted_solution):
         raise AssertionError("lifted certificate failed re-substitution")
     projection = {lv: v for v, lvs in fiber_of.items() for lv in lvs}
@@ -763,7 +754,10 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
     Color i <= d holds k(p-1) points clustered at vertex A_i (epsilon-scattered
     when epsilon > 0, deterministically under the seed) with multiplicities
     (1, p, ..., p^(k-1)) repeated p-1 times; the barycenter is the exceptional
-    point.  A_0 is the origin and A_i = 3 e_i.
+    point.  A_0 is the origin and A_i = 3 e_i.  The d + 1 classes of k(p-1)
+    points and the exceptional point make 2 (1 + k(p-1))^(d+1) - 1 rainbow
+    faces; more than `MAX_RAINBOW_FACES` raise `ResourceLimitError` before
+    any point is built.
     """
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
@@ -771,6 +765,12 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
         raise InputError(f"p^k = {p}^{k} exceeds the example guard ({MAX_EXAMPLE_ORDER})")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
+    # 2 x - 1 > MAX iff x > (MAX + 1) // 2, for an integer x
+    if power_exceeds(1 + k * (p - 1), d + 1, (MAX_RAINBOW_FACES + 1) // 2):
+        raise ResourceLimitError(
+            f"2 * {1 + k * (p - 1)}^{d + 1} - 1 rainbow faces exceed "
+            f"MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
+        )
     epsilon = Fraction(epsilon)
     rng = random.Random(seed)
 

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .chessboard import MAX_FACETS, ChessboardSpec, facet_sign, one_row_spec, sphere_spec
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, shown
 
 # Largest p^k an obstruction report takes.  The degree (p^k - 1)! / prod(L!)
 # is printed in decimal, and str() refuses ints of more than 4300 digits.
@@ -75,15 +75,13 @@ def preimage_signs(theta: CollapseTheta, source: ChessboardSpec) -> tuple:
     rows, is multiplied by the target facet's.  The signs do not depend on
     the formula; only the size guard reads it, so that a preimage of more
     than `MAX_FACETS` facets raises `ResourceLimitError` before it is
-    enumerated.
+    enumerated.  The source is a pseudomanifold-family board.
     """
-    if not source.is_pseudomanifold_family():
-        raise InputError("degree by counting requires the pseudomanifold condition")
     caps = source.col_caps
     target_caps = theta.collapse_caps(caps)
     degree = _factorial_ratio(target_caps, caps)
     if degree > MAX_FACETS:
-        raise ResourceLimitError(f"{degree} preimage facets exceed MAX_FACETS = {MAX_FACETS}")
+        raise ResourceLimitError(f"{shown(degree)} preimage facets exceed MAX_FACETS = {MAX_FACETS}")
     mt = theta.target_columns
     columns = [t for t, a in zip(theta.assignment, caps) for _ in range(a)]
     target_facet = tuple([row * mt + t - 1 for row, t in enumerate(columns)])

@@ -15,8 +15,8 @@ def counted_signs(theta, source):
 
 
 def standard_spec(m, n):
-    """The standard chessboard complex M(m, n): all capacities 1."""
-    return ChessboardSpec(m, n, (1,) * n, (1,) * m)
+    """The standard chessboard complex M(m, n): all column capacities 1."""
+    return ChessboardSpec(m, n, (1,) * m)
 
 
 def _coord(rng):

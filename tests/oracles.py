@@ -80,12 +80,10 @@ def brute_force_facets(spec):
 
     def admissible(cells):
         coords = [cell_coords(spec, v) for v in cells]
-        return all(
+        rows = [r for _, r in coords]
+        return len(rows) == len(set(rows)) and all(
             sum(1 for c, _ in coords if c == col) <= cap
             for col, cap in enumerate(spec.col_caps, start=1)
-        ) and all(
-            sum(1 for _, r in coords if r == row) <= cap
-            for row, cap in enumerate(spec.row_caps, start=1)
         )
 
     return _maximal_faces(list(range(spec.m * spec.n)), admissible)

@@ -77,14 +77,22 @@ def test_spec_json_round_trip():
     spec = one_row_spec((1, 2))
     data = spec.to_json()
     assert set(data) == {"m", "n", "row_caps", "col_caps"}
+    assert data["row_caps"] == [1, 1, 1, 1]
     assert ChessboardSpec.from_json(data) == spec
+
+
+@pytest.mark.parametrize("row_caps", [[2, 1, 1, 1], [True, 1, 1, 1], [1, 1, 1], [1.0, 1, 1, 1],
+                                      "1111", None])
+def test_spec_json_rows_hold_one_rook(row_caps):
+    with pytest.raises(InputError):
+        ChessboardSpec.from_json({"m": 2, "n": 4, "row_caps": row_caps, "col_caps": [1, 2]})
 
 
 def test_bad_spec_rejected():
     with pytest.raises(InputError):
-        ChessboardSpec(0, 3, (1, 1, 1), ())
+        ChessboardSpec(0, 3, ())
     with pytest.raises(InputError):
-        ChessboardSpec(1, 2, (1, -1), (1,))
+        ChessboardSpec(1, 2, (-1,))
 
 
 @pytest.mark.parametrize(
@@ -94,16 +102,16 @@ def test_bad_spec_rejected():
         standard_spec(3, 4),
         one_row_spec((1, 2)),
         one_row_spec((2, 2)),
-        ChessboardSpec(2, 3, (1, 2, 1), (2, 2)),
-        ChessboardSpec(2, 2, (1, 1), (1, 1)),
+        ChessboardSpec(2, 3, (2, 2)),
+        ChessboardSpec(2, 2, (1, 1)),
         one_row_spec((1, 1, 2)),
         one_row_spec((3,)),
-        ChessboardSpec(3, 3, (2, 3, 1), (1, 2, 2)),
-        ChessboardSpec(3, 2, (3, 2), (2, 1, 1)),
-        ChessboardSpec(2, 4, (2, 0, 2, 1), (2, 3)),
-        ChessboardSpec(3, 3, (1, 1, 1), (0, 2, 0)),
-        ChessboardSpec(2, 2, (0, 0), (1, 1)),
-        ChessboardSpec(2, 3, (1, 1, 1), (0, 0)),
+        ChessboardSpec(3, 3, (1, 2, 2)),
+        ChessboardSpec(3, 2, (2, 1, 1)),
+        ChessboardSpec(2, 4, (2, 3)),
+        ChessboardSpec(3, 3, (0, 2, 0)),
+        ChessboardSpec(3, 2, (3, 0, 1)),
+        ChessboardSpec(2, 3, (0, 0)),
     ],
 )
 def test_facets_match_brute_force(spec):
@@ -155,7 +163,7 @@ def test_facet_count_formula(col_caps):
 
 def test_pseudomanifold_refuted_off_family():
     # n = sum(caps), one short of the pseudomanifold condition.
-    K = build_chessboard(ChessboardSpec(2, 2, (1, 1), (1, 1)))
+    K = build_chessboard(ChessboardSpec(2, 2, (1, 1)))
     rep = check_pseudomanifold(K)
     assert not rep.ridge_degrees_ok
     assert rep.offending_faces
@@ -211,7 +219,7 @@ def test_ridge_keys_of_a_deep_board_hash_apart():
 
 
 def test_orient_rejects_off_family_spec():
-    spec = ChessboardSpec(2, 2, (1, 1), (1, 1))
+    spec = ChessboardSpec(2, 2, (1, 1))
     with pytest.raises(InputError):
         orient(spec, build_chessboard(spec))
 
@@ -321,13 +329,11 @@ def test_fixed_complex_dimension_inequality():
 
 @st.composite
 def small_boards(draw):
-    """Boards with m * n <= 12 and capacities 0..3."""
+    """Boards with m * n <= 12 and column capacities 0..3."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12 // m))
-    caps = st.integers(0, 3)
-    row_caps = draw(st.lists(caps, min_size=n, max_size=n))
-    col_caps = draw(st.lists(caps, min_size=m, max_size=m))
-    return ChessboardSpec(m, n, tuple(row_caps), tuple(col_caps))
+    col_caps = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    return ChessboardSpec(m, n, tuple(col_caps))
 
 
 @st.composite

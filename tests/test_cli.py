@@ -505,6 +505,8 @@ HUGE_LIFT = {
         (["tverberg", "search"], FORTY_COLOURS, 4),
         (["tverberg", "search"], one_point_colours(16), 4),
         (["example-a", "--p", "2", "--k", "1", "--d", "40"], None, 4),
+        # refused from the closed-form face count, before 10^5 points of 10^5 coordinates
+        (["example-a", "--p", "2", "--k", "1", "--d", "100000"], None, 4),
         (["homology"], simplex(24), 4),
         (["homology"], simplex(40), 4),
         (["connectivity", "--level", "30"], simplex(24), 4),
@@ -520,6 +522,7 @@ HUGE_LIFT = {
     ],
     ids=["example-a-huge-k", "example-a-huge-p", "valuation-huge-p", "prime-power-huge-r",
          "search-2^40-rainbow-faces", "search-2^16-rainbow-faces", "example-a-2^42-rainbow-faces",
+         "example-a-2^100002-rainbow-faces",
          "homology-2^24-faces", "homology-2^40-faces", "connectivity-2^24-faces",
          "homology-22*2^21-entries", "lift-huge-r", "collapse-theta-past-the-columns",
          "check-10^8-rows", "orient-3*10^9-rows", "collapse-10^20-cap", "collapse-10^6-cap",
@@ -583,6 +586,30 @@ def test_reports_past_the_int_digit_limit_are_resource_errors(capsys, tmp_path, 
     code, report, err = run(capsys, *argv)
     assert (code, report["verdict"]) == (4, "error")
     assert "Traceback" not in err and "4300 digits" in report["message"]
+
+
+# A guard's count of more than 4300 digits is shown by its bit length: printed
+# whole, it would end in a ValueError traceback (exit 1).
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["tverberg", "search"], one_point_colours(15_000)),
+        (["collapse", "degree", "--caps", "25000,24999", "--theta", "1,1"], None),
+        (["unavoidable", "check"], {
+            "multiset": {"vertices": [0, 1, 2, 3], "multiplicity": {"0": 1, "1": 1, "2": 1, "3": 1}},
+            "r": 10**4000 - 1,
+            "complex": {"universe": [0, 1, 2, 3], "facets": [[0]]},
+        }),
+    ],
+    ids=["search-2^15000-rainbow-faces", "collapse-degree-of-15000-digits",
+         "unavoidable-r-of-4000-digits"],
+)
+def test_guard_counts_past_the_int_digit_limit_show_their_bit_length(capsys, tmp_path, argv, data):
+    if data is not None:
+        argv = argv + ["--json", write_json(tmp_path, "in.json", data)]
+    code, report, err = run(capsys, *argv)
+    assert (code, report["verdict"]) == (4, "error")
+    assert "bits>" in report["message"] and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [("coords", ["1" * 100_000]), ("color", "x" * 100_000)],
@@ -1123,6 +1150,18 @@ LIFT_SOLUTION = {
         (["tverberg", "search"], dict(radon_instance(), points=[
             dict(pt, coords=["1e-100000000"]) for pt in radon_instance()["points"]])),
         (["example-a", "--p", "2", "--k", "1", "--d", "1", "--epsilon", "1e-10000000"], None),
+        (["fixed-points"], {
+            "spec": {"m": 2, "n": 4, "row_caps": [2, 1, 1, 1], "col_caps": [1, 2]},
+            "generators": [[2, 1, 4, 3]],
+        }),
+        (["fixed-points"], {
+            "spec": {"m": 2, "n": 4, "row_caps": [True, 1, 1, 1], "col_caps": [1, 2]},
+            "generators": [[2, 1, 4, 3]],
+        }),
+        (["fixed-points"], {
+            "spec": {"m": 2, "n": 4, "row_caps": [1, 1, 1], "col_caps": [1, 2]},
+            "generators": [[2, 1, 4, 3]],
+        }),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -1133,7 +1172,7 @@ LIFT_SOLUTION = {
         "dim-caps-k-negative", "lift-r-float", "unavoidable-r-float", "multiset-multiplicity-float",
         "generator-float", "board-size-bool", "lift-face-index-float", "vertex-bool",
         "universe-bool", "multiset-vertex-bool", "multiset-key-not-canonical",
-        "coordinate-exponent", "epsilon-exponent",
+        "coordinate-exponent", "epsilon-exponent", "row-cap-2", "row-cap-bool", "row-caps-short",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):

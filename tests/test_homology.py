@@ -10,6 +10,7 @@ from tverrook import (
     faces_by_dimension,
     homological_connectivity,
     homology,
+    one_row_spec,
     smith_invariants,
     sphere_spec,
 )
@@ -223,6 +224,23 @@ def test_6_6_board_has_3_torsion_in_dimension_3():
     assert profile.torsion == ((), (), (), (3,) * 10, (), ())
     chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
     assert chi == reduced_euler_closed_form(6, 6) == euler_characteristic(K, reduced=True) == 185
+
+
+def test_2_2_2_2_board_on_7_rows_mixes_markowitz_pivots_with_peeling():
+    # Delta(2,2,2,2; 7 rows): four columns of cap 2, one rook per row, 2520
+    # facets.  Its d_5 takes 2421 of its 7250 unit pivots through the
+    # Markowitz heap, between peeled ones, and leaves a 1 x 422 remainder
+    # that carries H_4 = Z/2: the rank of d_5 is 7251 over Q and 7250 over F_2.
+    K = build_chessboard(one_row_spec((2, 2, 2, 2), n=7))
+    assert len(K.facets) == 2520
+    profile = betti_and_torsion(K)
+    assert profile.betti == (0, 0, 0, 0, 0, 309, 0)
+    assert profile.torsion == ((), (), (), (), (2,), (), ())
+    chi = sum((-1) ** q * b for q, b in enumerate(profile.betti))
+    assert chi == euler_characteristic(K, reduced=True) == -309
+    assert [r["units"] for r in profile.boundary] == [1, 27, 309, 1791, 5349, 7250, 2520]
+    assert [r["peeled"] for r in profile.boundary] == [1, 27, 309, 1791, 5349, 4829, 2520]
+    assert profile.boundary[5]["remainder"] == [1, 422]
 
 
 def rational_ranks(K, top):

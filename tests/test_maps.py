@@ -60,9 +60,7 @@ def test_collapse_caps_sum_over_fibers():
 
 def collapse_target(theta, source):
     """The board that theta collapses `source` onto: fiber caps added, rows kept."""
-    return ChessboardSpec(
-        theta.target_columns, source.n, source.row_caps, theta.collapse_caps(source.col_caps)
-    )
+    return ChessboardSpec(theta.target_columns, source.n, theta.collapse_caps(source.col_caps))
 
 
 def facet_images(theta, source):

@@ -58,8 +58,8 @@ CONFIG = PointConfig(1, POINTS)
 
 
 @pytest.mark.parametrize("make, error", [
-    (lambda: ChessboardSpec(1, 2, (1,), (1,)), InputError),
-    (lambda: ChessboardSpec(m=1, n=1, row_caps=(1,), col_caps=(True,)), InputError),
+    (lambda: ChessboardSpec(2, 1, (1,)), InputError),
+    (lambda: ChessboardSpec(m=1, n=1, col_caps=(True,)), InputError),
     (lambda: RowPermutation((1, 1)), InputError),
     (lambda: Complex(frozenset({0}), ((0, 1),)), InputError),
     (lambda: CollapseTheta(2, 2, (1, 1)), InputError),
