@@ -1,18 +1,41 @@
 """Exact feasibility for Ax = b, x >= 0, on an integer system.
 
-Phase-1 simplex with Bland's anti-cycling rule on an integer tableau over
-one common denominator (the integer-preserving pivots of Edmonds, 1967, and
-Bareiss, 1968); no floating point anywhere.  Returns a feasible point, as
-`Fraction`s, or None.
+Phase-1 simplex with Bland's anti-cycling rule on an integer tableau (the
+integer-preserving pivots of Edmonds, 1967, and Bareiss, 1968); no floating
+point anywhere.  Returns a feasible point, as `Fraction`s, or a Farkas
+vector that proves there is none, and the number of pivots made.
 
 The caller clears denominators: A and b hold ints, and a rational system
 enters as its rows times one positive constant L.  Scaling every row by L
 multiplies the phase-1 objective by L and keeps the sign of every reduced
 cost and the order of every ratio, so the pivots, and the point returned,
 are those of the same method run on the rational system with `Fraction`
-cells, whatever L is.  The tableau holds d times the rational tableau
-of the integer system, where d is the last pivot (1 at the start); each
-pivot's update divides exactly by the previous d.
+cells, whatever L is.
+
+Each row i of the tableau holds s_i times the rational row, for a scale
+s_i > 0 of its own: a scale does not change the sign of a reduced cost or
+the ratio of a row's right-hand side to its entering entry, so it leaves
+every pivot as it is.  D, the last pivot (1 at the start), is the
+determinant of the basis, and D times any rational row is integral.  A
+pivot brings its row to scale D, and every row with a nonzero entering
+entry f becomes (p v - f w) / s_i at scale p, an exact division, where p
+is the pivot and w the pivot row at scale D; the pivot row itself is then
+the normalized row at scale p.  A row whose entering entry is 0 keeps its
+entries and its scale.
+
+Artificial i is the unit column e_i, with reduced cost 0, while it is basic
+in row i, so its column joins the tableau only when row i first leaves the
+basis: s_i in that row and 0 elsewhere, before the update.  Bland's rule
+scans the structural columns, then the artificial columns present, in
+index order; an absent one cannot enter.
+
+At the end of an infeasible phase 1, the reduced cost of artificial i is
+1 + z'_i, where z'^T A' >= 0 and z'^T b' < 0 on the rows as pivoted (rows
+with b_i < 0 negated), by optimality.  So z'_i is read from the cost row at
+its scale s as (its entry at artificial i) - s, or -s for a column never
+added, and z is z' with the negated rows' entries negated: an integer
+vector with z^T A >= 0 and z^T b < 0 (Farkas' lemma; Schrijver, *Theory of
+Linear and Integer Programming*, 1986, section 7.3).
 """
 
 from __future__ import annotations
@@ -21,37 +44,40 @@ from fractions import Fraction
 
 
 def solve_equality_feasibility(A: list, b: list):
-    """Find x >= 0 with Ax = b, exactly, or return None.
+    """Find x >= 0 with Ax = b, exactly, or a Farkas vector z.
 
-    A is a list of rows of ints and b a list of ints.  The result is a
-    list of Fractions.
+    A is a list of rows of ints and b a list of ints.  Returns (x, z,
+    pivots): x a list of Fractions and z None when the system is feasible;
+    x None and z a list of ints with z^T A >= 0 and z^T b < 0 when it is
+    not; pivots the number of pivots made.
     """
     m = len(A)
     n = len(A[0]) if m else 0
 
-    # Row i is [A_i | e_i | b_i], negated where b_i < 0 so the artificials
-    # (columns n..n+m-1, the starting basis) start feasible.
-    T = []
-    for i, (row, bi) in enumerate(zip(A, b)):
-        unit = [0] * m
-        unit[i] = 1
-        T.append([-v for v in row] + unit + [-bi] if bi < 0 else [*row, *unit, bi])
+    # Row i is [A_i | b_i | the artificial columns added so far], negated
+    # where b_i < 0 so that the artificials start feasible.
+    T = [[-v for v in row] + [-bi] if bi < 0 else [*row, bi] for row, bi in zip(A, b)]
+    # Phase-1 objective: minimize the sum of artificials.  The reduced-cost
+    # row for the artificial basis, with the negated objective value in the
+    # b column; it is the last row of the tableau and never the pivot row.
+    T.append([-sum(col) for col in zip(*T)] if m else [0])
+    scale = [1] * (m + 1)
     basis = list(range(n, n + m))
-
-    # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row
-    # for the artificial basis, with the negated objective value last; it is
-    # the last row of the tableau and is never the pivot row.
-    cost = [-sum(col) for col in zip(*T)] if m else [0]
-    for j in range(n, n + m):
-        cost[j] += 1
-    T.append(cost)
+    column = [None] * m  # column[i]: the column of artificial i, once added
     d = 1
+    pivots = 0
 
     while True:
-        entering = next((j for j in range(n + m) if T[m][j] < 0), None)
+        cost = T[m]
+        entering = next((j for j in range(n) if cost[j] < 0), None)
         if entering is None:
-            break
-        # Bland: smallest ratio rhs/coeff (compared by cross-multiplying,
+            var = next((n + i for i, j in enumerate(column) if j is not None and cost[j] < 0), None)
+            if var is None:
+                break
+            entering = column[var - n]
+        else:
+            var = entering
+        # Bland: smallest ratio b_i/coeff (compared by cross-multiplying,
         # coefficients are positive), ties broken by smallest basis index.
         leaving = None
         for i in range(m):
@@ -60,29 +86,38 @@ def solve_equality_feasibility(A: list, b: list):
                 if leaving is None:
                     leaving = i
                     continue
-                lhs = T[i][-1] * T[leaving][entering]
-                rhs = T[leaving][-1] * coeff
+                lhs = T[i][n] * T[leaving][entering]
+                rhs = T[leaving][n] * coeff
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise AssertionError("phase-1 objective is bounded; unbounded pivot is impossible")
+        if column[leaving] is None:  # artificial `leaving` leaves for the first time
+            column[leaving] = len(T[m])
+            for i, row in enumerate(T):
+                row.append(scale[i] if i == leaving else 0)
         pivot_row = T[leaving]
+        if scale[leaving] != d:
+            pivot_row = [v * d // scale[leaving] for v in pivot_row]
         p = pivot_row[entering]
         for i, row in enumerate(T):
-            if i == leaving:
-                continue
             f = row[entering]
-            if f:
-                T[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
-            elif p != d:
-                T[i] = [p * v // d for v in row]
+            if f and i != leaving:
+                s = scale[i]
+                T[i] = [(p * v - f * w) // s for v, w in zip(row, pivot_row)]
+                scale[i] = p
+        T[leaving] = pivot_row
+        scale[leaving] = p
         d = p
-        basis[leaving] = entering
+        basis[leaving] = var
+        pivots += 1
 
-    if T[m][-1] != 0:
-        return None
+    cost, s = T[m], scale[m]
+    if cost[n] != 0:
+        z = [-s if j is None else cost[j] - s for j in column]
+        return None, [-zi if bi < 0 else zi for zi, bi in zip(z, b)], pivots
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(T[i][-1], d)
-    return x
+            x[var] = Fraction(T[i][n], scale[i])
+    return x, None, pivots

@@ -15,6 +15,13 @@ projected onto the d^2 integer directions e_i, e_i + e_j and e_i - e_j
 direction.  Faces whose hulls share a point x have boxes that all contain
 <L x, u> on every direction u, so a tuple whose boxes miss on some
 direction is infeasible, and that direction separates two of its faces.
+
+At the LP, the search cuts by Farkas vectors.  An infeasible LP returns a
+vector z with z^T A >= 0 and z^T b < 0, checked in integers on its own
+rows.  Those rows' right-hand side is the same for every r-tuple, so z
+proves infeasible every tuple whose columns it keeps >= 0: per position,
+the faces none of whose points gives a negative column (`_farkas_cover`).
+A full tuple that a kept vector covers at every position skips its LP.
 """
 
 from __future__ import annotations
@@ -381,16 +388,20 @@ def _grid(config: PointConfig) -> tuple:
     return L, [tuple(c.numerator * (L // c.denominator) for c in pt.coords) for pt in config.points]
 
 
-def hulls_intersect(config: PointConfig, faces):
-    """Exact common point of the convex hulls, or None.
+def hulls_intersect(config: PointConfig, faces, grid: tuple):
+    """Exact common point of the convex hulls, or a Farkas vector.
 
     Solves for convex coefficients per face equating all barycentric
     combinations; infeasibility is a definitive verdict, not an error.  The
-    rows are the rational system's rows times L, as ints on the grid of
-    `_grid`: L on each face's convexity row, and grid coordinates on each
-    coordinate row.  The LP returns the point it would return on the
-    rational rows, and the witness is formed from the grid coordinates over
-    one common denominator.
+    rows are the rational system's rows times L, as ints on `grid`, the
+    configuration's integer grid (L, X) from `_grid`: L on each face's
+    convexity row, and grid coordinates on each coordinate row.  The LP
+    returns the point it would return on the rational rows, and the witness
+    is formed from the grid coordinates over one common denominator.
+
+    Returns ((witness, certificates), None, pivots) when the hulls meet, and
+    (None, z, pivots) when they do not, where z is the LP's Farkas vector,
+    checked here in integers: z^T A >= 0 on every column and z^T b < 0.
     """
     faces = [tuple(f) for f in faces]
     if not faces or any(not f for f in faces):
@@ -399,7 +410,7 @@ def hulls_intersect(config: PointConfig, faces):
         for v in f:
             if not 0 <= v < len(config.points):
                 raise InputError(f"point index {v} out of range")
-    L, X = _grid(config)
+    L, X = grid
 
     total = sum(map(len, faces))
     rows = []
@@ -418,9 +429,13 @@ def hulls_intersect(config: PointConfig, faces):
             rhs.append(0)
         offset += len(f)
 
-    x = solve_equality_feasibility(rows, rhs)
+    x, z, pivots = solve_equality_feasibility(rows, rhs)
     if x is None:
-        return None
+        if sum(map(operator.mul, z, rhs)) >= 0 or any(
+            sum(map(operator.mul, z, col)) < 0 for col in zip(*rows)
+        ):
+            raise AssertionError("the LP's Farkas vector fails its own system")
+        return None, z, pivots
     certificates = []
     offset = 0
     for f in faces:
@@ -433,7 +448,7 @@ def hulls_intersect(config: PointConfig, faces):
         Fraction(sum(w * X[v][coord] for w, v in zip(weights, first)), D * L)
         for coord in range(config.d)
     )
-    return witness, tuple(certificates)
+    return (witness, tuple(certificates)), None, pivots
 
 
 def is_rainbow(config: PointConfig, face) -> bool:
@@ -485,16 +500,9 @@ def _rainbow_count(config: PointConfig) -> int:
 
 def rainbow_faces(config: PointConfig, top: int | None = None):
     """The nonempty rainbow faces of at most `top` vertices (all when None),
-    in lexicographic (size, vertex ids) order.
-
-    More than `MAX_RAINBOW_FACES` in all raise `ResourceLimitError` before
-    any is built.  A vertex has one color, so the faces made are distinct.
+    in lexicographic (size, vertex ids) order.  A vertex has one color, so
+    the faces made are distinct.  `_search` guards their number.
     """
-    count = _rainbow_count(config)
-    if count > MAX_RAINBOW_FACES:
-        raise ResourceLimitError(
-            f"{shown(count)} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
-        )
     classes = [[] for _ in range(config.num_colors)]
     for i, pt in enumerate(config.points):
         classes[pt.color].append(i)
@@ -552,6 +560,34 @@ def _meet_masks(faces: list, projections: list, touch: list) -> list:
     return meets
 
 
+def _farkas_cover(z: list, r: int, grid: tuple, touch: list, built: int) -> list:
+    """Per position of an r-tuple, the built faces that a Farkas vector z of
+    `hulls_intersect`'s rows proves infeasible there.
+
+    Those rows' right-hand side is L on the r convexity rows and 0 on the
+    coordinate rows, whatever the faces.  So z reads as c_k on convexity row
+    k and u_k in Z^d on the rows that pair face 0 with face k, and z^T b =
+    L sum c_k < 0 holds for every tuple.  A point x at position 0 has the
+    column value c_0 L + sum_k <u_k, X[x]>, and at position k >= 1 the value
+    c_k L - <u_k, X[x]>; z proves a tuple infeasible if each of its faces
+    has no point of negative value at its position.
+    """
+    L, X = grid
+    d = len(X[0])
+    c, u = z[:r], z[r:]
+    dots = [[sum(map(operator.mul, u[k * d:(k + 1) * d], x)) for x in X] for k in range(r - 1)]
+    values = [[c[0] * L + sum(t) for t in zip(*dots)]]
+    values += [[c[k + 1] * L - t for t in dots[k]] for k in range(r - 1)]
+    cover = []
+    for position in values:
+        failing = 0
+        for q, value in enumerate(position):
+            if value < 0:
+                failing |= touch[q]
+        cover.append(built & ~failing)
+    return cover
+
+
 def _search(instance: TverbergInstance):
     """Canonical-order pruned enumeration of r-tuples of rainbow faces.
 
@@ -565,23 +601,35 @@ def _search(instance: TverbergInstance):
     faces' rows of `_meet_masks`, and an empty running box proves that no
     extension has intersecting hulls.  Caps build only the faces of at most
     max_dim + 1 vertices; the rest are the high bits, always cut.  Each
-    level visits the faces that survive all three masks in ascending order,
-    and only full tuples reach the LP, so the first solution is the first
-    feasible tuple in canonical order.  Returns (the first solution or None,
-    stats): the rainbow faces, the prefixes each rule pruned (a face counts
-    for the first rule that cuts it: dimension caps, budget, box), and the
-    LP calls and feasible LPs.
+    level visits the faces that survive all three masks in ascending order.
+
+    Only full tuples reach the LP.  Each infeasible LP's Farkas vector is
+    kept as the faces it covers per position (`_farkas_cover`), and a full
+    tuple that one kept vector covers at every position skips its LP; each
+    prefix carries the kept vectors that still cover it.  A feasible tuple
+    is never covered, so the first solution is the first feasible tuple in
+    canonical order.  Returns (the first solution or None, stats): the
+    rainbow faces, the prefixes each rule pruned (a face counts for the
+    first rule that cuts it: dimension caps, budget, box), the full tuples
+    the kept vectors cut, and the LP calls, feasible LPs and LP pivots.
+    More than `MAX_RAINBOW_FACES` rainbow faces raise `ResourceLimitError`
+    before any is built.
     """
     config = instance.config
     r = instance.r
     caps = instance.dim_caps
+    count = _rainbow_count(config)
+    if count > MAX_RAINBOW_FACES:
+        raise ResourceLimitError(
+            f"{shown(count)} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
+        )
     faces = rainbow_faces(config, None if caps is None else caps.max_dim + 1)
     touch = [0] * len(config.points)  # touch[v]: the faces that contain v
     for fi, f in enumerate(faces):
         for v in f:
             touch[v] |= 1 << fi
-    meets = _meet_masks(faces, _grid_projections(_grid(config)[1]), touch)
-    count = _rainbow_count(config)
+    grid = _grid(config)
+    meets = _meet_masks(faces, _grid_projections(grid[1]), touch)
     everything = (1 << count) - 1
     built = (1 << len(faces)) - 1
     over_cap = everything ^ built  # faces above the top dimension
@@ -596,20 +644,35 @@ def _search(instance: TverbergInstance):
     # a vertex-disjoint tuple uses each vertex at most once
     budget = [1 if disjoint else pt.multiplicity for pt in config.points]
     chosen: list = []
+    covers: list = []  # per kept Farkas vector, its faces per position
+    # holding[k]: the kept vectors that cover the first k faces of `chosen`
+    holding: list = [[] for _ in range(r + 1)]
     stats = {
         "rainbow_faces": count,
         "pruned_dim_cap": 0,
         "pruned_budget": 0,
         "pruned_box": 0,
+        "pruned_farkas": 0,
         "lp_calls": 0,
         "lp_feasible": 0,
+        "lp_pivots": 0,
     }
 
     def rec(start: int, allowed: int, blocked: int, capped_used: int):
-        if len(chosen) == r:
+        depth = len(chosen)
+        if depth == r:
+            if holding[r]:
+                stats["pruned_farkas"] += 1
+                return None
             stats["lp_calls"] += 1
-            got = hulls_intersect(config, [faces[i] for i in chosen])
+            got, z, pivots = hulls_intersect(config, [faces[i] for i in chosen], grid)
+            stats["lp_pivots"] += pivots
             if got is None:
+                # z passed the check on this tuple's own rows, so it
+                # covers the tuple and every prefix of it
+                covers.append(_farkas_cover(z, r, grid, touch, built))
+                for held in holding[:r]:
+                    held.append(len(covers) - 1)
                 return None
             stats["lp_feasible"] += 1
             witness, certs = got
@@ -637,6 +700,7 @@ def _search(instance: TverbergInstance):
                 if not budget[v]:
                     now_blocked |= touch[v]
             chosen.append(fi)
+            holding[depth + 1] = [j for j in holding[depth] if covers[j][depth] & low]
             found = rec(
                 fi + 1 if disjoint else fi,
                 allowed & meets[fi],
@@ -676,7 +740,7 @@ def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
         if not verify_solution(instance.config, sol):
             raise AssertionError("LP produced a certificate that failed re-substitution")
         return sol._replace(stats=stats)
-    return Exhausted(stats["lp_calls"], stats)
+    return Exhausted(stats["lp_calls"] + stats["pruned_farkas"], stats)
 
 
 class LiftResult(NamedTuple):
@@ -796,6 +860,5 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
             )
     points.append(ColoredPoint(barycenter, d + 1, 1))
     config = PointConfig(d, tuple(points))
-    instance = TverbergInstance(config, p**k, mode="prime-power-1.3")
-    instance.validate()
-    return config, instance
+    # search_tverberg checks the hypotheses of Theorem 1.3
+    return config, TverbergInstance(config, p**k, mode="prime-power-1.3")

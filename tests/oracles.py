@@ -199,6 +199,7 @@ def naive_search_all(instance):
     """Unpruned enumeration of every solution, as canonical face tuples."""
     config = instance.config
     faces = naive_rainbow_faces(config)
+    grid = _grid(config)
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
 
@@ -224,7 +225,7 @@ def naive_search_all(instance):
     for tup in itertools.combinations_with_replacement(faces, instance.r):
         if not admissible(tup):
             continue
-        if hulls_intersect(config, tup) is not None:
+        if hulls_intersect(config, tup, grid)[0] is not None:
             solutions.append(tuple(tup))
     return solutions
 
@@ -269,12 +270,16 @@ def loop_search(instance, find_all):
     Each level tries every face from its start in order, and tests the
     dimension caps, the multiplicity budget (or vertex-disjointness) and the
     running box, the intersection of the prefix faces' boxes, rule after
-    rule.  Returns (solutions, stats) as `_search` does, counters included.
+    rule.  Every full tuple goes to the LP: there is no Farkas cut, so its
+    `lp_calls` is `_search`'s `lp_calls` + `pruned_farkas`, and it counts
+    neither `pruned_farkas` nor `lp_pivots`.  Returns (solutions, stats) as
+    `_search` does, the other counters included.
     """
     config = instance.config
     r = instance.r
     faces = rainbow_faces(config)
-    boxes = face_boxes(faces, _grid_projections(_grid(config)[1]))
+    grid = _grid(config)
+    boxes = face_boxes(faces, _grid_projections(grid[1]))
     disjoint = instance.disjointness == "vertex-disjoint"
     caps = instance.dim_caps
 
@@ -301,7 +306,7 @@ def loop_search(instance, find_all):
     def rec(start, box, capped_used):
         if len(chosen) == r:
             stats["lp_calls"] += 1
-            got = hulls_intersect(config, [faces[i] for i in chosen])
+            got = hulls_intersect(config, [faces[i] for i in chosen], grid)[0]
             if got is not None:
                 stats["lp_feasible"] += 1
                 witness, certs = got
@@ -377,10 +382,15 @@ def rank_mod_p(columns, p):
 
 
 def fraction_equality_feasibility(A: list, b: list):
-    """Phase-1 simplex with Bland's rule on a `Fraction` tableau: x >= 0 with Ax = b, or None.
+    """Phase-1 simplex with Bland's rule on a `Fraction` tableau, with every
+    artificial column from the start: (x, z, pivots) as
+    `tverrook.exactlp.solve_equality_feasibility` returns them.
 
-    The reference for `tverrook.exactlp.solve_equality_feasibility`, which
-    must return the same point (or None) on every system.
+    The reference for that integer tableau, which must return the same point
+    (or None) and make the same pivots on every system.  z is read from the
+    final costs of the artificials, y_i = cost_i - 1 with the negated rows'
+    signs undone, and cleared of denominators: a positive multiple of the
+    tableau's vector.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -404,6 +414,7 @@ def fraction_equality_feasibility(A: list, b: list):
     for j in range(n + m):
         cost[j] = (_ONE if j >= n else _ZERO) - sum(T[i][j] for i in range(m))
     value = -sum(rhs)
+    pivots = 0
 
     while True:
         entering = next((j for j in range(n + m) if cost[j] < 0), None)
@@ -434,14 +445,17 @@ def fraction_equality_feasibility(A: list, b: list):
             cost = [v - factor * w for v, w in zip(cost, T[leaving])]
             value -= factor * rhs[leaving]
         basis[leaving] = entering
+        pivots += 1
 
     if value != 0:
-        return None
+        y = [(cost[n + i] - 1) * (-1 if bi < 0 else 1) for i, bi in enumerate(b)]
+        denominator = math.lcm(*(v.denominator for v in y))
+        return None, [int(v * denominator) for v in y], pivots
     x = [_ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = rhs[i]
-    return x
+    return x, None, pivots
 
 
 def dense_betti_and_torsion(K):
@@ -872,7 +886,7 @@ def fraction_hulls_intersect(config, faces):
                 row[offsets[fi] + j] -= config.points[v].coords[coord]
             rows.append(row)
             rhs.append(_ZERO)
-    x = fraction_equality_feasibility(rows, rhs)
+    x, _, _ = fraction_equality_feasibility(rows, rhs)
     if x is None:
         return None
     certificates = tuple(

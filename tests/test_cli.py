@@ -321,14 +321,17 @@ def test_tverberg_search_found(capsys, tmp_path):
     assert code == 0
     assert report["verdict"] == "found"
     assert report["certificate"]["witness"] == ["1/2"]
-    # 7 rainbow faces; the first LP, on ((2,), (0, 1)), is feasible.
+    # 7 rainbow faces; the first LP, on ((2,), (0, 1)), is feasible after
+    # 3 pivots, one per row.
     assert report["details"]["stats"] == {
         "rainbow_faces": 7,
         "pruned_dim_cap": 0,
         "pruned_budget": 9,
         "pruned_box": 5,
+        "pruned_farkas": 0,
         "lp_calls": 1,
         "lp_feasible": 1,
+        "lp_pivots": 3,
     }
     assert "stats" not in report["certificate"]
 
@@ -344,8 +347,9 @@ def test_tverberg_search_exhausted_free_mode(capsys, tmp_path):
 
 def test_tverberg_search_exhausted_stats(capsys, tmp_path):
     # Four points in the plane with no colourful Radon partition.  Boxes over
-    # e_1, e_2 and e_1 +- e_2 leave two pairs for the LP; axis boxes alone
-    # would leave four.
+    # e_1, e_2 and e_1 +- e_2 leave two pairs; axis boxes alone would leave
+    # four.  The Farkas vector of the first pair's LP also proves the second
+    # pair infeasible, so only one LP is solved.
     coords = [["1", "1/3"], ["2", "-4"], ["5", "-4/3"], ["1", "-1/3"]]
     data = {
         "d": 2,
@@ -361,8 +365,10 @@ def test_tverberg_search_exhausted_stats(capsys, tmp_path):
         "pruned_dim_cap": 0,
         "pruned_budget": 46,
         "pruned_box": 18,
-        "lp_calls": 2,
+        "pruned_farkas": 1,
+        "lp_calls": 1,
         "lp_feasible": 0,
+        "lp_pivots": 3,
     }
 
 

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_equality_feasibility
+from tverrook import build_example_a, geometry, search_tverberg
 from tverrook.exactlp import solve_equality_feasibility
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -55,9 +57,11 @@ def cleared(A, b, factor=1):
 @given(system=systems(), factor=st.integers(1, 3))
 def test_integer_tableau_matches_fraction_oracle(system, factor):
     # any positive multiple of the cleared system must give the same point
+    # after the same pivots
     A, b = system
-    x = solve_equality_feasibility(*cleared(A, b, factor))
-    assert x == fraction_equality_feasibility(A, b)
+    x, _, pivots = solve_equality_feasibility(*cleared(A, b, factor))
+    want, _, want_pivots = fraction_equality_feasibility(A, b)
+    assert (x, pivots) == (want, want_pivots)
     if x is not None:
         n = len(A[0]) if A else 0
         assert len(x) == n
@@ -73,8 +77,79 @@ def test_degenerate_ties_follow_blands_rule():
          [Fraction(1), Fraction(0), Fraction(1)],
          [Fraction(2), Fraction(1), Fraction(1)]]
     b = [Fraction(0), Fraction(0), Fraction(0)]
-    assert solve_equality_feasibility(*cleared(A, b)) == fraction_equality_feasibility(A, b) == [0, 0, 0]
+    assert solve_equality_feasibility(*cleared(A, b))[0] == fraction_equality_feasibility(A, b)[0] == [0, 0, 0]
     b = [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
-    x = solve_equality_feasibility(*cleared(A, b))
-    assert x == fraction_equality_feasibility(A, b)
+    x, _, _ = solve_equality_feasibility(*cleared(A, b))
+    assert x == fraction_equality_feasibility(A, b)[0]
     assert x is not None and x[0] + x[1] == Fraction(1, 3)
+
+
+def is_farkas(A, b, z):
+    """Whether z^T A >= 0 on every column and z^T b < 0, in integers."""
+    n = len(A[0]) if A else 0
+    return (
+        all(type(zi) is int for zi in z)
+        and all(sum(zi * row[j] for zi, row in zip(z, A)) >= 0 for j in range(n))
+        and sum(zi * bi for zi, bi in zip(z, b)) < 0
+    )
+
+
+def primitive(z):
+    g = math.gcd(*z)
+    return [v // g for v in z]
+
+
+def test_infeasible_systems_get_a_farkas_vector():
+    negated = []  # per infeasible system, whether the check fails each negated entry
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(system=systems(), factor=st.integers(1, 3))
+    def check(system, factor):
+        A, b = cleared(*system, factor)
+        x, z, _ = solve_equality_feasibility(A, b)
+        assert (x is None) != (z is None)
+        if z is None:
+            return
+        assert len(z) == len(A) and is_farkas(A, b, z)
+        # the Fraction tableau's vector is a positive multiple of the same one
+        assert primitive(z) == primitive(fraction_equality_feasibility(A, b)[1])
+        negated.append([not is_farkas(A, b, z[:i] + [-zi] + z[i + 1:]) for i, zi in enumerate(z) if zi])
+
+    check()
+    # A negated entry can leave a Farkas vector (a zero row, say), but on
+    # the drawn corpus the check fails most of them, on most systems.
+    caught = [sum(entries) for entries in negated]
+    assert len(negated) > 200
+    assert 2 * sum(caught) > sum(map(len, negated))
+    assert 4 * sum(map(bool, caught)) > 3 * len(negated)
+
+
+def test_farkas_vector_of_a_negated_row():
+    # x = 1 and x = -1: the second row is negated before the pivots, and
+    # the vector is read back in the signs of the rows given
+    A, b = [[1], [1]], [1, -1]
+    x, z, pivots = solve_equality_feasibility(A, b)
+    assert (x, pivots) == (None, 0)
+    assert is_farkas(A, b, z) and primitive(z) == [-1, 1]
+
+
+def test_hull_systems_of_example_a_match_the_fraction_oracle():
+    # Every LP that the searches of Example A (p^k = 4 in the plane,
+    # epsilon 1/100, seeds 0..11) solve: one feasible LP each, whose
+    # tableau entries reach 143 bits.
+    systems = []
+
+    def spy(A, b):
+        systems.append((A, b))
+        return solve_equality_feasibility(A, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "solve_equality_feasibility", spy)
+        for seed in range(12):
+            _, instance = build_example_a(2, 2, 2, epsilon=Fraction(1, 100), seed=seed)
+            search_tverberg(instance)
+    assert len(systems) == 12
+    for A, b in systems:
+        x, _, pivots = solve_equality_feasibility(A, b)
+        want, _, want_pivots = fraction_equality_feasibility(A, b)
+        assert x is not None and (x, pivots) == (want, want_pivots)

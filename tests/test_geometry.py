@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fixtures import random_balanced_config, random_prime_power_config
 from oracles import (
     backtrack_can_pack,
@@ -91,18 +92,21 @@ def test_config_json_round_trip():
 
 def test_lp_feasible_and_infeasible():
     # x + y = 1, x - y = 0 -> x = y = 1/2.
-    x = solve_equality_feasibility([[1, 1], [1, -1]], [1, 0])
-    assert x == [F(1, 2), F(1, 2)]
-    # x = 1 and x = 2 cannot hold with x >= 0.
-    assert solve_equality_feasibility([[1], [1]], [1, 2]) is None
+    x, z, _ = solve_equality_feasibility([[1, 1], [1, -1]], [1, 0])
+    assert (x, z) == ([F(1, 2), F(1, 2)], None)
+    # x = 1 and x = 2 cannot hold with x >= 0, nor can z0 x + z1 x = z0 + 2 z1
+    # with the left side >= 0 and the right < 0.
+    x, z, _ = solve_equality_feasibility([[1], [1]], [1, 2])
+    assert x is None and z[0] + z[1] >= 0 > z[0] + 2 * z[1]
     # Nonnegativity matters: x + y = -1 is infeasible.
-    assert solve_equality_feasibility([[1, 1]], [-1]) is None
+    x, z, _ = solve_equality_feasibility([[1, 1]], [-1])
+    assert x is None and z[0] > 0
 
 
 def test_crossing_segments():
     config = pts(((0, 0), 0, 1), ((2, 2), 0, 1), ((0, 2), 1, 1), ((2, 0), 1, 1), d=2)
-    got = hulls_intersect(config, [(0, 1), (2, 3)])
-    assert got is not None
+    got, z, _ = hulls_intersect(config, [(0, 1), (2, 3)], _grid(config))
+    assert got is not None and z is None
     witness, certs = got
     assert witness == (F(1), F(1))
     assert all(sum(c) == 1 for c in certs)
@@ -114,13 +118,14 @@ def test_separated_triangles():
         ((10, 10), 0, 1), ((11, 10), 1, 1), ((10, 11), 2, 1),
         d=2,
     )
-    assert hulls_intersect(config, [(0, 1, 2), (3, 4, 5)]) is None
+    got, z, _ = hulls_intersect(config, [(0, 1, 2), (3, 4, 5)], _grid(config))
+    assert got is None and z is not None
 
 
 def test_hulls_reject_empty_face():
     config = pts(((0,), 0, 1), d=1)
     with pytest.raises(InputError):
-        hulls_intersect(config, [(0,), ()])
+        hulls_intersect(config, [(0,), ()], _grid(config))
 
 
 def test_rainbow_faces_order_and_content():
@@ -188,8 +193,10 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
         "pruned_dim_cap": 0,
         "pruned_budget": 22,
         "pruned_box": 6,
+        "pruned_farkas": 0,
         "lp_calls": 0,
         "lp_feasible": 0,
+        "lp_pivots": 0,
     }
 
 
@@ -268,7 +275,17 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
         meet = all(a <= d and c <= b for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j))
         assert (meets[i] >> j & 1, meets[j] >> i & 1) == (meet, meet)
         if not meet:
-            assert hulls_intersect(config, [faces[i], faces[j]]) is None
+            assert hulls_intersect(config, [faces[i], faces[j]], (L, points))[0] is None
+
+
+def assert_same_counts_but_the_cut(got_stats, want_stats):
+    """`_search`'s counters against those of `loop_search`, which sends every
+    full tuple to the LP: the same, but that its LP calls are `_search`'s
+    plus the tuples that the Farkas cut skipped."""
+    got = dict(got_stats)
+    assert got.pop("lp_calls") + got.pop("pruned_farkas") == want_stats["lp_calls"]
+    got.pop("lp_pivots")
+    assert got == {key: value for key, value in want_stats.items() if key != "lp_calls"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -276,8 +293,51 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
 def test_mask_search_matches_the_face_at_a_time_loop(instance):
     got, got_stats = _search(instance)
     want, want_stats = loop_search(instance, False)
-    assert got_stats == want_stats
+    assert_same_counts_but_the_cut(got_stats, want_stats)
     assert ([] if got is None else [got]) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=free_instances())
+def test_farkas_cut_skips_only_infeasible_tuples(instance):
+    # loop_search sends every full tuple up to the first solution to the LP,
+    # and _search the same ones but those it cuts
+    sent = {"search": [], "loop": []}
+
+    def spy(name):
+        def record(config, faces, grid):
+            sent[name].append(tuple(faces))
+            return hulls_intersect(config, faces, grid)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "hulls_intersect", spy("search"))
+        patch.setattr(oracles, "hulls_intersect", spy("loop"))
+        _, stats = _search(instance)
+        loop_search(instance, False)
+    cut = list(sent["loop"])
+    for faces in sent["search"]:
+        cut.remove(faces)
+    assert len(cut) == stats["pruned_farkas"]
+    assert len(sent["search"]) == stats["lp_calls"]
+    for faces in cut:
+        assert fraction_hulls_intersect(instance.config, faces) is None, faces
+
+
+def test_farkas_cut_on_a_free_instance():
+    # Instance 186 of the free table that the benchmark draws from: without
+    # the cut, 96 full tuples go to the LP.
+    config = pts(
+        (("-9/4", 9), 0, 1), ((-2, 5), 1, 2), ((-1, "1/2"), 2, 2), (("9/4", -8), 3, 2), ((8, -3), 4, 1),
+        d=2,
+    )
+    instance = TverbergInstance(config, 3)
+    sol = search_tverberg(instance)
+    assert sol.faces == ((0, 2), (1, 3), (1, 3))
+    assert (sol.stats["lp_calls"], sol.stats["pruned_farkas"]) == (21, 75)
+    solutions, want_stats = loop_search(instance, False)
+    assert [s.faces for s in solutions] == [sol.faces] and want_stats["lp_calls"] == 96
+    assert_same_counts_but_the_cut(sol.stats, want_stats)
 
 
 @pytest.mark.parametrize("policy", [POLICY_LITERAL, POLICY_SHIFTED])
@@ -306,7 +366,7 @@ def test_capped_search_builds_only_the_faces_it_can_visit(monkeypatch, policy, s
             instance = TverbergInstance(config, r, dim_caps=caps, disjointness=disjointness)
             got, got_stats = _search(instance)
             want, want_stats = loop_search(instance, False)
-            assert got_stats == want_stats
+            assert_same_counts_but_the_cut(got_stats, want_stats)
             assert ([] if got is None else [got]) == want
             assert got_stats["rainbow_faces"] == len(all_faces)
             assert built[-1] == [f for f in all_faces if len(f) <= caps.max_dim + 1]
@@ -341,20 +401,22 @@ def _solution_tuples(instance, data):
 @given(instance=free_instances(), data=st.data())
 def test_grid_rows_match_the_fraction_rows(instance, data):
     config = instance.config
+    grid = _grid(config)
     for faces in _solution_tuples(instance, data):
-        assert hulls_intersect(config, faces) == fraction_hulls_intersect(config, faces)
+        assert hulls_intersect(config, faces, grid)[0] == fraction_hulls_intersect(config, faces)
 
 
 def test_grid_rows_on_coordinates_of_different_denominators():
     # L = lcm(3, 2, 4, 5, 7) = 420, and the segments cross at (1715/2102, 3345/4204)
     config = pts(((0, "1/3"), 0, 1), (("5/2", "7/4"), 1, 1), (("2/5", "3/2"), 0, 1), (("9/7", 0), 1, 1), d=2)
-    assert _grid(config)[0] == 420
-    got = hulls_intersect(config, [(0, 1), (2, 3)])
+    grid = _grid(config)
+    assert grid[0] == 420
+    got = hulls_intersect(config, [(0, 1), (2, 3)], grid)[0]
     assert got is not None and got == fraction_hulls_intersect(config, [(0, 1), (2, 3)])
     witness, certificates = got
     assert witness == (F(1715, 2102), F(3345, 4204))
     assert verify_solution(config, TverbergSolution(((0, 1), (2, 3)), witness, certificates))
-    assert hulls_intersect(config, [(0,), (2, 3)]) is None is fraction_hulls_intersect(config, [(0,), (2, 3)])
+    assert hulls_intersect(config, [(0,), (2, 3)], grid)[0] is None is fraction_hulls_intersect(config, [(0,), (2, 3)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,7 +625,7 @@ def test_balanced_square_with_center():
     assert sol.witness == (F(1), F(1))
     assert sol.policy == "shifted-k-plus-1"
     # The two diagonals themselves also cross exactly at the center.
-    witness, _ = hulls_intersect(config, [(0, 2), (1, 3)])
+    (witness, _), _, _ = hulls_intersect(config, [(0, 2), (1, 3)], _grid(config))
     assert witness == (F(1), F(1))
 
 
