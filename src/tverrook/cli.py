@@ -208,14 +208,16 @@ def _chessboard_build(spec):
 def _chessboard_check(spec):
     rep = chessboard.check_pseudomanifold(chessboard.build_chessboard(spec))
     verdict = _verdict(rep.all_ok)
-    details = {"spec": spec.to_json(), "report": rep.to_json()}
-    return verdict, details, rep.to_json(), f"pseudomanifold check: {verdict}"
+    report = rep.to_json()
+    details = {"spec": spec.to_json(), "report": report}
+    return verdict, details, report, f"pseudomanifold check: {verdict}"
 
 
 def _orient(spec):
     tau = chessboard.orient(spec, chessboard.build_chessboard(spec))
     boundary_zero = chessboard.verify_orientation(tau)
-    certificate = {"chain": [{"facet": list(f), "sign": s} for f, s in sorted(tau.items())]}
+    # tau is keyed by K.facets, which are lex sorted
+    certificate = {"chain": [{"facet": list(f), "sign": s} for f, s in tau.items()]}
     details = {"facets": len(tau), "boundary_zero": boundary_zero}
     summary = f"orientation on {len(tau)} facets, boundary zero: {boundary_zero}"
     return _verdict(boundary_zero), details, certificate, summary
@@ -248,7 +250,8 @@ def _obstruction(p, k, d):
         f"dim fixed sphere {s.dim_fixed_target}: {s.inequality_holds}"
         for s in rep.subgroup_results
     ]
-    return _verdict(rep.verdict), rep.to_json(), rep.to_json(), "\n".join(lines)
+    report = rep.to_json()
+    return _verdict(rep.verdict), report, report, "\n".join(lines)
 
 
 def _homology(K):
@@ -287,11 +290,11 @@ def _search(instance, constraint_count):
             "stats": result.stats,
         }
         return verdict, details, None, f"exhausted after {result.candidates_examined} candidates"
-    details = {"faces": [list(f) for f in result.faces], "mode": instance.mode, "stats": result.stats}
+    certificate = result.to_json()
+    details = {"faces": certificate["faces"], "mode": instance.mode, "stats": result.stats}
     if result.policy:
         details["policy"] = result.policy
-    witness = [geometry.format_rational(c) for c in result.witness]
-    return "found", details, result.to_json(), f"found solution with witness {witness}"
+    return "found", details, certificate, f"found solution with witness {certificate['witness']}"
 
 
 def _lift(config, solution, r):
@@ -301,7 +304,7 @@ def _lift(config, solution, r):
         "solution": lifted.solution.to_json(),
         "projection": {str(k): v for k, v in sorted(lifted.projection.items())},
     }
-    details = {"lifted_faces": [list(f) for f in lifted.solution.faces]}
+    details = {"lifted_faces": certificate["solution"]["faces"]}
     summary = f"lifted to {len(lifted.solution.faces)} pairwise disjoint faces"
     return "verified", details, certificate, summary
 
@@ -313,10 +316,7 @@ def _example_a(p, k, d, epsilon, seed):
         details = {"candidates_examined": result.candidates_examined, "stats": result.stats}
         return "refuted", details, None, "example configuration unexpectedly exhausted"
     certificate = {"config": config.to_json(), "solution": result.to_json()}
-    details = {
-        "witness": [geometry.format_rational(c) for c in result.witness],
-        "stats": result.stats,
-    }
+    details = {"witness": certificate["solution"]["witness"], "stats": result.stats}
     return "found", details, certificate, f"witness: {details['witness']}"
 
 

@@ -393,23 +393,18 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
 
     Solves for convex coefficients per face equating all barycentric
     combinations; infeasibility is a definitive verdict, not an error.  The
-    rows are the rational system's rows times L, as ints on `grid`, the
-    configuration's integer grid (L, X) from `_grid`: L on each face's
-    convexity row, and grid coordinates on each coordinate row.  The LP
-    returns the point it would return on the rational rows, and the witness
-    is formed from the grid coordinates over one common denominator.
+    faces are a list of nonempty tuples of point indices, as `rainbow_faces`
+    builds them, and are not checked again.  The rows are the rational
+    system's rows times L, as ints on `grid`, the configuration's integer
+    grid (L, X) from `_grid`: L on each face's convexity row, and grid
+    coordinates on each coordinate row.  The LP returns the point it would
+    return on the rational rows, and the witness is formed from the grid
+    coordinates over one common denominator.
 
     Returns ((witness, certificates), None, pivots) when the hulls meet, and
     (None, z, pivots) when they do not, where z is the LP's Farkas vector,
     checked here in integers: z^T A >= 0 on every column and z^T b < 0.
     """
-    faces = [tuple(f) for f in faces]
-    if not faces or any(not f for f in faces):
-        raise InputError("faces must be nonempty")
-    for f in faces:
-        for v in f:
-            if not 0 <= v < len(config.points):
-                raise InputError(f"point index {v} out of range")
     L, X = grid
 
     total = sum(map(len, faces))
@@ -605,13 +600,12 @@ def _search(instance: TverbergInstance):
 
     Only full tuples reach the LP.  Each infeasible LP's Farkas vector is
     kept as the faces it covers per position (`_farkas_cover`), and a full
-    tuple that one kept vector covers at every position skips its LP; each
-    prefix carries the kept vectors that still cover it.  A feasible tuple
-    is never covered, so the first solution is the first feasible tuple in
-    canonical order.  Returns (the first solution or None, stats): the
-    rainbow faces, the prefixes each rule pruned (a face counts for the
-    first rule that cuts it: dimension caps, budget, box), the full tuples
-    the kept vectors cut, and the LP calls, feasible LPs and LP pivots.
+    tuple that one kept vector covers at every position skips its LP.  A
+    feasible tuple is never covered, so the first solution is the first
+    feasible tuple in canonical order.  Returns (the first solution or None,
+    stats): the rainbow faces, the prefixes each rule pruned (a face counts
+    for the first rule that cuts it: dimension caps, budget, box), the full
+    tuples the kept vectors cut, and the LP calls, feasible LPs and LP pivots.
     More than `MAX_RAINBOW_FACES` rainbow faces raise `ResourceLimitError`
     before any is built.
     """
@@ -645,8 +639,6 @@ def _search(instance: TverbergInstance):
     budget = [1 if disjoint else pt.multiplicity for pt in config.points]
     chosen: list = []
     covers: list = []  # per kept Farkas vector, its faces per position
-    # holding[k]: the kept vectors that cover the first k faces of `chosen`
-    holding: list = [[] for _ in range(r + 1)]
     stats = {
         "rainbow_faces": count,
         "pruned_dim_cap": 0,
@@ -661,18 +653,15 @@ def _search(instance: TverbergInstance):
     def rec(start: int, allowed: int, blocked: int, capped_used: int):
         depth = len(chosen)
         if depth == r:
-            if holding[r]:
+            if any(all(cover[k] >> fi & 1 for k, fi in enumerate(chosen)) for cover in covers):
                 stats["pruned_farkas"] += 1
                 return None
             stats["lp_calls"] += 1
             got, z, pivots = hulls_intersect(config, [faces[i] for i in chosen], grid)
             stats["lp_pivots"] += pivots
             if got is None:
-                # z passed the check on this tuple's own rows, so it
-                # covers the tuple and every prefix of it
+                # z passed the check on this tuple's own rows, so it covers the tuple
                 covers.append(_farkas_cover(z, r, grid, touch, built))
-                for held in holding[:r]:
-                    held.append(len(covers) - 1)
                 return None
             stats["lp_feasible"] += 1
             witness, certs = got
@@ -700,7 +689,6 @@ def _search(instance: TverbergInstance):
                 if not budget[v]:
                     now_blocked |= touch[v]
             chosen.append(fi)
-            holding[depth + 1] = [j for j in holding[depth] if covers[j][depth] & low]
             found = rec(
                 fi + 1 if disjoint else fi,
                 allowed & meets[fi],

@@ -72,22 +72,15 @@ def antichain(faces) -> tuple:
     return tuple(sorted(kept))
 
 
-class _ComplexFields(NamedTuple):
+class Complex(NamedTuple):
+    """Finite abstract simplicial complex given by universe and facets.
+
+    Not checked here: the package's builders put the facets in the universe,
+    and `build_complex` checks that a complex read from JSON has them there.
+    """
+
     universe: frozenset
     facets: tuple
-
-
-class Complex(_ComplexFields):
-    """Finite abstract simplicial complex given by universe and facets."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for f in self.facets:
-            if not set(f) <= self.universe:
-                raise InputError(f"facet {f} has vertices outside the universe")
-        return self
 
     @property
     def dimension(self) -> int:
@@ -116,9 +109,13 @@ class Complex(_ComplexFields):
 def build_complex(universe, facets) -> Complex:
     """Build a complex from facet lists, deduplicated and antichain-reduced."""
     uni = frozenset(_vertex_ids(universe))
+    kept = antichain([as_simplex(f) for f in facets])
     # a facet with a vertex outside the universe survives the antichain, or
-    # lies in one that has that vertex too, so Complex rejects it
-    return Complex(uni, antichain([as_simplex(f) for f in facets]))
+    # lies in one that has that vertex too
+    for f in kept:
+        if not set(f) <= uni:
+            raise InputError(f"facet {f} has vertices outside the universe")
+    return Complex(uni, kept)
 
 
 def faces_by_dimension(K: Complex, top: int | None = None) -> dict:

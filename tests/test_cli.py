@@ -301,6 +301,11 @@ def test_connectivity_exit_codes(capsys, tmp_path):
     code, report, _ = run(capsys, "connectivity", "--json", path, "--level", "1")
     assert code == 1
     assert report["verdict"] == "refuted"
+    # the complex whose only face is the empty simplex is not 0-connected
+    void = write_json(tmp_path, "void.json", {"universe": [], "facets": []})
+    code, report, _ = run(capsys, "connectivity", "--json", void, "--level", "0")
+    assert code == 1
+    assert report["verdict"] == "refuted"
 
 
 def test_fixed_points(capsys, tmp_path):
@@ -1101,6 +1106,12 @@ LIFT_SOLUTION = {
     "witness": ["1/2"],
     "certificates": [["1"], ["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"]],
 }
+# The prime-power points with the exceptional (last) point of multiplicity 2.
+PRIME_POWER_TWO_EXCEPTIONAL = copy.deepcopy(PRIME_POWER)
+PRIME_POWER_TWO_EXCEPTIONAL["points"][4]["multiplicity"] = 2
+
+
+COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
 
 
 # Malformed inputs: each is an input error, never a traceback.
@@ -1168,6 +1179,27 @@ LIFT_SOLUTION = {
             "spec": {"m": 2, "n": 4, "row_caps": [1, 1, 1], "col_caps": [1, 2]},
             "generators": [[2, 1, 4, 3]],
         }),
+        (["homology"], {"universe": [0], "facets": [[0, 1]]}),
+        (["chessboard", "check", "--cols", "0"], None),
+        (["unavoidable", "check"], {"multiset": UNAVOIDABLE_INPUT["multiset"], "r": 2}),
+        (["tverberg", "search"], dict(BALANCED, mode="balanced-1.6")),
+        (["balanced", "search"], dict(BALANCED, points=BALANCED["points"][:4])),
+        # the second face, on points of colours 0, 1 and 1, meets the witness
+        (["lift"], {"config": PRIME_POWER, "r": 4, "solution": dict(
+            LIFT_SOLUTION, faces=[[4], [0, 2, 3], [1, 3], [1, 3]],
+            certificates=[["1"], ["1/2", "1/2", "0"], ["1/2", "1/2"], ["1/2", "1/2"]])}),
+        # a valid solution, but the exceptional point lifts to one vertex
+        (["lift"], {"config": PRIME_POWER_TWO_EXCEPTIONAL, "r": 4, "solution": dict(
+            LIFT_SOLUTION, faces=[[4], [4], [1, 3], [1, 3]],
+            certificates=[["1"], ["1"], ["1/2", "1/2"], ["1/2", "1/2"]])}),
+        (["example-a", "--p", "4", "--k", "1", "--d", "1"], None),
+        (["obstruction", "--p", "4", "--k", "1", "--d", "1"], None),
+        (["valuation", "--p", "1", "--m", "5"], None),
+        (["valuation", "--p", "9", "--m", "5"], None),
+        (["valuation", "--p", "2", "--m=-1"], None),
+        (["obstruction", "--p", "2", "--k", "0", "--d", "1"], None),
+        (["homology"], {"universe": [], "facets": []}),
+        (["connectivity", "--level", "-2"], COMPLEX),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -1179,6 +1211,11 @@ LIFT_SOLUTION = {
         "generator-float", "board-size-bool", "lift-face-index-float", "vertex-bool",
         "universe-bool", "multiset-vertex-bool", "multiset-key-not-canonical",
         "coordinate-exponent", "epsilon-exponent", "row-cap-2", "row-cap-bool", "row-caps-short",
+        "facet-outside-universe", "chessboard-void", "unavoidable-neither-input",
+        "balanced-mode-multiset-proper", "balanced-point-count", "lift-face-not-rainbow",
+        "lift-exceptional-reused", "example-a-p-not-prime", "obstruction-p-not-prime",
+        "valuation-p-1", "valuation-p-9", "valuation-m-negative", "obstruction-k-0",
+        "homology-empty-simplex", "connectivity-level-below-minus-1",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):
@@ -1191,8 +1228,6 @@ def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):
     assert report["verdict"] == "error"
     assert "Traceback" not in err
 
-
-COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
 
 # Valid inputs of every subcommand that reads JSON.  Values stay small: the
 # property is about malformed input, not about instances too large to run.

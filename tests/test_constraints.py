@@ -55,6 +55,7 @@ def test_proper_collections():
 def test_unavoidable_simple_cases():
     V = V_abc()
     K_bc = full_simplex({1, 2})
+    assert K_bc.facets == ((1, 2),) and K_bc.universe == {1, 2}
     assert is_unavoidable(K_bc, 2, V).unavoidable
     K_c = full_simplex({2})
     verdict = is_unavoidable(K_c, 2, V)
@@ -67,6 +68,7 @@ def test_unavoidable_simple_cases():
 def test_full_simplex_is_always_unavoidable():
     V = V_abc(a=2, b=2)
     K = full_simplex(V.universe)
+    assert K.facets == (tuple(sorted(V.universe)),) and K.universe == V.universe
     for r in (2, 3, 4):
         assert is_unavoidable(K, r, V).unavoidable
 
@@ -178,6 +180,7 @@ def test_constrain_removes_vertices():
     out = constrain_complex(K, [{1}])
     assert out.universe == frozenset({0, 2, 3})
     assert out.facets == ((0, 2), (2, 3))
+    assert all(set(f) <= out.universe for f in out.facets)
 
 
 def test_constrain_empty_avoid_list_is_identity():
@@ -196,6 +199,7 @@ def test_constrain_composes():
     step = constrain_complex(constrain_complex(K, [{0}]), [{4}])
     joint = constrain_complex(K, [{0}, {4}])
     assert step == joint
+    assert all(set(f) <= joint.universe for f in joint.facets)
 
 
 def test_constrain_whole_color_class_drops_dimension():
@@ -205,6 +209,7 @@ def test_constrain_whole_color_class_drops_dimension():
     out = constrain_complex(K, [{0, 1}])
     assert out.dimension == 0
     assert out.facets == ((2,), (3,))
+    assert all(set(f) <= out.universe for f in out.facets)
 
 
 def test_exhaustive_avoidance_small_multiset():

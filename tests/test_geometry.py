@@ -122,12 +122,6 @@ def test_separated_triangles():
     assert got is None and z is not None
 
 
-def test_hulls_reject_empty_face():
-    config = pts(((0,), 0, 1), d=1)
-    with pytest.raises(InputError):
-        hulls_intersect(config, [(0,), ()], _grid(config))
-
-
 def test_rainbow_faces_order_and_content():
     config = pts(((0,), 0, 1), ((1,), 0, 1), ((2,), 1, 1), d=1)
     faces = rainbow_faces(config)

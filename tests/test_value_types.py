@@ -5,6 +5,9 @@ by-products of a result (search counters, elimination sizes) included; a
 test that means only some fields compares those.  The types that check
 their fields do so in ``__new__``.  ``_replace`` does not call ``__new__``,
 so it is used only to put in a field that its own constructor checked.
+``Complex`` checks nothing in ``__new__``: the package's builders put its
+facets in its universe, and ``build_complex`` checks a complex read from
+JSON.
 """
 
 from fractions import Fraction
@@ -27,6 +30,7 @@ from tverrook import (
     TverbergInstance,
     TverbergSolution,
     UnavoidabilityVerdict,
+    build_complex,
 )
 
 SOLUTION = (((0, 1), (2,)), (Fraction(1),), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)))
@@ -61,7 +65,8 @@ CONFIG = PointConfig(1, POINTS)
     (lambda: ChessboardSpec(2, 1, (1,)), InputError),
     (lambda: ChessboardSpec(m=1, n=1, col_caps=(True,)), InputError),
     (lambda: RowPermutation((1, 1)), InputError),
-    (lambda: Complex(frozenset({0}), ((0, 1),)), InputError),
+    # a complex is checked where it comes in from JSON, by build_complex
+    (lambda: build_complex([0], [[0, 1]]), InputError),
     (lambda: CollapseTheta(2, 2, (1, 1)), InputError),
     (lambda: PointConfig(1, POINTS[1:]), InputError),
     (lambda: PointConfig(d=0, points=POINTS), InputError),
