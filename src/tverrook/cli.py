@@ -29,7 +29,6 @@ refuted, 2 exhausted (free mode), 3 input error, 4 resource guard tripped.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -38,6 +37,16 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import chessboard, constraints, geometry, homology, maps, simplicial
 from .errors import InputError, ResourceLimitError, json_int
+
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB of the process; the
+# interpreter's own SHA-256 module gives the same digest without it.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     import argparse
@@ -61,7 +70,7 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _digest(payload) -> str:
-    return hashlib.sha256(_encode(payload).encode()).hexdigest()
+    return sha256(_encode(payload).encode()).hexdigest()
 
 
 def _caps_list(text: str) -> tuple:

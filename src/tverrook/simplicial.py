@@ -156,11 +156,9 @@ def faces_by_dimension(K: Complex, top: int | None = None) -> dict:
                         f"boundary-matrix entries up to dimension {top}"
                     )
     by_dim: dict = {}
-    seen = set()
-    for facet in K.facets:
-        for q in range(top + 2):  # no combinations of more than len(facet)
-            for face in itertools.combinations(facet, q):
-                if face not in seen:
-                    seen.add(face)
-                    by_dim.setdefault(q - 1, []).append(face)
-    return {q: sorted(fs) for q, fs in sorted(by_dim.items())}
+    for q in range(min(top, largest - 1) + 2):
+        faces = set()
+        for facet in K.facets:
+            faces.update(itertools.combinations(facet, q))
+        by_dim[q - 1] = sorted(faces)
+    return by_dim

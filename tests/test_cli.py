@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -725,15 +726,17 @@ codes = [
     main(["homology", "--json", sys.argv[2]]),
     main(["tverberg", "search", "--json", sys.argv[3]]),
 ]
-lean = [name for name in ("dataclasses", "inspect", "argparse") if name in sys.modules]
+lean = [name for name in ("dataclasses", "inspect", "argparse", "hashlib", "_hashlib")
+        if name in sys.modules]
 help_code = main(["--help"])
 print(json.dumps([codes, lean, help_code, "argparse" in sys.modules]))
 """
 
 
-def test_start_up_imports_neither_dataclasses_nor_argparse(tmp_path):
+def test_start_up_imports_neither_dataclasses_argparse_nor_hashlib(tmp_path):
     """A fresh interpreter answers three requests without importing dataclasses,
-    inspect or argparse; only help builds a parser and imports argparse.
+    inspect, argparse, or hashlib and its OpenSSL module ``_hashlib``; only
+    help builds a parser and imports argparse.
 
     It runs without ``site`` (``-S``), whose start-up hooks are the host's.
     """
@@ -749,6 +752,41 @@ def test_start_up_imports_neither_dataclasses_nor_argparse(tmp_path):
     assert codes == [0, 0, 0]
     assert lean == []
     assert (help_code, argparse_after_help) == (0, True)
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"argv": ["chessboard", "check", "--cols", "200"]},
+    {"b": [1, 2, 3], "a": {"z": None, "y": "1/2"}, "é": True},
+    [list(range(300)), "x" * 5000],
+])
+def test_digest_is_sha256_of_the_encoded_payload(payload):
+    text = cli._encode(payload)
+    assert cli._digest(payload) == hashlib.sha256(text.encode()).hexdigest()
+
+
+NO_BUILT_IN_SHA256 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from tverrook import cli
+cli.main(["chessboard", "check", "--cols", "200"])
+print(json.dumps("hashlib" in sys.modules))
+"""
+
+
+def test_digest_falls_back_to_hashlib():
+    """Without the interpreter's built-in SHA-256 module the digest comes from
+    hashlib and is the same."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", NO_BUILT_IN_SHA256, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, used_hashlib = map(json.loads, proc.stdout.splitlines())
+    assert used_hashlib
+    assert report["input_digest"] == "280b083585877d1841aa88b17c3f8667ae43240e2ea4f58592c3c934f6c1b964"
 
 
 def test_balanced_search(capsys, tmp_path):
