@@ -1,9 +1,20 @@
 """Exact feasibility for Ax = b, x >= 0, on an integer system.
 
-Phase-1 simplex with Bland's anti-cycling rule on an integer tableau (the
-integer-preserving pivots of Edmonds, 1967, and Bareiss, 1968); no floating
-point anywhere.  Returns a feasible point, as `Fraction`s, or a Farkas
-vector that proves there is none, and the number of pivots made.
+`unique_solution` answers a system whose n columns are independent, by
+one fraction-free Gauss-Jordan elimination, with the integer-preserving
+steps and per-row scales of the simplex below (here a pivot, and so a
+scale, may be negative): step c pivots on column c, in the first row from
+the c-th on with a nonzero entry there.  After the
+last step, row j < n reads s_j x_j = (its right-hand side), for its scale
+s_j, and the rows past the n-th read 0 = (their right-hand side).  Such a
+system has at most one solution, so a solution >= 0 is the only feasible
+point, and the simplex's point too.
+
+`solve_equality_feasibility` answers any system, by a phase-1 simplex with
+Bland's anti-cycling rule on an integer tableau (the integer-preserving
+pivots of Edmonds, 1967, and Bareiss, 1968); no floating point anywhere.
+It returns a feasible point, as `Fraction`s, or a Farkas vector that proves
+there is none, and the number of pivots made.
 
 The caller clears denominators: A and b hold ints, and a rational system
 enters as its rows times one positive constant L.  Scaling every row by L
@@ -41,6 +52,44 @@ Linear and Integer Programming*, 1986, section 7.3).
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def unique_solution(A: list, b: list):
+    """The solution x >= 0 of Ax = b when A has independent columns, or None.
+
+    A is a list of m rows of n ints and b a list of m ints.  Returns x as a
+    list of Fractions when 0 < n <= m, every column gets a pivot, the rows
+    past the n-th reduce to 0 = 0 and x >= 0; None otherwise, and then the
+    system may still be feasible.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if not 0 < n <= m:
+        return None
+    T = [[*row, bi] for row, bi in zip(A, b)]
+    scale = [1] * m
+    d = 1
+    for c in range(n):
+        k = next((i for i in range(c, m) if T[i][c]), None)
+        if k is None:
+            return None
+        T[c], T[k] = T[k], T[c]
+        scale[c], scale[k] = scale[k], scale[c]
+        pivot = T[c]
+        if scale[c] != d:
+            pivot[c:] = [v * d // scale[c] for v in pivot[c:]]
+        # columns < c are settled and column c is 0 off the pivot row after this
+        # step, so only columns > c are rewritten
+        p, w = pivot[c], pivot[c + 1:]
+        for i, row in enumerate(T):
+            f = row[c]
+            if f and i != c:
+                row[c + 1:] = [(p * v - f * u) // scale[i] for v, u in zip(row[c + 1:], w)]
+                scale[i] = p
+        scale[c] = d = p
+    if any(row[n] for row in T[n:]) or any(T[j][n] * scale[j] < 0 for j in range(n)):
+        return None
+    return [Fraction(T[j][n], scale[j]) for j in range(n)]
 
 
 def solve_equality_feasibility(A: list, b: list):

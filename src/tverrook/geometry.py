@@ -5,9 +5,11 @@ the JSON boundary and the LP's output; the search itself runs on one
 integer grid (`_grid`): every coordinate is multiplied by L, the lcm of all
 coordinate denominators.  The search enumerates tuples of rainbow faces
 within the multiplicity budget and certifies hull intersections by exact
-linear programming on integer rows built from the grid; every returned
-witness carries per-face convex coefficients that are re-checked by direct
-substitution in integers of the check's own, independently of the LP.
+linear programming on integer rows built from the grid: one fraction-free
+elimination when the rows' columns are independent and it gives a point
+>= 0, the simplex otherwise.  Every returned witness carries per-face
+convex coefficients that are re-checked by direct substitution in integers
+of the check's own, independently of the LP.
 
 Before the LP, the search prunes by boxes on the grid: each grid point is
 projected onto the d^2 integer directions e_i, e_i + e_j and e_i - e_j
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError, json_int, shown
-from .exactlp import solve_equality_feasibility
+from .exactlp import solve_equality_feasibility, unique_solution
 from .maps import is_prime, multiplicity_vector, power_exceeds
 
 MODES = (
@@ -60,6 +62,13 @@ MAX_EXAMPLE_ORDER = 9
 # The search holds one F-bit mask per rainbow face (`_meet_masks`), F^2 / 8
 # bytes in all: 8 MiB at this cap.  65 535 faces took a peak of 1.57 GB.
 MAX_RAINBOW_FACES = 1 << 13
+
+# The box set-up works on d^2 directions per point (`_grid_projections`) and
+# per rainbow face (`_meet_masks`): d^2 (points + faces) is capped.  On a
+# 2-core host, 3 one-point colours took 1.6 s at d = 600 (3.6 M); Example A's
+# largest input under the face cap, p = 2, k = 1, d = 11 (992 684), answers
+# in about 1.3 s.
+MAX_BOX_WORK = 1 << 20
 
 POLICY_SHIFTED = "shifted-k-plus-1"
 POLICY_LITERAL = "literal-k"
@@ -401,9 +410,14 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
     return on the rational rows, and the witness is formed from the grid
     coordinates over one common denominator.
 
+    The rows go first to `unique_solution`.  Their columns are mostly
+    independent when the faces hold at most (r-1)(d+1)+1 points in all, the
+    number of rows; then a solution >= 0 is the only feasible point, so it
+    is the LP's point.  Only the systems it leaves unanswered reach the LP.
     Returns ((witness, certificates), None, pivots) when the hulls meet, and
     (None, z, pivots) when they do not, where z is the LP's Farkas vector,
-    checked here in integers: z^T A >= 0 on every column and z^T b < 0.
+    checked here in integers: z^T A >= 0 on every column and z^T b < 0;
+    pivots is the LP's pivots, or None when the elimination answered.
     """
     L, X = grid
 
@@ -424,7 +438,9 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
             rhs.append(0)
         offset += len(f)
 
-    x, z, pivots = solve_equality_feasibility(rows, rhs)
+    x, z, pivots = unique_solution(rows, rhs), None, None
+    if x is None:
+        x, z, pivots = solve_equality_feasibility(rows, rhs)
     if x is None:
         if sum(map(operator.mul, z, rhs)) >= 0 or any(
             sum(map(operator.mul, z, col)) < 0 for col in zip(*rows)
@@ -605,9 +621,11 @@ def _search(instance: TverbergInstance):
     feasible tuple in canonical order.  Returns (the first solution or None,
     stats): the rainbow faces, the prefixes each rule pruned (a face counts
     for the first rule that cuts it: dimension caps, budget, box), the full
-    tuples the kept vectors cut, and the LP calls, feasible LPs and LP pivots.
-    More than `MAX_RAINBOW_FACES` rainbow faces raise `ResourceLimitError`
-    before any is built.
+    tuples the kept vectors cut, the LP calls and feasible LPs, the simplex
+    pivots, and the LP calls that the elimination answered with no simplex.
+    More than `MAX_RAINBOW_FACES` rainbow faces, or d^2 (points + rainbow
+    faces) above `MAX_BOX_WORK`, raise `ResourceLimitError` before any face
+    or projection is built.
     """
     config = instance.config
     r = instance.r
@@ -616,6 +634,11 @@ def _search(instance: TverbergInstance):
     if count > MAX_RAINBOW_FACES:
         raise ResourceLimitError(
             f"{shown(count)} rainbow faces exceed MAX_RAINBOW_FACES = {MAX_RAINBOW_FACES}"
+        )
+    work = config.d ** 2 * (len(config.points) + count)
+    if work > MAX_BOX_WORK:
+        raise ResourceLimitError(
+            f"d^2 (points + rainbow faces) = {shown(work)} exceeds MAX_BOX_WORK = {MAX_BOX_WORK}"
         )
     faces = rainbow_faces(config, None if caps is None else caps.max_dim + 1)
     touch = [0] * len(config.points)  # touch[v]: the faces that contain v
@@ -648,6 +671,7 @@ def _search(instance: TverbergInstance):
         "lp_calls": 0,
         "lp_feasible": 0,
         "lp_pivots": 0,
+        "lp_direct": 0,
     }
 
     def rec(start: int, allowed: int, blocked: int, capped_used: int):
@@ -658,7 +682,10 @@ def _search(instance: TverbergInstance):
                 return None
             stats["lp_calls"] += 1
             got, z, pivots = hulls_intersect(config, [faces[i] for i in chosen], grid)
-            stats["lp_pivots"] += pivots
+            if pivots is None:
+                stats["lp_direct"] += 1
+            else:
+                stats["lp_pivots"] += pivots
             if got is None:
                 # z passed the check on this tuple's own rows, so it covers the tuple
                 covers.append(_farkas_cover(z, r, grid, touch, built))

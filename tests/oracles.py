@@ -272,7 +272,7 @@ def loop_search(instance, find_all):
     running box, the intersection of the prefix faces' boxes, rule after
     rule.  Every full tuple goes to the LP: there is no Farkas cut, so its
     `lp_calls` is `_search`'s `lp_calls` + `pruned_farkas`, and it counts
-    neither `pruned_farkas` nor `lp_pivots`.  Returns (solutions, stats) as
+    none of `pruned_farkas`, `lp_pivots` and `lp_direct`.  Returns (solutions, stats) as
     `_search` does, the other counters included.
     """
     config = instance.config

@@ -327,8 +327,8 @@ def test_tverberg_search_found(capsys, tmp_path):
     assert code == 0
     assert report["verdict"] == "found"
     assert report["certificate"]["witness"] == ["1/2"]
-    # 7 rainbow faces; the first LP, on ((2,), (0, 1)), is feasible after
-    # 3 pivots, one per row.
+    # 7 rainbow faces; the first LP, on ((2,), (0, 1)), has 3 rows and 3
+    # independent columns, so the elimination answers it with no pivot.
     assert report["details"]["stats"] == {
         "rainbow_faces": 7,
         "pruned_dim_cap": 0,
@@ -337,7 +337,8 @@ def test_tverberg_search_found(capsys, tmp_path):
         "pruned_farkas": 0,
         "lp_calls": 1,
         "lp_feasible": 1,
-        "lp_pivots": 3,
+        "lp_pivots": 0,
+        "lp_direct": 1,
     }
     assert "stats" not in report["certificate"]
 
@@ -375,6 +376,7 @@ def test_tverberg_search_exhausted_stats(capsys, tmp_path):
         "lp_calls": 1,
         "lp_feasible": 0,
         "lp_pivots": 3,
+        "lp_direct": 0,
     }
 
 
@@ -678,6 +680,23 @@ def test_low_connectivity_of_a_large_simplex_lists_only_low_faces(capsys, tmp_pa
     code, report, _ = run(capsys, "connectivity", "--json", path, "--level", "0")
     assert time.monotonic() - start < 1.0
     assert (code, report["verdict"]) == (0, "verified")
+
+
+def test_box_work_guard_refuses_a_large_dimension_at_once(capsys, tmp_path):
+    # 3 one-point colours in d = 6000: 7 rainbow faces, but the boxes would
+    # take 36 M directions per point and face, minutes and gigabytes
+    data = {
+        "d": 6000,
+        "points": [{"coords": [str(i)] * 6000, "color": i, "multiplicity": 1} for i in range(3)],
+        "r": 2,
+        "mode": "free",
+    }
+    path = write_json(tmp_path, "in.json", data)
+    start = time.monotonic()
+    code, report, err = run(capsys, "tverberg", "search", "--json", path)
+    assert time.monotonic() - start < 1.0
+    assert (code, report["verdict"]) == (4, "error")
+    assert "MAX_BOX_WORK" in report["message"] and "Traceback" not in err
 
 
 def test_rainbow_faces_under_the_mask_cap_answer(capsys, tmp_path):
@@ -1113,17 +1132,30 @@ def test_workload_argv_shapes_parse_without_argparse(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_example_a_matches_fraction_lp_oracle(capsys, monkeypatch, seed):
+    # The elimination answers Example A's one LP; patched out, the integer
+    # simplex answers it, and must give the Fraction simplex's report.
     argv = ["--seed", str(seed), "example-a", "--p", "2", "--k", "2", "--d", "2",
             "--epsilon", "1/100"]
-    outputs = []
-    for solver in (geometry.solve_equality_feasibility, fraction_equality_feasibility):
-        monkeypatch.setattr(geometry, "solve_equality_feasibility", solver)
+
+    def run_example():
         assert main(argv) == 0
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         report.pop("elapsed_seconds")
-        outputs.append((report, captured.err))
+        return report, captured.err
+
+    direct = run_example()
+    monkeypatch.setattr(geometry, "unique_solution", lambda A, b: None)
+    outputs = []
+    for solver in (geometry.solve_equality_feasibility, fraction_equality_feasibility):
+        monkeypatch.setattr(geometry, "solve_equality_feasibility", solver)
+        outputs.append(run_example())
     assert outputs[0] == outputs[1]
+    # with and without the elimination, only the LP counters differ
+    on, off = direct[0]["details"]["stats"], outputs[0][0]["details"]["stats"]
+    assert (on.pop("lp_direct"), off.pop("lp_direct")) == (1, 0)
+    assert on.pop("lp_pivots") == 0 < off.pop("lp_pivots")
+    assert direct == outputs[0]
 
 
 UNAVOIDABLE_INPUT = {

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import fraction_equality_feasibility
 from tverrook import build_example_a, geometry, search_tverberg
-from tverrook.exactlp import solve_equality_feasibility
+from tverrook.exactlp import solve_equality_feasibility, unique_solution
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
@@ -134,22 +134,119 @@ def test_farkas_vector_of_a_negated_row():
 
 
 def test_hull_systems_of_example_a_match_the_fraction_oracle():
-    # Every LP that the searches of Example A (p^k = 4 in the plane,
-    # epsilon 1/100, seeds 0..11) solve: one feasible LP each, whose
-    # tableau entries reach 143 bits.
+    # Every hull system that the searches of Example A (p^k = 4 in the
+    # plane, epsilon 1/100, seeds 0..11) solve: one feasible 10 x 10 system
+    # each, which the elimination answers.  The simplex still runs on them
+    # here: its tableau entries reach 143 bits.
     systems = []
 
     def spy(A, b):
-        systems.append((A, b))
-        return solve_equality_feasibility(A, b)
+        x = unique_solution(A, b)
+        systems.append((A, b, x))
+        return x
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "solve_equality_feasibility", spy)
+        patch.setattr(geometry, "unique_solution", spy)
         for seed in range(12):
             _, instance = build_example_a(2, 2, 2, epsilon=Fraction(1, 100), seed=seed)
-            search_tverberg(instance)
+            assert search_tverberg(instance).stats["lp_direct"] == 1
     assert len(systems) == 12
-    for A, b in systems:
+    for A, b, direct in systems:
         x, _, pivots = solve_equality_feasibility(A, b)
         want, _, want_pivots = fraction_equality_feasibility(A, b)
-        assert x is not None and (x, pivots) == (want, want_pivots)
+        assert direct is not None and direct == x == want and pivots == want_pivots
+
+
+@st.composite
+def tall_systems(draw):
+    """Rational systems of n <= m columns, mostly independent, with a planted
+    solution x >= 0; in half of them, x has a negative entry or one
+    right-hand side is moved off Ax."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 6))
+    A = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
+    x = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)]),
+                      min_size=n, max_size=n))
+    change = draw(st.sampled_from(["none", "none", "negative", "moved"]))
+    if change == "negative":
+        x[draw(st.integers(0, n - 1))] = Fraction(-1)
+    b = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in A]
+    if change == "moved":
+        b[draw(st.integers(0, m - 1))] += 1
+    return A, b
+
+
+def rank(A):
+    """The rank of a rational matrix, by Gaussian elimination on Fractions."""
+    rows = [list(map(Fraction, row)) for row in A]
+    done = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[done], rows[k] = rows[k], rows[done]
+        for i in range(done + 1, len(rows)):
+            f = rows[i][c] / rows[done][c]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[done])]
+        done += 1
+    return done
+
+
+def test_unique_solution_is_the_simplex_point():
+    answered = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(system=st.one_of(systems(), tall_systems()), factor=st.integers(1, 3))
+    def check(system, factor):
+        A, b = system
+        rows, rhs = cleared(A, b, factor)
+        x = unique_solution(rows, rhs)
+        want = fraction_equality_feasibility(A, b)[0]
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            assert x == want == solve_equality_feasibility(rows, rhs)[0]
+            answered.append(x)
+        elif want is not None:
+            # a feasible system it leaves has no columns or dependent ones
+            n = len(A[0]) if A else 0
+            assert n == 0 or rank(A) < n
+
+    check()
+    assert len(answered) > 150
+
+
+@pytest.mark.parametrize(
+    "A, b, feasible",
+    [
+        ([[1, 0], [2, 0], [0, 0]], [1, 2, 0], True),  # a zero column
+        ([[1, 2], [1, 2]], [3, 3], True),  # two dependent columns
+        ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], False),  # an extra row contradicts the others
+        ([[1, 0], [0, 1]], [1, -1], False),  # the one solution has a negative entry
+        ([[1, 1, 1]], [1], True),  # more columns than rows
+    ],
+    ids=["zero-column", "dependent-columns", "contradicting-row", "negative-entry", "wide"],
+)
+def test_unique_solution_leaves_systems_to_the_simplex(A, b, feasible):
+    assert unique_solution(A, b) is None
+    assert (solve_equality_feasibility(A, b)[0] is not None) == feasible
+
+
+@pytest.mark.parametrize(
+    "A, b, x",
+    [
+        ([[0, 1], [1, 0]], [2, 3], [3, 2]),  # the first pivot needs a row swap
+        ([[0, 1], [1, 0], [1, 1]], [2, 3, 5], [3, 2]),  # a swap, and an extra row that agrees
+        ([[-2, 1], [1, 1]], [-1, 2], [1, 1]),  # negative pivots: D = -3 at the end
+        ([[0, 0, 2], [3, 0, 0], [0, -1, 1], [1, 1, 1]], [4, 3, 1, 4], [1, 1, 2]),  # two swaps
+        ([[2, 0], [0, 3]], [1, 1], [Fraction(1, 2), Fraction(1, 3)]),
+        # step 0 rewrites row 1 at scale -2 and leaves row 2 at scale 1;
+        # step 1 swaps them, and their scales with them
+        ([[-2, 0, 0, -1], [-1, 0, 1, 0], [0, 1, 0, -1], [3, 1, 0, 0]], [-2, 1, 0, 2], [0, 2, 1, 2]),
+    ],
+    ids=["row-swap", "row-swap-and-extra-row", "negative-pivots", "two-swaps", "fractions",
+         "swap-of-rows-at-two-scales"],
+)
+def test_unique_solution_with_row_swaps_and_negative_pivots(A, b, x):
+    got = unique_solution(A, b)
+    assert got == x == solve_equality_feasibility(A, b)[0]
+    assert all(type(v) is Fraction for v in got)
