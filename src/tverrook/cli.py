@@ -81,7 +81,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # the decoder raises RecursionError on input nested too deeply
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
 
 

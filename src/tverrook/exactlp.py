@@ -1,20 +1,30 @@
 """Exact feasibility for Ax = b, x >= 0, on an integer system.
 
+Both solvers below pivot an integer tableau by `_pivot`, the
+integer-preserving step of Edmonds (1967) and Bareiss (1968) with a scale
+per row; no floating point anywhere.  Row i of the tableau holds s_i times
+its rational row, for a nonzero scale s_i of its own.  D, the last pivot
+(1 at the start), is the determinant of the basis, and D times any
+rational row is integral.  A pivot on row r and column c brings row r to
+scale D, and every other row with a nonzero entry f in column c becomes
+(p v - f w) / s_i at scale p, an exact division, where p is the pivot and
+w row r at scale D; row r itself is then the normalized row at scale p.
+A row whose entry in column c is 0 keeps its entries and its scale.
+
 `unique_solution` answers a system whose n columns are independent, by
-one fraction-free Gauss-Jordan elimination, with the integer-preserving
-steps and per-row scales of the simplex below (here a pivot, and so a
-scale, may be negative): step c pivots on column c, in the first row from
-the c-th on with a nonzero entry there.  After the
-last step, row j < n reads s_j x_j = (its right-hand side), for its scale
-s_j, and the rows past the n-th read 0 = (their right-hand side).  Such a
-system has at most one solution, so a solution >= 0 is the only feasible
-point, and the simplex's point too.
+one fraction-free Gauss-Jordan elimination of [A | b]: step c pivots on
+column c, in the first row from the c-th on with a nonzero entry there; a
+pivot, and so a scale, may be negative.  After the last step, row j < n
+reads s_j x_j = (its right-hand side), and the rows past the n-th read
+0 = (their right-hand side).  Such a system has at most one solution, so
+a solution >= 0 is the only feasible point, and the simplex's point too.
 
 `solve_equality_feasibility` answers any system, by a phase-1 simplex with
-Bland's anti-cycling rule on an integer tableau (the integer-preserving
-pivots of Edmonds, 1967, and Bareiss, 1968); no floating point anywhere.
-It returns a feasible point, as `Fraction`s, or a Farkas vector that proves
-there is none, and the number of pivots made.
+Bland's anti-cycling rule, whose scales stay positive.  A positive scale
+does not change the sign of a reduced cost or the ratio of a row's
+right-hand side to its entering entry, so it leaves every pivot as it is.
+It returns a feasible point, as `Fraction`s, or a Farkas vector that
+proves there is none, and the number of pivots made.
 
 The caller clears denominators: A and b hold ints, and a rational system
 enters as its rows times one positive constant L.  Scaling every row by L
@@ -22,17 +32,6 @@ multiplies the phase-1 objective by L and keeps the sign of every reduced
 cost and the order of every ratio, so the pivots, and the point returned,
 are those of the same method run on the rational system with `Fraction`
 cells, whatever L is.
-
-Each row i of the tableau holds s_i times the rational row, for a scale
-s_i > 0 of its own: a scale does not change the sign of a reduced cost or
-the ratio of a row's right-hand side to its entering entry, so it leaves
-every pivot as it is.  D, the last pivot (1 at the start), is the
-determinant of the basis, and D times any rational row is integral.  A
-pivot brings its row to scale D, and every row with a nonzero entering
-entry f becomes (p v - f w) / s_i at scale p, an exact division, where p
-is the pivot and w the pivot row at scale D; the pivot row itself is then
-the normalized row at scale p.  A row whose entering entry is 0 keeps its
-entries and its scale.
 
 Artificial i is the unit column e_i, with reduced cost 0, while it is basic
 in row i, so its column joins the tableau only when row i first leaves the
@@ -54,6 +53,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _pivot(T: list, scale: list, d: int, r: int, c: int) -> int:
+    """Pivot T on row r and column c, as the module docstring says; returns
+    the pivot p, the new D.  d is the last pivot, and T[r][c] is nonzero."""
+    w = T[r]
+    if scale[r] != d:
+        T[r] = w = [v * d // scale[r] for v in w]
+    p = w[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            s = scale[i]
+            T[i] = [(p * v - f * u) // s for v, u in zip(row, w)]
+            scale[i] = p
+    scale[r] = p
+    return p
+
+
 def unique_solution(A: list, b: list):
     """The solution x >= 0 of Ax = b when A has independent columns, or None.
 
@@ -70,26 +86,20 @@ def unique_solution(A: list, b: list):
     scale = [1] * m
     d = 1
     for c in range(n):
-        k = next((i for i in range(c, m) if T[i][c]), None)
-        if k is None:
+        # the columns before c are settled and dropped, so column c is column 0
+        for k in range(c, m):
+            if T[k][0]:
+                break
+        else:
             return None
         T[c], T[k] = T[k], T[c]
         scale[c], scale[k] = scale[k], scale[c]
-        pivot = T[c]
-        if scale[c] != d:
-            pivot[c:] = [v * d // scale[c] for v in pivot[c:]]
-        # columns < c are settled and column c is 0 off the pivot row after this
-        # step, so only columns > c are rewritten
-        p, w = pivot[c], pivot[c + 1:]
-        for i, row in enumerate(T):
-            f = row[c]
-            if f and i != c:
-                row[c + 1:] = [(p * v - f * u) // scale[i] for v, u in zip(row[c + 1:], w)]
-                scale[i] = p
-        scale[c] = d = p
-    if any(row[n] for row in T[n:]) or any(T[j][n] * scale[j] < 0 for j in range(n)):
+        d = _pivot(T, scale, d, c, 0)
+        for row in T:
+            del row[0]
+    if any(row[0] for row in T[n:]) or any(T[j][0] * scale[j] < 0 for j in range(n)):
         return None
-    return [Fraction(T[j][n], scale[j]) for j in range(n)]
+    return [Fraction(T[j][0], scale[j]) for j in range(n)]
 
 
 def solve_equality_feasibility(A: list, b: list):
@@ -145,19 +155,7 @@ def solve_equality_feasibility(A: list, b: list):
             column[leaving] = len(T[m])
             for i, row in enumerate(T):
                 row.append(scale[i] if i == leaving else 0)
-        pivot_row = T[leaving]
-        if scale[leaving] != d:
-            pivot_row = [v * d // scale[leaving] for v in pivot_row]
-        p = pivot_row[entering]
-        for i, row in enumerate(T):
-            f = row[entering]
-            if f and i != leaving:
-                s = scale[i]
-                T[i] = [(p * v - f * w) // s for v, w in zip(row, pivot_row)]
-                scale[i] = p
-        T[leaving] = pivot_row
-        scale[leaving] = p
-        d = p
+        d = _pivot(T, scale, d, leaving, entering)
         basis[leaving] = var
         pivots += 1
 

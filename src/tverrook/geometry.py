@@ -410,10 +410,11 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
     return on the rational rows, and the witness is formed from the grid
     coordinates over one common denominator.
 
-    The rows go first to `unique_solution`.  Their columns are mostly
-    independent when the faces hold at most (r-1)(d+1)+1 points in all, the
-    number of rows; then a solution >= 0 is the only feasible point, so it
-    is the LP's point.  Only the systems it leaves unanswered reach the LP.
+    The rows go first to `unique_solution`, which gives the LP's point
+    when the columns are independent and the one solution is >= 0 (see
+    `exactlp`).  The columns mostly are independent when the faces hold at
+    most (r-1)(d+1)+1 points in all, the number of rows.  Only the systems
+    it leaves unanswered reach the LP.
     Returns ((witness, certificates), None, pivots) when the hulls meet, and
     (None, z, pivots) when they do not, where z is the LP's Farkas vector,
     checked here in integers: z^T A >= 0 on every column and z^T b < 0;

@@ -1299,6 +1299,28 @@ def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):
     assert "Traceback" not in err
 
 
+DEEP = 100_000  # levels of nesting; the decoder gives up near 1000
+
+
+@pytest.mark.parametrize("argv", [["homology"], ["tverberg", "search"], ["unavoidable", "check"]],
+                         ids=["homology", "tverberg-search", "unavoidable-check"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * DEEP + "]" * DEEP,
+     '{"universe": [0], "facets": [[0]], "junk": ' + "[" * DEEP + "]" * DEEP + "}"],
+    ids=["nested-array", "nested-value-in-an-object"],
+)
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv, text):
+    # json.dumps cannot write this much nesting, so the file is raw text.
+    # json.load raises RecursionError on it; uncaught, that exits 1, "refuted".
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, report, err = run(capsys, *argv, "--json", str(path))
+    assert code == 3
+    assert report["verdict"] == "error"
+    assert "Traceback" not in err
+
+
 # Valid inputs of every subcommand that reads JSON.  Values stay small: the
 # property is about malformed input, not about instances too large to run.
 VALID_INPUTS = [

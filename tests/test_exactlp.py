@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import fraction_equality_feasibility
 from tverrook import build_example_a, geometry, search_tverberg
-from tverrook.exactlp import solve_equality_feasibility, unique_solution
+from tverrook.exactlp import _pivot, solve_equality_feasibility, unique_solution
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
@@ -68,6 +68,36 @@ def test_integer_tableau_matches_fraction_oracle(system, factor):
         assert all(type(v) is Fraction and v >= 0 for v in x)
         assert all(sum((a * v for a, v in zip(row, x)), Fraction(0)) == bi
                    for row, bi in zip(A, b))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pivot_keeps_each_row_its_scale_times_the_fraction_row(data):
+    # Random pivots on nonzero entries of an integer tableau, negative ones
+    # included as in the elimination, replayed on the rational rows.
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    T = [data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(m)]
+    scale = [1] * m
+    R = [list(map(Fraction, row)) for row in T]
+    d = 1
+    for _ in range(data.draw(st.integers(1, 8))):
+        nonzero = [(i, j) for i in range(m) for j in range(n) if T[i][j]]
+        if not nonzero:
+            break
+        r, c = data.draw(st.sampled_from(nonzero))
+        before = [(list(row), s) for row, s in zip(T, scale)]
+        d = _pivot(T, scale, d, r, c)
+        R[r] = [v / R[r][c] for v in R[r]]
+        R = [row if i == r else [v - row[c] * u for v, u in zip(row, R[r])] for i, row in enumerate(R)]
+        assert d == scale[r] != 0
+        for i, (row, s) in enumerate(before):
+            # a floor division that dropped a remainder would differ from the
+            # Fraction row here, so every division was exact
+            assert all(type(v) is int for v in T[i]) and T[i] == [scale[i] * v for v in R[i]]
+            # which is what makes the next pivot's divisions exact
+            assert all((d * v).denominator == 1 for v in R[i])
+            if i != r and row[c] == 0:
+                assert (T[i], scale[i]) == (row, s)
 
 
 def test_degenerate_ties_follow_blands_rule():
