@@ -24,6 +24,14 @@ rows.  Those rows' right-hand side is the same for every r-tuple, so z
 proves infeasible every tuple whose columns it keeps >= 0: per position,
 the faces none of whose points gives a negative column (`_farkas_cover`).
 A full tuple that a kept vector covers at every position skips its LP.
+
+After the boxes and before the LP, the search closes prefixes by color
+budgets.  A rainbow face holds at most one point of each color class, so
+every face that holds one spends a unit of the class's multiplicity
+budget (in Theorem 1.3's abridged simplex a class weighs at most r - 1).
+A prefix of depth t whose remaining faces all hold a point of a class
+with less than r - t budget left has no full extension, and it is closed
+without visiting them.
 """
 
 from __future__ import annotations
@@ -615,15 +623,30 @@ def _search(instance: TverbergInstance):
     max_dim + 1 vertices; the rest are the high bits, always cut.  Each
     level visits the faces that survive all three masks in ascending order.
 
+    The color-budget cut then closes a prefix of depth t, 1 <= t <= r - 2,
+    when some color class has less than r - t budget left and a point in
+    every face that survives the masks.  It is exact: deeper prefixes visit
+    subsets of those faces; each of the r - t faces still to come holds one
+    point of the class, a rainbow face holding at most one; and the budget
+    mask keeps every vertex's budget >= 0, so the class cannot pay for
+    them.  So no full tuple is lost, and every LP call, Farkas vector and
+    solution stays as it was.  At t = r - 1 a class with nothing left has
+    all its faces blocked, and at the root the surviving faces hold every
+    singleton or none, so the cut could fire there only on a one-color
+    configuration; neither depth is tested, and with r = 2 the cut builds
+    nothing.  Classes of budget >= r never have less than r - t left.
+
     Only full tuples reach the LP.  Each infeasible LP's Farkas vector is
     kept as the faces it covers per position (`_farkas_cover`), and a full
     tuple that one kept vector covers at every position skips its LP.  A
     feasible tuple is never covered, so the first solution is the first
     feasible tuple in canonical order.  Returns (the first solution or None,
     stats): the rainbow faces, the prefixes each rule pruned (a face counts
-    for the first rule that cuts it: dimension caps, budget, box), the full
-    tuples the kept vectors cut, the LP calls and feasible LPs, the simplex
-    pivots, and the LP calls that the elimination answered with no simplex.
+    for the first rule that cuts it: dimension caps, budget, box, color
+    budget, where a closed prefix counts every face that survived the
+    masks), the full tuples the kept vectors cut, the LP calls and feasible
+    LPs, the simplex pivots, and the LP calls that the elimination answered
+    with no simplex.
     More than `MAX_RAINBOW_FACES` rainbow faces, or d^2 (points + rainbow
     faces) above `MAX_BOX_WORK`, raise `ResourceLimitError` before any face
     or projection is built.
@@ -661,6 +684,20 @@ def _search(instance: TverbergInstance):
 
     # a vertex-disjoint tuple uses each vertex at most once
     budget = [1 if disjoint else pt.multiplicity for pt in config.points]
+    # per class of budget < r, the faces without a point of it and its
+    # vertices, for the color-budget cut
+    tight = []
+    if r > 2:
+        classes: dict = {}
+        for v, pt in enumerate(config.points):
+            classes.setdefault(pt.color, []).append(v)
+        for members in classes.values():
+            if sum(budget[v] for v in members) < r:
+                palette = 0  # the faces with a point of the class
+                for v in members:
+                    palette |= touch[v]
+                tight.append((built ^ palette, members))
+
     chosen: list = []
     covers: list = []  # per kept Farkas vector, its faces per position
     stats = {
@@ -668,6 +705,7 @@ def _search(instance: TverbergInstance):
         "pruned_dim_cap": 0,
         "pruned_budget": 0,
         "pruned_box": 0,
+        "pruned_color": 0,
         "pruned_farkas": 0,
         "lp_calls": 0,
         "lp_feasible": 0,
@@ -706,6 +744,11 @@ def _search(instance: TverbergInstance):
         stats["pruned_dim_cap"] += cut.bit_count()
         stats["pruned_budget"] += spent.bit_count()
         stats["pruned_box"] += missed.bit_count()
+        if 0 < depth < r - 1 and live:
+            for lacks, members in tight:
+                if not live & lacks and sum(budget[v] for v in members) < r - depth:
+                    stats["pruned_color"] += live.bit_count()
+                    return None
         while live:
             low = live & -live
             live ^= low
@@ -853,28 +896,20 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
         )
     epsilon = Fraction(epsilon)
     rng = random.Random(seed)
-
-    def vertex(i: int) -> tuple:
-        return tuple(Fraction(3) if c == i - 1 else Fraction(0) for c in range(d))
-
-    anchors = [vertex(i) for i in range(d + 1)]
-    barycenter = tuple(
-        sum((a[c] for a in anchors), Fraction(0)) / (d + 1) for c in range(d)
-    )
-
+    # A_i + epsilon * n / 100 on each axis, with epsilon = e / q, is
+    # (300 q [on axis i - 1] + e n) / (100 q): one Fraction per coordinate
+    e, q = epsilon.numerator, epsilon.denominator
     mults = multiplicity_vector(p, k)
     points = []
     for color in range(d + 1):
         for mu in mults:
-            offset = tuple(
-                epsilon * Fraction(rng.randint(-100, 100), 100) for _ in range(d)
+            coords = tuple(
+                Fraction((300 * q if axis == color - 1 else 0) + e * rng.randint(-100, 100), 100 * q)
+                for axis in range(d)
             )
-            points.append(
-                ColoredPoint(
-                    tuple(a + o for a, o in zip(anchors[color], offset)), color, mu
-                )
-            )
-    points.append(ColoredPoint(barycenter, d + 1, 1))
+            points.append(ColoredPoint(coords, color, mu))
+    # the anchors sum to 3 on every axis
+    points.append(ColoredPoint((Fraction(3, d + 1),) * d, d + 1, 1))
     config = PointConfig(d, tuple(points))
     # search_tverberg checks the hypotheses of Theorem 1.3
     return config, TverbergInstance(config, p**k, mode="prime-power-1.3")

@@ -267,13 +267,17 @@ def pairwise_meet_masks(boxes):
 def loop_search(instance, find_all):
     """The pruned search of `tverrook.geometry._search`, one candidate face at a time.
 
-    Each level tries every face from its start in order, and tests the
+    Each level tests every face from its start in order against the
     dimension caps, the multiplicity budget (or vertex-disjointness) and the
     running box, the intersection of the prefix faces' boxes, rule after
-    rule.  Every full tuple goes to the LP: there is no Farkas cut, so its
-    `lp_calls` is `_search`'s `lp_calls` + `pruned_farkas`, and it counts
-    none of `pruned_farkas`, `lp_pivots` and `lp_direct`.  Returns (solutions, stats) as
-    `_search` does, the other counters included.
+    rule.  At depths 1..r-2 it then closes the level, without visiting a
+    face, when some color class is met by every surviving face and has
+    less budget left than the r - depth faces still to come: its budget
+    less one per prefix face that meets it.  Every full tuple goes to the
+    LP: there is no Farkas cut, so its `lp_calls` is `_search`'s `lp_calls`
+    + `pruned_farkas`, and it counts none of `pruned_farkas`, `lp_pivots`
+    and `lp_direct`.  Returns (solutions, stats) as `_search` does, the
+    other counters included.
     """
     config = instance.config
     r = instance.r
@@ -284,6 +288,13 @@ def loop_search(instance, find_all):
     caps = instance.dim_caps
 
     budget = [pt.multiplicity for pt in config.points]
+    classes = {}  # per color, its points
+    for v, pt in enumerate(config.points):
+        classes.setdefault(pt.color, set()).add(v)
+    class_budget = {
+        c: len(members) if disjoint else sum(config.points[v].multiplicity for v in members)
+        for c, members in classes.items()
+    }
     used_vertices = set()
     chosen = []
     solutions = []
@@ -292,6 +303,7 @@ def loop_search(instance, find_all):
         "pruned_dim_cap": 0,
         "pruned_budget": 0,
         "pruned_box": 0,
+        "pruned_color": 0,
         "lp_calls": 0,
         "lp_feasible": 0,
     }
@@ -302,6 +314,34 @@ def loop_search(instance, find_all):
         if any(a > b for a, b in zip(lo, hi)):
             return None
         return lo, hi
+
+    def first_rule(fi, box, capped_used):
+        """(the counter of the first rule that cuts face fi, or None; its
+        running box; 1 if it is at the top dimension)"""
+        f = faces[fi]
+        extra = 0
+        if caps is not None:
+            dim = len(f) - 1
+            extra = 1 if dim == caps.max_dim else 0
+            if dim > caps.max_dim or capped_used + extra > caps.s:
+                return "pruned_dim_cap", None, extra
+        blocked = used_vertices.intersection(f) if disjoint else any(budget[v] < 1 for v in f)
+        if blocked:
+            return "pruned_budget", None, extra
+        nxt_box = boxes[fi] if box is None else boxes_meet(box, boxes[fi])
+        if nxt_box is None:
+            return "pruned_box", None, extra
+        return None, nxt_box, extra
+
+    def color_closes(survivors):
+        depth = len(chosen)
+        if not survivors or not 0 < depth < r - 1:
+            return False
+        for c, members in classes.items():
+            left = class_budget[c] - sum(1 for fi in chosen if members.intersection(faces[fi]))
+            if left < r - depth and all(members.intersection(f) for f in survivors):
+                return True
+        return False
 
     def rec(start, box, capped_used):
         if len(chosen) == r:
@@ -317,23 +357,16 @@ def loop_search(instance, find_all):
                     )
                 )
             return bool(solutions) and not find_all
-        for fi in range(start, len(faces)):
+        tested = [(fi, *first_rule(fi, box, capped_used)) for fi in range(start, len(faces))]
+        if color_closes([faces[fi] for fi, rule, _, _ in tested if rule is None]):
+            for _, rule, _, _ in tested:
+                stats[rule or "pruned_color"] += 1
+            return False
+        for fi, rule, nxt_box, extra in tested:
+            if rule is not None:
+                stats[rule] += 1
+                continue
             f = faces[fi]
-            extra = 0
-            if caps is not None:
-                dim = len(f) - 1
-                extra = 1 if dim == caps.max_dim else 0
-                if dim > caps.max_dim or capped_used + extra > caps.s:
-                    stats["pruned_dim_cap"] += 1
-                    continue
-            blocked = used_vertices.intersection(f) if disjoint else any(budget[v] < 1 for v in f)
-            if blocked:
-                stats["pruned_budget"] += 1
-                continue
-            nxt_box = boxes[fi] if box is None else boxes_meet(box, boxes[fi])
-            if nxt_box is None:
-                stats["pruned_box"] += 1
-                continue
             if disjoint:
                 used_vertices.update(f)
             else:

@@ -334,6 +334,7 @@ def test_tverberg_search_found(capsys, tmp_path):
         "pruned_dim_cap": 0,
         "pruned_budget": 9,
         "pruned_box": 5,
+        "pruned_color": 0,
         "pruned_farkas": 0,
         "lp_calls": 1,
         "lp_feasible": 1,
@@ -372,6 +373,7 @@ def test_tverberg_search_exhausted_stats(capsys, tmp_path):
         "pruned_dim_cap": 0,
         "pruned_budget": 46,
         "pruned_box": 18,
+        "pruned_color": 0,
         "pruned_farkas": 1,
         "lp_calls": 1,
         "lp_feasible": 0,

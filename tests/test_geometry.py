@@ -187,6 +187,7 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
         "pruned_dim_cap": 0,
         "pruned_budget": 22,
         "pruned_box": 6,
+        "pruned_color": 0,
         "pruned_farkas": 0,
         "lp_calls": 0,
         "lp_feasible": 0,
@@ -284,13 +285,22 @@ def assert_same_counts_but_the_cut(got_stats, want_stats):
     assert got == {key: value for key, value in want_stats.items() if key != "lp_calls"}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(instance=free_instances())
-def test_mask_search_matches_the_face_at_a_time_loop(instance):
-    got, got_stats = _search(instance)
-    want, want_stats = loop_search(instance, False)
-    assert_same_counts_but_the_cut(got_stats, want_stats)
-    assert ([] if got is None else [got]) == want
+def test_mask_search_matches_the_face_at_a_time_loop():
+    totals = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(instance=free_instances())
+    def compare(instance):
+        got, got_stats = _search(instance)
+        want, want_stats = loop_search(instance, False)
+        assert_same_counts_but_the_cut(got_stats, want_stats)
+        assert ([] if got is None else [got]) == want
+        totals.update(got_stats)
+
+    compare()
+    # the drawn instances exercise every rule of the comparison
+    rules = ("pruned_dim_cap", "pruned_budget", "pruned_box", "pruned_color", "pruned_farkas")
+    assert all(totals[rule] > 0 for rule in rules), totals
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -322,7 +332,9 @@ def test_farkas_cut_skips_only_infeasible_tuples(instance):
 
 def test_farkas_cut_on_a_free_instance():
     # Instance 186 of the free table that the benchmark draws from: without
-    # the cut, 96 full tuples go to the LP.
+    # the cut, 96 full tuples go to the LP.  Every class weighs at most
+    # 2 < r, and the color-budget cut closes prefixes of depth 1 on 23 faces
+    # that the budget and box masks left.
     config = pts(
         (("-9/4", 9), 0, 1), ((-2, 5), 1, 2), ((-1, "1/2"), 2, 2), (("9/4", -8), 3, 2), ((8, -3), 4, 1),
         d=2,
@@ -331,6 +343,7 @@ def test_farkas_cut_on_a_free_instance():
     sol = search_tverberg(instance)
     assert sol.faces == ((0, 2), (1, 3), (1, 3))
     assert (sol.stats["lp_calls"], sol.stats["pruned_farkas"]) == (21, 75)
+    assert (sol.stats["pruned_budget"], sol.stats["pruned_box"], sol.stats["pruned_color"]) == (501, 110, 23)
     solutions, want_stats = loop_search(instance, False)
     assert [s.faces for s in solutions] == [sol.faces] and want_stats["lp_calls"] == 96
     assert_same_counts_but_the_cut(sol.stats, want_stats)
@@ -671,6 +684,34 @@ def test_example_a_scattered_still_solvable():
         sol = search_tverberg(instance)
         assert isinstance(sol, TverbergSolution)
         assert verify_solution(config, sol)
+
+
+def test_example_a_color_cut_keeps_the_first_solution():
+    # The three clustered classes weigh r - 1 = 3 each and the barycenter 1,
+    # so most prefixes are closed by the color-budget cut; the first
+    # solution is still the first LP, answered by the elimination.
+    for seed in range(12):
+        _, sol = _example_a_solution(2, 2, 2, seed)
+        assert sol.faces == ((6,), (0, 2, 4), (1, 3, 5), (1, 3, 5))
+        stats = sol.stats
+        assert stats["lp_calls"] == stats["lp_feasible"] == stats["lp_direct"] == 1
+        assert stats["pruned_color"] > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pkd=st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (2, 2, 1)]),
+       seed=st.integers(0, 10**6), full=st.booleans())
+def test_search_finds_the_naive_first_solution_at_the_tverberg_number(pkd, seed, full):
+    # "full" keeps the exceptional point, total weight (r-1)(d+1)+1, and
+    # "minus" drops it, one below Tverberg's number
+    p, k, d = pkd
+    config = random_prime_power_config(p, k, d, seed)
+    if not full:
+        config = PointConfig(d, config.points[:-1])
+    instance = TverbergInstance(config, p**k)
+    got, _ = _search(instance)
+    naive = naive_search_all(instance)
+    assert (None if got is None else got.faces) == (naive[0] if naive else None)
 
 
 def never(*args):
