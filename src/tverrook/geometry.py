@@ -36,12 +36,15 @@ without visiting them.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
 import random
 import re
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -67,16 +70,28 @@ MAX_PARTS = 64
 # Largest p^k of Example A.
 MAX_EXAMPLE_ORDER = 9
 
-# The search holds one F-bit mask per rainbow face (`_meet_masks`), F^2 / 8
-# bytes in all: 8 MiB at this cap.  65 535 faces took a peak of 1.57 GB.
+# The search holds at most one F-bit box row per rainbow face, built when it
+# first picks the face (`_meet_masks`), F^2 / 8 bytes in all: 8 MiB at this
+# cap, besides the chains the rows are read from (`MAX_CHAIN_BITS`).  With
+# every row built, 65 535 faces took a peak of 1.57 GB.
 MAX_RAINBOW_FACES = 1 << 13
 
-# The box set-up works on d^2 directions per point (`_grid_projections`) and
-# per rainbow face (`_meet_masks`): d^2 (points + faces) is capped.  On a
-# 2-core host, 3 one-point colours took 1.6 s at d = 600 (3.6 M); Example A's
-# largest input under the face cap, p = 2, k = 1, d = 11 (992 684), answers
-# in about 1.3 s.
+# The box set-up works on d^2 directions per point (`_grid_projections`,
+# `_meet_masks`), and each box row the search builds ANDs 2 d^2 F-bit masks:
+# d^2 (points + faces) is capped.  On a 2-core host, 3 one-point colours
+# took 1.5 s at d = 600 (3.6 M, with the cap lifted) and 0.46 s at d = 323,
+# just under it; Example A's largest input under the face cap, p = 2, k = 1,
+# d = 11 (992 684), answers in 0.03 s with 13 box rows.
 MAX_BOX_WORK = 1 << 20
+
+# The prefix and suffix ORs that `_meet_masks` reads box rows from keep an
+# entry every step-th rank, step chosen so that they hold at most this many
+# bits (16 MiB) plus 2 d^2 F.  An entry per rank takes 2 d^2 m F bits for m
+# distinct projections: about 1 GB on one color class of 8191 points at
+# d = 8, which passes both guards.  A row then ORs up to 2 (step - 1) d^2
+# more masks: that class, which builds all its rows, takes about 11 s at
+# step 64, where building every row before the search took 1.7 s.
+MAX_CHAIN_BITS = 1 << 27
 
 POLICY_SHIFTED = "shifted-k-plus-1"
 POLICY_LITERAL = "literal-k"
@@ -546,38 +561,95 @@ def _grid_projections(points: list) -> list:
     ]
 
 
-def _meet_masks(faces: list, projections: list, touch: list) -> list:
-    """Per face i, the bitmask of the faces j whose box meets box i on every
-    direction; touch[q] is the bitmask of the faces that contain point q.
+def _meet_masks(projections: list, touch: list):
+    """The box row of one face at a time: a function that maps a face (a
+    tuple of point indices) to the bitmask of the faces j whose box meets
+    its box on every direction; touch[q] is the bitmask of the faces that
+    contain point q.
 
     A face's box spans its points' projections (lo to hi) on each
-    direction, and boxes meet iff hi_j >= lo_i and lo_j <= hi_i there.
-    The faces with hi_j >= lo_i have a point at or above one of i's: the
-    OR of i's points' masks, suffix ORs of `touch` over the sorted distinct
-    projections; lo_j <= hi_i takes prefix ORs.  Faces come in (size, lex)
-    order, so f's masks are its prefix face's OR its last point's.
+    direction, and boxes meet iff hi_j >= lo_i and lo_j <= hi_i there.  The
+    set-up is per point: on each direction, every point's rank among the
+    sorted distinct projections, and prefix and suffix ORs of `touch` over
+    them, so that above[k] holds the faces with a point of rank >= k.  The
+    faces with hi_j >= lo_i have a point at or above one of i's, and the
+    suffix ORs form a chain, so they are the entry at the lowest rank of
+    i's points; lo_j <= hi_i takes the prefix OR at the highest.  A row is
+    then two ANDs of F-bit masks per direction.  The chains of all
+    directions lie end to end in two flat lists, and each point keeps one
+    tuple of indices into them: at large d, a list per direction would
+    leave the garbage collector hundreds of thousands of objects to scan.
+
+    The chains keep every step-th entry of a direction, from its top rank
+    down for the suffix ORs and from rank 0 up for the prefix ORs, with
+    step = ceil(2 d^2 points F / `MAX_CHAIN_BITS`), so that they stay
+    within that budget plus 2 d^2 F bits; step is 1 unless the points and
+    the faces are both many.  A missing entry is the nearest kept one
+    beyond it, ORed with `touch` of the points of the fewer than step
+    ranks in between, which `order` lists by rank from `starts`.  The
+    set-up also holds one direction's full chains, 2 points F bits, while
+    it builds them.
     """
-    index = {f: fi for fi, f in enumerate(faces)}
-    # parent[fi]: 1 + the prefix face's index, 0 for the empty face
-    parent = [index[f[:-1]] + 1 if len(f) > 1 else 0 for f in faces]
-    last = [f[-1] for f in faces]
-    meets = [(1 << len(faces)) - 1] * len(faces)
+    n = len(touch)
+    width = max(map(int.bit_length, touch), default=0)  # F, the faces built
+    step = -(-2 * len(projections[0] if projections else ()) * n * width // MAX_CHAIN_BITS) or 1
+    belows, aboves, columns = [], [], []
+    order = array("i")  # per direction, the points by rank
+    starts = array("i")  # starts[k]: where rank k's points begin in order
     for column in zip(*projections):
-        rank = {value: k for k, value in enumerate(sorted(set(column)))}
-        ranks = [rank[value] for value in column]
-        level = [0] * len(rank)  # level[k]: the faces with a point of the k-th value
+        values = sorted(set(column))
+        top = len(values) - 1
+        base = len(belows)  # this direction's rank 0 in the flat lists
+        index = {value: base + k for k, value in enumerate(values)}
+        ranks = [index[value] for value in column]
+        level = [0] * len(values)  # level[k]: the faces with a point of the k-th value
         for q, k in enumerate(ranks):
-            level[k] |= touch[q]
-        below = list(itertools.accumulate(level, operator.or_))
-        above = list(itertools.accumulate(reversed(level), operator.or_))
-        above.reverse()
-        up, down = [0], [0]
-        for pi, q in zip(parent, last):
-            # a singleton face shares its point's masks: `0 | mask` would copy F bits
-            up.append(up[pi] | above[ranks[q]] if pi else above[ranks[q]])
-            down.append(down[pi] | below[ranks[q]] if pi else below[ranks[q]])
-        meets = list(map(operator.and_, meets, map(operator.and_, up[1:], down[1:])))
-    return meets
+            level[k - base] |= touch[q]
+        belows += itertools.accumulate(level, operator.or_)
+        suffix = list(itertools.accumulate(reversed(level), operator.or_))
+        suffix.reverse()
+        aboves += suffix
+        columns.append(tuple(ranks))
+        if step > 1:  # keep every step-th entry, and what `up` and `down` read to fill in the rest
+            for chain, first in ((belows, base), (aboves, base + top % step)):
+                kept = chain[first::step]
+                chain[base:] = [None] * len(values)
+                chain[first::step] = kept
+            by_rank = sorted(ranks)
+            starts.extend(bisect.bisect_left(by_rank, k) + len(order) for k in range(base, len(belows)))
+            order.extend(sorted(range(n), key=ranks.__getitem__))
+    starts.append(len(order))
+    keys = list(zip(*columns))  # keys[q]: q's index on each direction
+
+    def up(k: int) -> int:  # the faces with a point of rank >= k
+        mask = aboves[k]
+        if mask is None:
+            kept = k + 1
+            while aboves[kept] is None:
+                kept += 1
+            points = order[starts[k]:starts[kept]]
+            mask = functools.reduce(operator.or_, map(touch.__getitem__, points), aboves[kept])
+        return mask
+
+    def down(k: int) -> int:  # the faces with a point of rank <= k
+        mask = belows[k]
+        if mask is None:
+            kept = k - 1
+            while belows[kept] is None:
+                kept -= 1
+            points = order[starts[kept + 1]:starts[k + 1]]
+            mask = functools.reduce(operator.or_, map(touch.__getitem__, points), belows[kept])
+        return mask
+
+    def row(face) -> int:
+        meets = -1  # every face; the first direction cuts it to the built ones
+        for span in zip(*[keys[v] for v in face]):
+            lo, hi = min(span), max(span)
+            above, below = aboves[lo], belows[hi]
+            meets &= (up(lo) if above is None else above) & (down(hi) if below is None else below)
+        return meets
+
+    return row
 
 
 def _farkas_cover(z: list, r: int, grid: tuple, touch: list, built: int) -> list:
@@ -619,7 +691,11 @@ def _search(instance: TverbergInstance):
     dimension caps cut.  By Helly's theorem on a line, intervals share a
     point iff they meet pairwise, so the box mask is the AND of the prefix
     faces' rows of `_meet_masks`, and an empty running box proves that no
-    extension has intersecting hulls.  Caps build only the faces of at most
+    extension has intersecting hulls.  A face's row is built when the search
+    first picks it at a depth below r - 1, and kept; a face at the last
+    position needs none, as its child is a full tuple, which reads no box.
+    So the set-up before the first prefix is per point, and the rows cost
+    only the faces picked, not all F.  Caps build only the faces of at most
     max_dim + 1 vertices; the rest are the high bits, always cut.  Each
     level visits the faces that survive all three masks in ascending order.
 
@@ -641,12 +717,12 @@ def _search(instance: TverbergInstance):
     tuple that one kept vector covers at every position skips its LP.  A
     feasible tuple is never covered, so the first solution is the first
     feasible tuple in canonical order.  Returns (the first solution or None,
-    stats): the rainbow faces, the prefixes each rule pruned (a face counts
-    for the first rule that cuts it: dimension caps, budget, box, color
-    budget, where a closed prefix counts every face that survived the
-    masks), the full tuples the kept vectors cut, the LP calls and feasible
-    LPs, the simplex pivots, and the LP calls that the elimination answered
-    with no simplex.
+    stats): the rainbow faces, the box rows built, the prefixes each rule
+    pruned (a face counts for the first rule that cuts it: dimension caps,
+    budget, box, color budget, where a closed prefix counts every face that
+    survived the masks), the full tuples the kept vectors cut, the LP calls
+    and feasible LPs, the simplex pivots, and the LP calls that the
+    elimination answered with no simplex.
     More than `MAX_RAINBOW_FACES` rainbow faces, or d^2 (points + rainbow
     faces) above `MAX_BOX_WORK`, raise `ResourceLimitError` before any face
     or projection is built.
@@ -670,7 +746,8 @@ def _search(instance: TverbergInstance):
         for v in f:
             touch[v] |= 1 << fi
     grid = _grid(config)
-    meets = _meet_masks(faces, _grid_projections(grid[1]), touch)
+    meet_row = _meet_masks(_grid_projections(grid[1]), touch)
+    rows = [None] * len(faces)  # rows[fi]: face fi's box row, once built
     everything = (1 << count) - 1
     built = (1 << len(faces)) - 1
     over_cap = everything ^ built  # faces above the top dimension
@@ -702,6 +779,7 @@ def _search(instance: TverbergInstance):
     covers: list = []  # per kept Farkas vector, its faces per position
     stats = {
         "rainbow_faces": count,
+        "box_rows": 0,
         "pruned_dim_cap": 0,
         "pruned_budget": 0,
         "pruned_box": 0,
@@ -741,6 +819,7 @@ def _search(instance: TverbergInstance):
         live &= ~blocked
         missed = live & ~allowed
         live &= allowed
+        picks_rows = depth < r - 1  # at r - 1 the child is a full tuple, which reads no box
         stats["pruned_dim_cap"] += cut.bit_count()
         stats["pruned_budget"] += spent.bit_count()
         stats["pruned_box"] += missed.bit_count()
@@ -759,10 +838,17 @@ def _search(instance: TverbergInstance):
                 budget[v] -= 1
                 if not budget[v]:
                     now_blocked |= touch[v]
+            now_allowed = allowed
+            if picks_rows:
+                row = rows[fi]
+                if row is None:
+                    row = rows[fi] = meet_row(f)
+                    stats["box_rows"] += 1
+                now_allowed &= row
             chosen.append(fi)
             found = rec(
                 fi + 1 if disjoint else fi,
-                allowed & meets[fi],
+                now_allowed,
                 now_blocked,
                 capped_used + (1 if at_cap & low else 0),
             )

@@ -12,8 +12,9 @@ direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
 `tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
 candidate sets replaced in `tverrook.geometry._search`, the face boxes
-and the pairwise box comparison that the per-point masks replaced in
-`tverrook.geometry._meet_masks`, ranks of
+and the pairwise box comparison that the box rows replaced, each built
+on demand from the per-point chains of `tverrook.geometry._meet_masks`,
+ranks of
 boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
 the closed-form fixed-point dimensions replaced in `tverrook.maps`, and

@@ -331,6 +331,7 @@ def test_tverberg_search_found(capsys, tmp_path):
     # independent columns, so the elimination answers it with no pivot.
     assert report["details"]["stats"] == {
         "rainbow_faces": 7,
+        "box_rows": 3,
         "pruned_dim_cap": 0,
         "pruned_budget": 9,
         "pruned_box": 5,
@@ -370,6 +371,7 @@ def test_tverberg_search_exhausted_stats(capsys, tmp_path):
     assert report["details"]["candidates_examined"] == 2
     assert report["details"]["stats"] == {
         "rainbow_faces": 11,
+        "box_rows": 11,
         "pruned_dim_cap": 0,
         "pruned_budget": 46,
         "pruned_box": 18,
@@ -699,6 +701,17 @@ def test_box_work_guard_refuses_a_large_dimension_at_once(capsys, tmp_path):
     assert time.monotonic() - start < 1.0
     assert (code, report["verdict"]) == (4, "error")
     assert "MAX_BOX_WORK" in report["message"] and "Traceback" not in err
+
+
+def test_example_a_under_the_box_work_guard_builds_few_box_rows(capsys):
+    # (2,1,11): 13 points, 8191 rainbow faces and 121 directions, just under
+    # both guards; the search picks 13 faces before its last position
+    for epsilon in ("1/100", "0"):
+        code, report, _ = run(capsys, "example-a", "--p", "2", "--k", "1", "--d", "11",
+                              "--epsilon", epsilon)
+        assert (code, report["verdict"]) == (0, "found")
+        stats = report["details"]["stats"]
+        assert (stats["rainbow_faces"], stats["box_rows"]) == (8191, 13)
 
 
 def test_rainbow_faces_under_the_mask_cap_answer(capsys, tmp_path):

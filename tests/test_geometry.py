@@ -3,8 +3,10 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -175,15 +177,18 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
     touch = _touch(config, faces)
     segment, point = faces.index((0, 1)), faces.index((2,))
     both = 1 << segment | 1 << point
-    axis = _meet_masks(faces, [x[:2] for x in projections], touch)
+    axis_row = _meet_masks([x[:2] for x in projections], touch)
+    axis = [axis_row(f) for f in faces]
     assert (axis[segment] & both, axis[point] & both) == (both, both)
-    meets = _meet_masks(faces, projections, touch)
+    meet_row = _meet_masks(projections, touch)
+    meets = [meet_row(f) for f in faces]
     assert (meets[segment] & both, meets[point] & both) == (1 << segment, 1 << point)
     out = search_tverberg(TverbergInstance(config, 2))
     assert isinstance(out, Exhausted)
     assert out.candidates_examined == 0
     assert out.stats == {
         "rainbow_faces": 7,
+        "box_rows": 7,
         "pruned_dim_cap": 0,
         "pruned_budget": 22,
         "pruned_box": 6,
@@ -264,7 +269,8 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
         assert lo == tuple(L * x for x in want_lo) and hi == tuple(L * x for x in want_hi)
     # On a line, intervals meet as a family iff they meet pairwise, so the
     # boxes of a tuple miss iff those of one pair of its faces do.
-    meets = _meet_masks(faces, projections, _touch(config, faces))
+    meet_row = _meet_masks(projections, _touch(config, faces))
+    meets = [meet_row(f) for f in faces]
     assert meets == pairwise_meet_masks(boxes)
     for i, j in itertools.combinations_with_replacement(range(len(faces)), 2):
         (lo_i, hi_i), (lo_j, hi_j) = rational[i], rational[j]
@@ -272,6 +278,54 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
         assert (meets[i] >> j & 1, meets[j] >> i & 1) == (meet, meet)
         if not meet:
             assert hulls_intersect(config, [faces[i], faces[j]], (L, points))[0] is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=free_instances(), budget=st.sampled_from([1, 40, 400, geometry.MAX_CHAIN_BITS]))
+def test_box_rows_are_exact_when_the_chains_keep_every_step_th_rank(instance, budget):
+    # A small MAX_CHAIN_BITS makes _meet_masks keep the ORs of only some
+    # ranks (with budget 1, only the top and the bottom one) and fill in the
+    # others from the points in between; no row may change.
+    config = instance.config
+    faces = rainbow_faces(config)
+    projections = _grid_projections(_grid(config)[1])
+    with mock.patch.object(geometry, "MAX_CHAIN_BITS", budget):
+        meet_row = _meet_masks(projections, _touch(config, faces))
+    assert [meet_row(f) for f in faces] == pairwise_meet_masks(face_boxes(faces, projections))
+
+
+def test_example_a_box_rows_are_exact_at_every_step():
+    # At epsilon = 0 many projections tie, so ranks hold several points.
+    for epsilon, budget in itertools.product((F(0), F(1, 100)), (1, 100, 1000, 5000)):
+        config = build_example_a(2, 2, 2, epsilon=epsilon, seed=3)[0]
+        faces = rainbow_faces(config)
+        projections = _grid_projections(_grid(config)[1])
+        with mock.patch.object(geometry, "MAX_CHAIN_BITS", budget):
+            meet_row = _meet_masks(projections, _touch(config, faces))
+        assert [meet_row(f) for f in faces] == pairwise_meet_masks(face_boxes(faces, projections))
+
+
+def test_box_chains_of_one_large_color_class_stay_within_their_budget():
+    # One color class of 4096 distinct points at d = 4 passes both guards,
+    # and its faces are the 4096 singletons.  An OR per rank would keep
+    # 2 d^2 * 4096 * 4096 bits (64 MiB); the kept chains stay within
+    # MAX_CHAIN_BITS (16 MiB), and the rest of the set-up is per point.
+    n, d = 4096, 4
+    config = PointConfig(d, tuple(
+        ColoredPoint(tuple(F(i * (7919 + 104729 * a) % 1000003) for a in range(d)), 0, 1)
+        for i in range(n)
+    ))
+    projections = _grid_projections(_grid(config)[1])
+    tracemalloc.start()
+    try:
+        meet_row = _meet_masks(projections, [1 << v for v in range(n)])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < (geometry.MAX_CHAIN_BITS >> 3) + (12 << 20)
+    assert peak < (geometry.MAX_CHAIN_BITS >> 3) + (24 << 20)
+    # distinct points: a singleton's box meets only its own
+    assert all(meet_row((v,)) == 1 << v for v in range(0, n, 37))
 
 
 def assert_same_counts_but_the_cut(got_stats, want_stats):
@@ -282,6 +336,7 @@ def assert_same_counts_but_the_cut(got_stats, want_stats):
     assert got.pop("lp_calls") + got.pop("pruned_farkas") == want_stats["lp_calls"]
     got.pop("lp_pivots")
     got.pop("lp_direct")
+    got.pop("box_rows")
     assert got == {key: value for key, value in want_stats.items() if key != "lp_calls"}
 
 
@@ -696,6 +751,9 @@ def test_example_a_color_cut_keeps_the_first_solution():
         stats = sol.stats
         assert stats["lp_calls"] == stats["lp_feasible"] == stats["lp_direct"] == 1
         assert stats["pruned_color"] > 0
+        # a face gets its box row when the search first picks it before the
+        # last position
+        assert (stats["box_rows"], stats["rainbow_faces"]) == (9, 53)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
