@@ -62,9 +62,9 @@ MODES = (
     "free",
 )
 
-# The search recurses once per part, so r is capped well below Python's
-# recursion limit.  Checked when an instance is made, before the mode checks
-# (prime_power_root is linear in r).
+# The search recurses once per part but the last, r - 1 levels deep, so r is
+# capped well below Python's recursion limit.  Checked when an instance is
+# made, before the mode checks (prime_power_root is linear in r).
 MAX_PARTS = 64
 
 # Largest p^k of Example A.
@@ -420,7 +420,7 @@ def _grid(config: PointConfig) -> tuple:
     return L, [tuple(c.numerator * (L // c.denominator) for c in pt.coords) for pt in config.points]
 
 
-def hulls_intersect(config: PointConfig, faces, grid: tuple):
+def hulls_intersect(faces, grid: tuple):
     """Exact common point of the convex hulls, or a Farkas vector.
 
     Solves for convex coefficients per face equating all barycentric
@@ -444,7 +444,7 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
     pivots is the LP's pivots, or None when the elimination answered.
     """
     L, X = grid
-
+    d = len(X[0])
     total = sum(map(len, faces))
     rows = []
     offset = 0
@@ -457,7 +457,7 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
     for f in faces[1:]:
         between = [0] * (offset - len(first))
         after = [0] * (total - offset - len(f))
-        for coord in range(config.d):
+        for coord in range(d):
             rows.append([X[v][coord] for v in first] + between + [-X[v][coord] for v in f] + after)
             rhs.append(0)
         offset += len(f)
@@ -481,7 +481,7 @@ def hulls_intersect(config: PointConfig, faces, grid: tuple):
     weights = [c.numerator * (D // c.denominator) for c in certificates[0]]
     witness = tuple(
         Fraction(sum(w * X[v][coord] for w, v in zip(weights, first)), D * L)
-        for coord in range(config.d)
+        for coord in range(d)
     )
     return (witness, tuple(certificates)), None, pivots
 
@@ -610,7 +610,7 @@ def _meet_masks(projections: list, touch: list):
         suffix.reverse()
         aboves += suffix
         columns.append(tuple(ranks))
-        if step > 1:  # keep every step-th entry, and what `up` and `down` read to fill in the rest
+        if step > 1:  # keep every step-th entry, and what `fill` reads to fill in the rest
             for chain, first in ((belows, base), (aboves, base + top % step)):
                 kept = chain[first::step]
                 chain[base:] = [None] * len(values)
@@ -621,32 +621,20 @@ def _meet_masks(projections: list, touch: list):
     starts.append(len(order))
     keys = list(zip(*columns))  # keys[q]: q's index on each direction
 
-    def up(k: int) -> int:  # the faces with a point of rank >= k
-        mask = aboves[k]
-        if mask is None:
-            kept = k + 1
-            while aboves[kept] is None:
-                kept += 1
-            points = order[starts[k]:starts[kept]]
-            mask = functools.reduce(operator.or_, map(touch.__getitem__, points), aboves[kept])
-        return mask
-
-    def down(k: int) -> int:  # the faces with a point of rank <= k
-        mask = belows[k]
-        if mask is None:
-            kept = k - 1
-            while belows[kept] is None:
-                kept -= 1
-            points = order[starts[kept + 1]:starts[k + 1]]
-            mask = functools.reduce(operator.or_, map(touch.__getitem__, points), belows[kept])
-        return mask
+    def fill(chain: list, k: int, toward: int) -> int:  # missing entry k of aboves (+1) or belows (-1)
+        kept = k + toward
+        while chain[kept] is None:
+            kept += toward
+        first, end = (k, kept) if toward > 0 else (kept + 1, k + 1)
+        points = order[starts[first]:starts[end]]
+        return functools.reduce(operator.or_, map(touch.__getitem__, points), chain[kept])
 
     def row(face) -> int:
         meets = -1  # every face; the first direction cuts it to the built ones
         for span in zip(*[keys[v] for v in face]):
             lo, hi = min(span), max(span)
-            above, below = aboves[lo], belows[hi]
-            meets &= (up(lo) if above is None else above) & (down(hi) if below is None else below)
+            meets &= aboves[lo] if aboves[lo] is not None else fill(aboves, lo, 1)
+            meets &= belows[hi] if belows[hi] is not None else fill(belows, hi, -1)
         return meets
 
     return row
@@ -693,11 +681,13 @@ def _search(instance: TverbergInstance):
     faces' rows of `_meet_masks`, and an empty running box proves that no
     extension has intersecting hulls.  A face's row is built when the search
     first picks it at a depth below r - 1, and kept; a face at the last
-    position needs none, as its child is a full tuple, which reads no box.
+    position needs none, as it completes a full tuple, which reads no box.
     So the set-up before the first prefix is per point, and the rows cost
     only the faces picked, not all F.  Caps build only the faces of at most
     max_dim + 1 vertices; the rest are the high bits, always cut.  Each
-    level visits the faces that survive all three masks in ascending order.
+    level visits the faces that survive all three masks in ascending order,
+    and the recursion is r - 1 deep: the level of depth r - 1 tests each
+    full tuple it forms in its own loop, without a call below it.
 
     The color-budget cut then closes a prefix of depth t, 1 <= t <= r - 2,
     when some color class has less than r - t budget left and a point in
@@ -714,7 +704,8 @@ def _search(instance: TverbergInstance):
 
     Only full tuples reach the LP.  Each infeasible LP's Farkas vector is
     kept as the faces it covers per position (`_farkas_cover`), and a full
-    tuple that one kept vector covers at every position skips its LP.  A
+    tuple that one kept vector covers at every position skips its LP; the
+    last position, the one the prefix does not fix, is tested first.  A
     feasible tuple is never covered, so the first solution is the first
     feasible tuple in canonical order.  Returns (the first solution or None,
     stats): the rainbow faces, the box rows built, the prefixes each rule
@@ -793,25 +784,6 @@ def _search(instance: TverbergInstance):
 
     def rec(start: int, allowed: int, blocked: int, capped_used: int):
         depth = len(chosen)
-        if depth == r:
-            if any(all(cover[k] >> fi & 1 for k, fi in enumerate(chosen)) for cover in covers):
-                stats["pruned_farkas"] += 1
-                return None
-            stats["lp_calls"] += 1
-            got, z, pivots = hulls_intersect(config, [faces[i] for i in chosen], grid)
-            if pivots is None:
-                stats["lp_direct"] += 1
-            else:
-                stats["lp_pivots"] += pivots
-            if got is None:
-                # z passed the check on this tuple's own rows, so it covers the tuple
-                covers.append(_farkas_cover(z, r, grid, touch, built))
-                return None
-            stats["lp_feasible"] += 1
-            witness, certs = got
-            return TverbergSolution(
-                tuple(faces[i] for i in chosen), witness, certs, caps.policy if caps else None
-            )
         window = everything >> start << start
         cut = window & ((over_cap | at_cap) if capped_used == quota else over_cap)
         live = window & ~cut
@@ -819,7 +791,6 @@ def _search(instance: TverbergInstance):
         live &= ~blocked
         missed = live & ~allowed
         live &= allowed
-        picks_rows = depth < r - 1  # at r - 1 the child is a full tuple, which reads no box
         stats["pruned_dim_cap"] += cut.bit_count()
         stats["pruned_budget"] += spent.bit_count()
         stats["pruned_box"] += missed.bit_count()
@@ -828,33 +799,53 @@ def _search(instance: TverbergInstance):
                 if not live & lacks and sum(budget[v] for v in members) < r - depth:
                     stats["pruned_color"] += live.bit_count()
                     return None
+        last = depth == r - 1
         while live:
             low = live & -live
             live ^= low
             fi = low.bit_length() - 1
             f = faces[fi]
-            now_blocked = blocked
-            for v in f:
-                budget[v] -= 1
-                if not budget[v]:
-                    now_blocked |= touch[v]
-            now_allowed = allowed
-            if picks_rows:
+            if last:  # chosen + [fi] is a full tuple
+                if any(
+                    cover[-1] & low and all(cover[k] >> fj & 1 for k, fj in enumerate(chosen))
+                    for cover in covers
+                ):
+                    stats["pruned_farkas"] += 1
+                    continue
+                tup = [faces[i] for i in chosen] + [f]
+                stats["lp_calls"] += 1
+                got, z, pivots = hulls_intersect(tup, grid)
+                if pivots is None:
+                    stats["lp_direct"] += 1
+                else:
+                    stats["lp_pivots"] += pivots
+                if got is None:
+                    # z passed the check on this tuple's own rows, so it covers the tuple
+                    covers.append(_farkas_cover(z, r, grid, touch, built))
+                    continue
+                stats["lp_feasible"] += 1
+                witness, certs = got
+                found = TverbergSolution(tuple(tup), witness, certs, caps.policy if caps else None)
+            else:
+                now_blocked = blocked
+                for v in f:
+                    budget[v] -= 1
+                    if not budget[v]:
+                        now_blocked |= touch[v]
                 row = rows[fi]
                 if row is None:
                     row = rows[fi] = meet_row(f)
                     stats["box_rows"] += 1
-                now_allowed &= row
-            chosen.append(fi)
-            found = rec(
-                fi + 1 if disjoint else fi,
-                now_allowed,
-                now_blocked,
-                capped_used + (1 if at_cap & low else 0),
-            )
-            chosen.pop()
-            for v in f:
-                budget[v] += 1
+                chosen.append(fi)
+                found = rec(
+                    fi + 1 if disjoint else fi,
+                    allowed & row,
+                    now_blocked,
+                    capped_used + (1 if at_cap & low else 0),
+                )
+                chosen.pop()
+                for v in f:
+                    budget[v] += 1
             if found is not None:
                 # a face counts as pruned only if it comes before the face
                 # that ended the search, as in a face-at-a-time loop

@@ -226,7 +226,7 @@ def naive_search_all(instance):
     for tup in itertools.combinations_with_replacement(faces, instance.r):
         if not admissible(tup):
             continue
-        if hulls_intersect(config, tup, grid)[0] is not None:
+        if hulls_intersect(tup, grid)[0] is not None:
             solutions.append(tuple(tup))
     return solutions
 
@@ -347,7 +347,7 @@ def loop_search(instance, find_all):
     def rec(start, box, capped_used):
         if len(chosen) == r:
             stats["lp_calls"] += 1
-            got = hulls_intersect(config, [faces[i] for i in chosen], grid)[0]
+            got = hulls_intersect([faces[i] for i in chosen], grid)[0]
             if got is not None:
                 stats["lp_feasible"] += 1
                 witness, certs = got

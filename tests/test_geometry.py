@@ -107,7 +107,7 @@ def test_lp_feasible_and_infeasible():
 
 def test_crossing_segments():
     config = pts(((0, 0), 0, 1), ((2, 2), 0, 1), ((0, 2), 1, 1), ((2, 0), 1, 1), d=2)
-    got, z, _ = hulls_intersect(config, [(0, 1), (2, 3)], _grid(config))
+    got, z, _ = hulls_intersect([(0, 1), (2, 3)], _grid(config))
     assert got is not None and z is None
     witness, certs = got
     assert witness == (F(1), F(1))
@@ -120,7 +120,7 @@ def test_separated_triangles():
         ((10, 10), 0, 1), ((11, 10), 1, 1), ((10, 11), 2, 1),
         d=2,
     )
-    got, z, _ = hulls_intersect(config, [(0, 1, 2), (3, 4, 5)], _grid(config))
+    got, z, _ = hulls_intersect([(0, 1, 2), (3, 4, 5)], _grid(config))
     assert got is None and z is not None
 
 
@@ -277,7 +277,7 @@ def test_boxes_are_scaled_projections_and_a_miss_is_infeasible(instance):
         meet = all(a <= d and c <= b for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j))
         assert (meets[i] >> j & 1, meets[j] >> i & 1) == (meet, meet)
         if not meet:
-            assert hulls_intersect(config, [faces[i], faces[j]], (L, points))[0] is None
+            assert hulls_intersect([faces[i], faces[j]], (L, points))[0] is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -366,9 +366,9 @@ def test_farkas_cut_skips_only_infeasible_tuples(instance):
     sent = {"search": [], "loop": []}
 
     def spy(name):
-        def record(config, faces, grid):
+        def record(faces, grid):
             sent[name].append(tuple(faces))
-            return hulls_intersect(config, faces, grid)
+            return hulls_intersect(faces, grid)
         return record
 
     with pytest.MonkeyPatch.context() as patch:
@@ -467,7 +467,7 @@ def test_grid_rows_match_the_fraction_rows(instance, data):
     config = instance.config
     grid = _grid(config)
     for faces in _solution_tuples(instance, data):
-        assert hulls_intersect(config, faces, grid)[0] == fraction_hulls_intersect(config, faces)
+        assert hulls_intersect(faces, grid)[0] == fraction_hulls_intersect(config, faces)
 
 
 def test_grid_rows_on_coordinates_of_different_denominators():
@@ -475,12 +475,12 @@ def test_grid_rows_on_coordinates_of_different_denominators():
     config = pts(((0, "1/3"), 0, 1), (("5/2", "7/4"), 1, 1), (("2/5", "3/2"), 0, 1), (("9/7", 0), 1, 1), d=2)
     grid = _grid(config)
     assert grid[0] == 420
-    got = hulls_intersect(config, [(0, 1), (2, 3)], grid)[0]
+    got = hulls_intersect([(0, 1), (2, 3)], grid)[0]
     assert got is not None and got == fraction_hulls_intersect(config, [(0, 1), (2, 3)])
     witness, certificates = got
     assert witness == (F(1715, 2102), F(3345, 4204))
     assert verify_solution(config, TverbergSolution(((0, 1), (2, 3)), witness, certificates))
-    assert hulls_intersect(config, [(0,), (2, 3)], grid)[0] is None is fraction_hulls_intersect(config, [(0,), (2, 3)])
+    assert hulls_intersect([(0,), (2, 3)], grid)[0] is None is fraction_hulls_intersect(config, [(0,), (2, 3)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -689,7 +689,7 @@ def test_balanced_square_with_center():
     assert sol.witness == (F(1), F(1))
     assert sol.policy == "shifted-k-plus-1"
     # The two diagonals themselves also cross exactly at the center.
-    (witness, _), _, _ = hulls_intersect(config, [(0, 2), (1, 3)], _grid(config))
+    (witness, _), _, _ = hulls_intersect([(0, 2), (1, 3)], _grid(config))
     assert witness == (F(1), F(1))
 
 
@@ -770,6 +770,46 @@ def test_search_finds_the_naive_first_solution_at_the_tverberg_number(pkd, seed,
     got, _ = _search(instance)
     naive = naive_search_all(instance)
     assert (None if got is None else got.faces) == (naive[0] if naive else None)
+
+
+# (p, k, d) of the tightness searches: each is run on seeds 0-4
+TIGHTNESS_PKD = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 1), (2, 2, 2), (3, 1, 2), (2, 3, 1), (5, 1, 1),
+                 (3, 2, 1), (3, 1, 3), (7, 1, 1)]
+
+
+def _minus_instance(p, k, d, seed):
+    """The free search on `random_prime_power_config` without its exceptional
+    point: total weight (d+1)(r-1), one below Tverberg's number."""
+    config = random_prime_power_config(p, k, d, seed)
+    return TverbergInstance(PointConfig(d, config.points[:-1]), p**k)
+
+
+def test_every_search_one_below_the_tverberg_number_exhausts():
+    totals = Counter()
+    for (p, k, d), seed in itertools.product(TIGHTNESS_PKD, range(5)):
+        out = search_tverberg(_minus_instance(p, k, d, seed))
+        assert isinstance(out, Exhausted), (p, k, d, seed)
+        totals.update(out.stats)
+    assert totals == {
+        "rainbow_faces": 1345, "box_rows": 1345, "pruned_dim_cap": 0, "pruned_budget": 42025,
+        "pruned_box": 9762, "pruned_color": 4817, "pruned_farkas": 137, "lp_calls": 138,
+        "lp_feasible": 0, "lp_pivots": 1060, "lp_direct": 0,
+    }
+
+
+@pytest.mark.parametrize("seed, budget, box, color, farkas, lp_calls, pivots", [
+    (0, 111166, 12131, 4698, 139, 166, 2475),
+    (1, 97730, 12269, 4206, 128, 74, 1007),
+    (2, 51898, 5948, 4230, 133, 29, 348),
+])
+def test_exhausted_search_counters_at_r_5_in_the_plane(seed, budget, box, color, farkas, lp_calls, pivots):
+    out = search_tverberg(_minus_instance(5, 1, 2, seed))
+    assert isinstance(out, Exhausted)
+    assert out.stats == {
+        "rainbow_faces": 124, "box_rows": 124, "pruned_dim_cap": 0, "pruned_budget": budget,
+        "pruned_box": box, "pruned_color": color, "pruned_farkas": farkas, "lp_calls": lp_calls,
+        "lp_feasible": 0, "lp_pivots": pivots, "lp_direct": 0,
+    }
 
 
 def never(*args):
