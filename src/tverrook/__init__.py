@@ -41,7 +41,6 @@ from .errors import InputError, ResourceLimitError
 from .geometry import (
     ColoredPoint,
     DimCaps,
-    Exhausted,
     LiftResult,
     PointConfig,
     TverbergInstance,

@@ -155,19 +155,19 @@ def _instance_from_json(data: dict) -> geometry.TverbergInstance:
         data.get("mode", "free"),
         caps,
         data.get("disjointness", "multiset-proper"),
+        json_int(data.get("constraint_count", 0), "constraint_count"),
     )
 
 
 def _load_tverberg(args):
     data = _load_json(args.json)
-    instance = _instance_from_json(data)
-    return data, (instance, json_int(data.get("constraint_count", 0), "constraint_count"))
+    return data, (_instance_from_json(data),)
 
 
 def _load_balanced(args):
     data = _load_json(args.json)
     defaulted = {"mode": "balanced-1.6", "disjointness": "vertex-disjoint", **data}
-    return data, (_instance_from_json(defaulted), 0)
+    return data, (_instance_from_json(defaulted),)
 
 
 def _load_lift(args):
@@ -290,20 +290,17 @@ def _fixed_points(spec, generators):
     return "verified", details, fixed.to_json(), summary
 
 
-def _search(instance, constraint_count):
-    result = geometry.search_tverberg(instance, constraint_count=constraint_count)
-    if isinstance(result, geometry.Exhausted):
+def _search(instance):
+    solution, stats = geometry.search_tverberg(instance)
+    if solution is None:
         verdict = "exhausted" if instance.mode == "free" else "refuted"
-        details = {
-            "candidates_examined": result.candidates_examined,
-            "mode": instance.mode,
-            "stats": result.stats,
-        }
-        return verdict, details, None, f"exhausted after {result.candidates_examined} candidates"
-    certificate = result.to_json()
-    details = {"faces": certificate["faces"], "mode": instance.mode, "stats": result.stats}
-    if result.policy:
-        details["policy"] = result.policy
+        examined = stats["lp_calls"] + stats["pruned_farkas"]
+        details = {"candidates_examined": examined, "mode": instance.mode, "stats": stats}
+        return verdict, details, None, f"exhausted after {examined} candidates"
+    certificate = solution.to_json()
+    details = {"faces": certificate["faces"], "mode": instance.mode, "stats": stats}
+    if solution.policy:
+        details["policy"] = solution.policy
     return "found", details, certificate, f"found solution with witness {certificate['witness']}"
 
 
@@ -321,12 +318,12 @@ def _lift(config, solution, r):
 
 def _example_a(p, k, d, epsilon, seed):
     config, instance = geometry.build_example_a(p, k, d, epsilon, seed)
-    result = geometry.search_tverberg(instance)
-    if isinstance(result, geometry.Exhausted):
-        details = {"candidates_examined": result.candidates_examined, "stats": result.stats}
+    solution, stats = geometry.search_tverberg(instance)
+    if solution is None:
+        details = {"candidates_examined": stats["lp_calls"] + stats["pruned_farkas"], "stats": stats}
         return "refuted", details, None, "example configuration unexpectedly exhausted"
-    certificate = {"config": config.to_json(), "solution": result.to_json()}
-    details = {"witness": certificate["solution"]["witness"], "stats": result.stats}
+    certificate = {"config": config.to_json(), "solution": solution.to_json()}
+    details = {"witness": certificate["solution"]["witness"], "stats": stats}
     return "found", details, certificate, f"witness: {details['witness']}"
 
 
@@ -336,7 +333,7 @@ def _unavoidable(V, r, avoid_set, K):
     else:
         verdict = constraints.is_unavoidable(K, r, V)
     certificate = verdict.to_json()
-    details = certificate if verdict.stats is None else {**certificate, "stats": verdict.stats}
+    details = {**certificate, "stats": verdict.stats}
     return _verdict(verdict.unavoidable), details, certificate, f"unavoidable: {verdict.unavoidable}"
 
 

@@ -222,9 +222,19 @@ class _TverbergInstanceFields(NamedTuple):
     mode: str = "free"
     dim_caps: DimCaps | None = None
     disjointness: str = "multiset-proper"
+    constraint_count: int = 0  # c, the removed sets of Theorem 6.2
 
 
 class TverbergInstance(_TverbergInstanceFields):
+    """A search input that holds its mode's hypotheses.
+
+    `__new__` checks the mode, the disjointness and r, then the hypotheses
+    of the mode's theorem: 1.3 (and its lift, 1.4), 6.2 with
+    `constraint_count` removed sets, 6.3 or 1.6; InputError on failure.  A
+    balanced instance without dimension caps gets the caps that solve
+    r*k + s = (r-1)*d under the shifted policy, before its other checks.
+    """
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -237,23 +247,23 @@ class TverbergInstance(_TverbergInstanceFields):
             raise InputError("need at least r = 2 parts")
         if self.r > MAX_PARTS:
             raise ResourceLimitError(f"search depth r = {self.r} exceeds the cap ({MAX_PARTS})")
-        return self
-
-    def validate(self, constraint_count: int = 0) -> None:
-        """Mode-specific hypothesis checks; InputError on failure."""
         if self.mode in ("prime-power-1.3", "lifted-1.4"):
             _validate_generalized(self.config, self.r, 0)
         elif self.mode == "equal-classes-6.3":
             _validate_equal_classes(self.config, self.r)
         elif self.mode == "generalized-6.2":
-            if constraint_count < 1:
+            if self.constraint_count < 1:
                 raise InputError("generalized mode needs the constraint count c >= 1")
-            _validate_generalized(self.config, self.r, constraint_count)
+            _validate_generalized(self.config, self.r, self.constraint_count)
         elif self.mode == "balanced-1.6":
+            if self.dim_caps is None:
+                # _replace skips __new__; DimCaps checked its own fields
+                self = self._replace(dim_caps=DimCaps(*solve_balanced_caps(self.r, self.config.d)))
             _validate_balanced(self.config, self.r)
             if self.disjointness != "vertex-disjoint":
                 raise InputError("balanced mode requires vertex-disjoint faces")
             solve_balanced_caps(self.r, self.config.d)  # raises when no k exists
+        return self
 
 
 def prime_power_root(r: int) -> tuple:
@@ -382,8 +392,6 @@ class TverbergSolution(NamedTuple):
     witness: tuple
     certificates: tuple  # per face, tuple of convex coefficients
     policy: str | None = None
-    # the counters of the search that found it; not part of the certificate
-    stats: dict | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -406,11 +414,6 @@ class TverbergSolution(NamedTuple):
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed solution JSON: {exc}") from exc
-
-
-class Exhausted(NamedTuple):
-    candidates_examined: int
-    stats: dict | None = None  # as in TverbergSolution
 
 
 def _grid(config: PointConfig) -> tuple:
@@ -536,7 +539,7 @@ def _rainbow_count(config: PointConfig) -> int:
 def rainbow_faces(config: PointConfig, top: int | None = None):
     """The nonempty rainbow faces of at most `top` vertices (all when None),
     in lexicographic (size, vertex ids) order.  A vertex has one color, so
-    the faces made are distinct.  `_search` guards their number.
+    the faces made are distinct.  `search_tverberg` guards their number.
     """
     classes = [[] for _ in range(config.num_colors)]
     for i, pt in enumerate(config.points):
@@ -668,7 +671,7 @@ def _farkas_cover(z: list, r: int, grid: tuple, touch: list, built: int) -> list
     return cover
 
 
-def _search(instance: TverbergInstance):
+def search_tverberg(instance: TverbergInstance):
     """Canonical-order pruned enumeration of r-tuples of rainbow faces.
 
     Tuples are non-decreasing in the face order (killing part relabeling).
@@ -707,13 +710,15 @@ def _search(instance: TverbergInstance):
     tuple that one kept vector covers at every position skips its LP; the
     last position, the one the prefix does not fix, is tested first.  A
     feasible tuple is never covered, so the first solution is the first
-    feasible tuple in canonical order.  Returns (the first solution or None,
-    stats): the rainbow faces, the box rows built, the prefixes each rule
-    pruned (a face counts for the first rule that cuts it: dimension caps,
-    budget, box, color budget, where a closed prefix counts every face that
-    survived the masks), the full tuples the kept vectors cut, the LP calls
-    and feasible LPs, the simplex pivots, and the LP calls that the
-    elimination answered with no simplex.
+    feasible tuple in canonical order, and it is re-checked by substitution
+    (`verify_solution`) before it is returned.  Returns (the first solution
+    or None, stats): the rainbow faces, the box rows built, the prefixes
+    each rule pruned (a face counts for the first rule that cuts it:
+    dimension caps, budget, box, color budget, where a closed prefix counts
+    every face that survived the masks), the full tuples the kept vectors
+    cut, the LP calls and feasible LPs, the simplex pivots, and the LP
+    calls that the elimination answered with no simplex.  The instance
+    checked its mode's hypotheses when it was made.
     More than `MAX_RAINBOW_FACES` rainbow faces, or d^2 (points + rainbow
     faces) above `MAX_BOX_WORK`, raise `ResourceLimitError` before any face
     or projection is built.
@@ -856,27 +861,10 @@ def _search(instance: TverbergInstance):
                 return found
         return None
 
-    return rec(0, everything, 0, 0), stats
-
-
-def search_tverberg(instance: TverbergInstance, constraint_count: int = 0):
-    """First certified solution in canonical order, or Exhausted.
-
-    A balanced instance without dimension caps gets the caps that solve
-    r*k + s = (r-1)*d under the shifted policy, which the result records.
-    Either result carries the search counters in `stats`.
-    """
-    if instance.mode == "balanced-1.6" and instance.dim_caps is None:
-        k, s = solve_balanced_caps(instance.r, instance.config.d)
-        # _replace skips validation, which the other fields passed already
-        instance = instance._replace(dim_caps=DimCaps(k, s))
-    instance.validate(constraint_count)
-    sol, stats = _search(instance)
-    if sol is not None:
-        if not verify_solution(instance.config, sol):
-            raise AssertionError("LP produced a certificate that failed re-substitution")
-        return sol._replace(stats=stats)
-    return Exhausted(stats["lp_calls"] + stats["pruned_farkas"], stats)
+    solution = rec(0, everything, 0, 0)
+    if solution is not None and not verify_solution(config, solution):
+        raise AssertionError("LP produced a certificate that failed re-substitution")
+    return solution, stats
 
 
 class LiftResult(NamedTuple):
@@ -988,5 +976,5 @@ def build_example_a(p: int, k: int, d: int, epsilon: Fraction = Fraction(0), see
     # the anchors sum to 3 on every axis
     points.append(ColoredPoint((Fraction(3, d + 1),) * d, d + 1, 1))
     config = PointConfig(d, tuple(points))
-    # search_tverberg checks the hypotheses of Theorem 1.3
+    # the instance checks the hypotheses of Theorem 1.3 when it is made
     return config, TverbergInstance(config, p**k, mode="prime-power-1.3")

@@ -11,11 +11,10 @@ whole-complex preimage scan that
 direct preimage enumeration replaced in `tverrook.maps`, the scan of
 every subset of V that the search over minimal non-faces replaced in
 `tverrook.constraints`, the face-at-a-time prefix loop that the bitmask
-candidate sets replaced in `tverrook.geometry._search`, the face boxes
-and the pairwise box comparison that the box rows replaced, each built
-on demand from the per-point chains of `tverrook.geometry._meet_masks`,
-ranks of
-boundary maps over F_p, and the span-and-dedupe subspace enumerator and
+candidate sets replaced in `tverrook.geometry.search_tverberg`, the face
+boxes and the pairwise box comparison that the box rows replaced, each
+built on demand from the per-point chains of
+`tverrook.geometry._meet_masks`, ranks of boundary maps over F_p, and the span-and-dedupe subspace enumerator and
 the regular (Z_p)^k action that the reduced row echelon enumeration and
 the closed-form fixed-point dimensions replaced in `tverrook.maps`, and
 the argparse parse of a row's flags, whose exact forms
@@ -266,7 +265,8 @@ def pairwise_meet_masks(boxes):
 
 
 def loop_search(instance, find_all):
-    """The pruned search of `tverrook.geometry._search`, one candidate face at a time.
+    """The pruned search of `tverrook.geometry.search_tverberg`, one
+    candidate face at a time.
 
     Each level tests every face from its start in order against the
     dimension caps, the multiplicity budget (or vertex-disjointness) and the
@@ -275,10 +275,10 @@ def loop_search(instance, find_all):
     face, when some color class is met by every surviving face and has
     less budget left than the r - depth faces still to come: its budget
     less one per prefix face that meets it.  Every full tuple goes to the
-    LP: there is no Farkas cut, so its `lp_calls` is `_search`'s `lp_calls`
-    + `pruned_farkas`, and it counts none of `pruned_farkas`, `lp_pivots`
-    and `lp_direct`.  Returns (solutions, stats) as `_search` does, the
-    other counters included.
+    LP: there is no Farkas cut, so its `lp_calls` is `search_tverberg`'s
+    `lp_calls` + `pruned_farkas`, and it counts none of `pruned_farkas`,
+    `lp_pivots` and `lp_direct`.  Returns (solutions, stats) as
+    `search_tverberg` does, the other counters included.
     """
     config = instance.config
     r = instance.r

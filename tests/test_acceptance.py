@@ -25,7 +25,6 @@ from tverrook import (
     CollapseTheta,
     ColoredPoint,
     DimCaps,
-    Exhausted,
     Multiset,
     PointConfig,
     TverbergInstance,
@@ -47,7 +46,6 @@ from tverrook import (
     sphere_spec,
     verify_solution,
 )
-from tverrook.geometry import _search
 
 
 F = Fraction
@@ -188,7 +186,7 @@ def test_criterion_07_prime_power_desk_scale():
             for seed in range(100):
                 config = random_prime_power_config(p, k, d, seed)
                 with budget(10):
-                    sol = search_tverberg(TverbergInstance(config, r, mode="prime-power-1.3"))
+                    sol, _ = search_tverberg(TverbergInstance(config, r, mode="prime-power-1.3"))
                 assert isinstance(sol, TverbergSolution), (p, k, d, seed)
                 assert verify_solution(config, sol)
 
@@ -197,11 +195,11 @@ def test_criterion_08_example_a():
     # Exact clusters force the witness to be the barycenter; epsilon-scattered
     # clusters remain solvable.
     config, instance = build_example_a(2, 2, 2)
-    sol = search_tverberg(instance)
+    sol, _ = search_tverberg(instance)
     assert sol.witness == (F(1), F(1))  # barycenter of (0,0), (3,0), (0,3)
     for seed in range(20):
         config, instance = build_example_a(2, 2, 2, epsilon=F(1, 100), seed=seed)
-        sol = search_tverberg(instance)
+        sol, _ = search_tverberg(instance)
         assert isinstance(sol, TverbergSolution), seed
         assert verify_solution(config, sol)
 
@@ -210,7 +208,7 @@ def test_criterion_09_lift_to_vertex_disjoint():
     # Every (2,2,1) solution lifts to 4 pairwise disjoint faces, same witness.
     for seed in range(100):
         config = random_prime_power_config(2, 2, 1, seed)
-        sol = search_tverberg(TverbergInstance(config, 4, mode="prime-power-1.3"))
+        sol, _ = search_tverberg(TverbergInstance(config, 4, mode="prime-power-1.3"))
         assert isinstance(sol, TverbergSolution)
         lifted = lift_to_vertex_disjoint(config, sol, 4)
         assert len(lifted.solution.faces) == 4
@@ -265,8 +263,8 @@ def test_criterion_10_constraint_pipeline():
             assert verdict.hypothesis_holds and verdict.unavoidable, S
             for seed in range(25):
                 config = _constrained_config(weights, colors, S, seed)
-                sol = search_tverberg(
-                    TverbergInstance(config, r, mode="generalized-6.2"), constraint_count=1
+                sol, _ = search_tverberg(
+                    TverbergInstance(config, r, mode="generalized-6.2", constraint_count=1)
                 )
                 assert isinstance(sol, TverbergSolution), (S, seed)
                 assert verify_solution(config, sol)
@@ -278,7 +276,7 @@ def test_criterion_11_balanced_policies():
     with budget(300):
         for seed in range(100):
             config = random_balanced_config(2, 2, seed)
-            shifted = search_tverberg(
+            shifted, _ = search_tverberg(
                 TverbergInstance(
                     config, 2, mode="balanced-1.6",
                     dim_caps=DimCaps(1, 0), disjointness="vertex-disjoint",
@@ -291,14 +289,14 @@ def test_criterion_11_balanced_policies():
             assert sorted(len(f) for f in shifted.faces) == [2, 2], seed
             assert not set(shifted.faces[0]) & set(shifted.faces[1])
             assert verify_solution(config, shifted)
-            literal = search_tverberg(
+            literal, _ = search_tverberg(
                 TverbergInstance(
                     config, 2, mode="balanced-1.6",
                     dim_caps=DimCaps(1, 0, policy="literal-k"),
                     disjointness="vertex-disjoint",
                 )
             )
-            assert isinstance(literal, Exhausted), seed
+            assert literal is None, seed
 
 
 def _random_small_instance(seed):
@@ -331,5 +329,5 @@ def test_criterion_12_search_oracle_equivalence():
             instance = _random_small_instance(seed)
             naive = naive_search_all(instance)
             assert sorted(search_tverberg_all(instance)) == sorted(naive), seed
-            first, _ = _search(instance)
+            first, _ = search_tverberg(instance)
             assert (None if first is None else first.faces) == (naive[0] if naive else None), seed

@@ -1285,6 +1285,8 @@ COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
         (["obstruction", "--p", "2", "--k", "0", "--d", "1"], None),
         (["homology"], {"universe": [], "facets": []}),
         (["connectivity", "--level", "-2"], COMPLEX),
+        # balanced search reads constraint_count as tverberg search does
+        (["balanced", "search"], dict(BALANCED, constraint_count=0.5)),
     ],
     ids=[
         "r-not-integer", "dim-caps-without-s", "non-integer-vertex", "unavoidable-r-not-integer",
@@ -1301,6 +1303,7 @@ COMPLEX = {"universe": [0, 1, 2, 3], "facets": [[0, 1, 2], [2, 3]]}
         "lift-exceptional-reused", "example-a-p-not-prime", "obstruction-p-not-prime",
         "valuation-p-1", "valuation-p-9", "valuation-m-negative", "obstruction-k-0",
         "homology-empty-simplex", "connectivity-level-below-minus-1",
+        "balanced-constraint-count-float",
     ],
 )
 def test_malformed_input_is_input_error(capsys, tmp_path, argv, data):

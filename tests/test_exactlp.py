@@ -179,7 +179,7 @@ def test_hull_systems_of_example_a_match_the_fraction_oracle():
         patch.setattr(geometry, "unique_solution", spy)
         for seed in range(12):
             _, instance = build_example_a(2, 2, 2, epsilon=Fraction(1, 100), seed=seed)
-            assert search_tverberg(instance).stats["lp_direct"] == 1
+            assert search_tverberg(instance)[1]["lp_direct"] == 1
     assert len(systems) == 12
     for A, b, direct in systems:
         x, _, pivots = solve_equality_feasibility(A, b)

@@ -27,7 +27,6 @@ from oracles import (
 from tverrook import (
     ColoredPoint,
     DimCaps,
-    Exhausted,
     InputError,
     PointConfig,
     ResourceLimitError,
@@ -53,10 +52,10 @@ from tverrook.geometry import (
     _grid,
     _grid_projections,
     _meet_masks,
-    _search,
     format_rational,
     parse_rational,
 )
+from tverrook.geometry import search_tverberg as _search
 
 F = Fraction
 
@@ -132,7 +131,7 @@ def test_rainbow_faces_order_and_content():
 
 def test_colored_radon_on_a_line():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2))
+    sol, _ = search_tverberg(TverbergInstance(config, 2))
     assert isinstance(sol, TverbergSolution)
     assert sol.witness == (F(1, 2),)
     assert sorted(sol.faces) == [(0, 1), (2,)]
@@ -146,7 +145,7 @@ def test_prime_power_instance_on_a_line():
         d=1,
     )
     instance = TverbergInstance(config, 4, mode="prime-power-1.3")
-    sol = search_tverberg(instance)
+    sol, _ = search_tverberg(instance)
     assert isinstance(sol, TverbergSolution)
     assert sol.witness == (F(1, 2),)
     assert verify_solution(config, sol)
@@ -160,11 +159,11 @@ def test_prime_power_instance_on_a_line():
 
 def test_two_far_points_exhaust():
     config = pts(((0,), 0, 1), ((1,), 1, 1), d=1)
-    out = search_tverberg(TverbergInstance(config, 2))
-    assert isinstance(out, Exhausted)
+    out, stats = search_tverberg(TverbergInstance(config, 2))
+    assert out is None
     # All candidate pairs are killed by budget or bounding-box pruning,
     # so no full tuple ever reaches the LP.
-    assert out.candidates_examined == 0
+    assert stats["lp_calls"] + stats["pruned_farkas"] == 0
 
 
 def test_diagonal_boxes_prune_what_axis_boxes_miss():
@@ -183,10 +182,10 @@ def test_diagonal_boxes_prune_what_axis_boxes_miss():
     meet_row = _meet_masks(projections, touch)
     meets = [meet_row(f) for f in faces]
     assert (meets[segment] & both, meets[point] & both) == (1 << segment, 1 << point)
-    out = search_tverberg(TverbergInstance(config, 2))
-    assert isinstance(out, Exhausted)
-    assert out.candidates_examined == 0
-    assert out.stats == {
+    out, stats = search_tverberg(TverbergInstance(config, 2))
+    assert out is None
+    assert stats["lp_calls"] + stats["pruned_farkas"] == 0
+    assert stats == {
         "rainbow_faces": 7,
         "box_rows": 7,
         "pruned_dim_cap": 0,
@@ -395,13 +394,13 @@ def test_farkas_cut_on_a_free_instance():
         d=2,
     )
     instance = TverbergInstance(config, 3)
-    sol = search_tverberg(instance)
+    sol, stats = search_tverberg(instance)
     assert sol.faces == ((0, 2), (1, 3), (1, 3))
-    assert (sol.stats["lp_calls"], sol.stats["pruned_farkas"]) == (21, 75)
-    assert (sol.stats["pruned_budget"], sol.stats["pruned_box"], sol.stats["pruned_color"]) == (501, 110, 23)
+    assert (stats["lp_calls"], stats["pruned_farkas"]) == (21, 75)
+    assert (stats["pruned_budget"], stats["pruned_box"], stats["pruned_color"]) == (501, 110, 23)
     solutions, want_stats = loop_search(instance, False)
     assert [s.faces for s in solutions] == [sol.faces] and want_stats["lp_calls"] == 96
-    assert_same_counts_but_the_cut(sol.stats, want_stats)
+    assert_same_counts_but_the_cut(stats, want_stats)
 
 
 @pytest.mark.parametrize("policy", [POLICY_LITERAL, POLICY_SHIFTED])
@@ -444,10 +443,10 @@ def test_free_search_on_one_large_color_class():
     # pairing with itself, so no tuple reaches the LP
     points = tuple(ColoredPoint((F(i), F(i * i % 97)), 0, 1) for i in range(8191))
     start = time.perf_counter()
-    out = search_tverberg(TverbergInstance(PointConfig(2, points), 2))
+    out, stats = search_tverberg(TverbergInstance(PointConfig(2, points), 2))
     assert time.perf_counter() - start < 2
-    assert isinstance(out, Exhausted)
-    assert (out.stats["rainbow_faces"], out.stats["lp_calls"]) == (8191, 0)
+    assert out is None
+    assert (stats["rainbow_faces"], stats["lp_calls"]) == (8191, 0)
 
 
 def _solution_tuples(instance, data):
@@ -486,7 +485,7 @@ def test_grid_rows_on_coordinates_of_different_denominators():
 @functools.lru_cache(maxsize=None)
 def _example_a_solution(p, k, d, seed):
     config, instance = build_example_a(p, k, d, epsilon=F(1, 100), seed=seed)
-    return config, search_tverberg(instance)
+    return (config, *search_tverberg(instance))
 
 
 @st.composite
@@ -495,7 +494,7 @@ def found_solutions(draw):
     3 on a line, seeds 0..11) or of a drawn free instance."""
     if draw(st.booleans()):
         p, k, d = draw(st.sampled_from([(2, 2, 2), (3, 1, 1)]))
-        return _example_a_solution(p, k, d, draw(st.integers(0, 11)))
+        return _example_a_solution(p, k, d, draw(st.integers(0, 11)))[:2]
     instance = draw(free_instances())
     solutions, _ = loop_search(instance, True)
     assume(solutions)
@@ -543,12 +542,94 @@ def test_closed_form_packing_matches_backtracking(pk, data):
 def test_mode_validation_failures():
     good = random_prime_power_config(2, 2, 1, seed=0)
     with pytest.raises(InputError):
-        search_tverberg(TverbergInstance(good, 6, mode="prime-power-1.3"))  # not a prime power
+        TverbergInstance(good, 6, mode="prime-power-1.3")  # not a prime power
     bad = pts(((0,), 0, 1), ((1,), 1, 1), ((2,), 2, 1), d=1)
     with pytest.raises(InputError):
-        search_tverberg(TverbergInstance(bad, 4, mode="prime-power-1.3"))
+        TverbergInstance(bad, 4, mode="prime-power-1.3")
     with pytest.raises(InputError):
         TverbergInstance(good, 4, mode="nonsense")
+
+
+def _one_point_colours(n, d=1):
+    """n one-point color classes, point i at i on every axis."""
+    return pts(*[((i,) * d, i, 1) for i in range(n)], d=d)
+
+
+# the balanced square with its center: (r-1)(d+2)+1 = 5 points, r = 2, d = 2
+SQUARE = pts(((0, 0), 0, 1), ((2, 0), 1, 1), ((2, 2), 2, 1), ((0, 2), 3, 1), ((1, 1), 4, 1), d=2)
+BALANCED = {"mode": "balanced-1.6", "disjointness": "vertex-disjoint"}
+
+
+# r = 4: classes 0 and 1 are L = (1, 2), the last is [1]
+PRIME_POWER_LINE = pts(
+    ((0,), 0, 1), (("1/10",), 0, 2), ((1,), 1, 1), (("9/10",), 1, 2), (("1/2",), 2, 1), d=1,
+)
+
+
+# (an instance that holds its mode's hypotheses, one that fails the named
+# one, the start of the error that names it)
+HYPOTHESIS_CASES = {
+    "1.3-classes": (
+        lambda: TverbergInstance(PRIME_POWER_LINE, 4, mode="prime-power-1.3"),
+        lambda: TverbergInstance(_one_point_colours(3), 4, mode="prime-power-1.3"),
+        "missing multiplicities",
+    ),
+    "6.2-c-below-1": (
+        lambda: TverbergInstance(_one_point_colours(3), 2, mode="generalized-6.2", constraint_count=1),
+        lambda: TverbergInstance(_one_point_colours(3), 2, mode="generalized-6.2"),
+        "generalized mode needs",
+    ),
+    # with c = 1 and r = 2, classes 0..2 are within [1] and class 3 is [1];
+    # two one-point classes leave two units unused, one removed set holds one
+    "6.2-packing": (
+        lambda: TverbergInstance(_one_point_colours(3), 2, mode="generalized-6.2", constraint_count=1),
+        lambda: TverbergInstance(_one_point_colours(2), 2, mode="generalized-6.2", constraint_count=1),
+        "missing multiplicities",
+    ),
+    "6.3-total": (
+        lambda: TverbergInstance(PRIME_POWER_LINE, 4, mode="equal-classes-6.3"),
+        lambda: TverbergInstance(PointConfig(1, PRIME_POWER_LINE.points[1:]), 4, mode="equal-classes-6.3"),
+        "total multiplicity",
+    ),
+    "1.6-size": (
+        lambda: TverbergInstance(SQUARE, 2, **BALANCED),
+        lambda: TverbergInstance(PointConfig(2, SQUARE.points[:4]), 2, **BALANCED),
+        "balanced mode needs",
+    ),
+    "1.6-disjointness": (
+        lambda: TverbergInstance(SQUARE, 2, **BALANCED),
+        lambda: TverbergInstance(SQUARE, 2, mode="balanced-1.6"),
+        "balanced mode requires",
+    ),
+    # on a line no positive k solves r*k + s = (r-1)*d: without caps the
+    # instance has none to fill in, and with caps the check still fails
+    "1.6-no-k": (
+        lambda: TverbergInstance(SQUARE, 2, **BALANCED),
+        lambda: TverbergInstance(_one_point_colours(4), 2, **BALANCED),
+        "no positive k",
+    ),
+    "1.6-no-k-with-caps": (
+        lambda: TverbergInstance(SQUARE, 2, dim_caps=DimCaps(1, 0), **BALANCED),
+        lambda: TverbergInstance(_one_point_colours(4), 2, dim_caps=DimCaps(1, 0), **BALANCED),
+        "no positive k",
+    ),
+}
+
+
+@pytest.mark.parametrize("good, bad, message", HYPOTHESIS_CASES.values(), ids=HYPOTHESIS_CASES.keys())
+def test_an_instance_checks_its_hypotheses_when_it_is_made(good, bad, message):
+    assert isinstance(good(), TverbergInstance)
+    with pytest.raises(InputError, match=message):
+        bad()
+
+
+def test_a_balanced_instance_gets_its_caps_when_it_is_made():
+    config = random_balanced_config(2, 3, seed=0)
+    made = TverbergInstance(config, 2, **BALANCED)
+    assert made.dim_caps == DimCaps(*solve_balanced_caps(2, 3)) == DimCaps(1, 1, POLICY_SHIFTED)
+    given = DimCaps(1, 0, POLICY_LITERAL)
+    assert TverbergInstance(config, 2, dim_caps=given, **BALANCED).dim_caps is given
+    assert TverbergInstance(config, 2).dim_caps is None  # only the balanced mode fills caps
 
 
 # r = p^k for the r the validator cases draw; 6 is not a prime power
@@ -606,7 +687,7 @@ def test_validators_match_the_theorem_statements(case):
 
     def valid(mode, c=0):
         try:
-            TverbergInstance(config, r, mode=mode).validate(c)
+            TverbergInstance(config, r, mode=mode, constraint_count=c)
         except InputError:
             return False
         return True
@@ -646,16 +727,16 @@ def test_validators_match_the_theorem_statements(case):
 def test_equal_classes_mode_total_check():
     # r=2, d=1: total must be (r-1)(d+1)+1 = 3.
     config = pts(((0,), 0, 1), ((3,), 1, 1), (("3/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2, mode="equal-classes-6.3"))
+    sol, _ = search_tverberg(TverbergInstance(config, 2, mode="equal-classes-6.3"))
     assert isinstance(sol, TverbergSolution)
     heavy = pts(((0,), 0, 2), ((3,), 1, 2), (("3/2",), 2, 1), d=1)
     with pytest.raises(InputError):
-        search_tverberg(TverbergInstance(heavy, 2, mode="equal-classes-6.3"))
+        TverbergInstance(heavy, 2, mode="equal-classes-6.3")
 
 
 def test_verify_solution_rejects_tampering():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2))
+    sol, _ = search_tverberg(TverbergInstance(config, 2))
     wrong_witness = TverbergSolution(sol.faces, (F(1, 3),), sol.certificates)
     assert not verify_solution(config, wrong_witness)
     bad_cert = TverbergSolution(
@@ -666,8 +747,8 @@ def test_verify_solution_rejects_tampering():
 
 def test_solution_json_round_trip():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2))
-    assert TverbergSolution.from_json(sol.to_json()) == sol._replace(stats=None)
+    sol, _ = search_tverberg(TverbergInstance(config, 2))
+    assert TverbergSolution.from_json(sol.to_json()) == sol
 
 
 def test_balanced_caps_solver():
@@ -684,7 +765,7 @@ def test_balanced_square_with_center():
         d=2,
     )
     instance = TverbergInstance(config, 2, mode="balanced-1.6", disjointness="vertex-disjoint")
-    sol = search_tverberg(instance)
+    sol, _ = search_tverberg(instance)
     assert isinstance(sol, TverbergSolution)
     assert sol.witness == (F(1), F(1))
     assert sol.policy == "shifted-k-plus-1"
@@ -698,14 +779,14 @@ def test_balanced_policies_disagree_generically():
     shifted = TverbergInstance(
         config, 2, mode="balanced-1.6", dim_caps=DimCaps(1, 0), disjointness="vertex-disjoint"
     )
-    sol = search_tverberg(shifted)
+    sol, _ = search_tverberg(shifted)
     assert isinstance(sol, TverbergSolution)
     assert all(len(f) <= 2 for f in sol.faces)
     literal = TverbergInstance(
         config, 2, mode="balanced-1.6",
         dim_caps=DimCaps(1, 0, policy="literal-k"), disjointness="vertex-disjoint",
     )
-    assert isinstance(search_tverberg(literal), Exhausted)
+    assert search_tverberg(literal)[0] is None
 
 
 def test_balanced_rejects_oversized_class():
@@ -714,29 +795,27 @@ def test_balanced_rejects_oversized_class():
         d=2,
     )
     with pytest.raises(InputError):
-        search_tverberg(
-            TverbergInstance(config, 2, mode="balanced-1.6", disjointness="vertex-disjoint")
-        )
+        TverbergInstance(config, 2, mode="balanced-1.6", disjointness="vertex-disjoint")
 
 
 def test_example_a_on_a_segment():
     config, instance = build_example_a(2, 1, 1)
     coords = sorted(pt.coords[0] for pt in config.points)
     assert coords == [F(0), F(3, 2), F(3)]
-    sol = search_tverberg(instance)
+    sol, _ = search_tverberg(instance)
     assert sol.witness == (F(3, 2),)
 
 
 def test_example_a_in_the_plane():
     config, instance = build_example_a(2, 2, 2)
-    sol = search_tverberg(instance)
+    sol, _ = search_tverberg(instance)
     assert sol.witness == (F(1), F(1))  # the barycenter of (0,0), (3,0), (0,3)
 
 
 def test_example_a_scattered_still_solvable():
     for seed in range(3):
         config, instance = build_example_a(2, 2, 2, epsilon=F(1, 100), seed=seed)
-        sol = search_tverberg(instance)
+        sol, _ = search_tverberg(instance)
         assert isinstance(sol, TverbergSolution)
         assert verify_solution(config, sol)
 
@@ -746,9 +825,8 @@ def test_example_a_color_cut_keeps_the_first_solution():
     # so most prefixes are closed by the color-budget cut; the first
     # solution is still the first LP, answered by the elimination.
     for seed in range(12):
-        _, sol = _example_a_solution(2, 2, 2, seed)
+        _, sol, stats = _example_a_solution(2, 2, 2, seed)
         assert sol.faces == ((6,), (0, 2, 4), (1, 3, 5), (1, 3, 5))
-        stats = sol.stats
         assert stats["lp_calls"] == stats["lp_feasible"] == stats["lp_direct"] == 1
         assert stats["pruned_color"] > 0
         # a face gets its box row when the search first picks it before the
@@ -787,9 +865,9 @@ def _minus_instance(p, k, d, seed):
 def test_every_search_one_below_the_tverberg_number_exhausts():
     totals = Counter()
     for (p, k, d), seed in itertools.product(TIGHTNESS_PKD, range(5)):
-        out = search_tverberg(_minus_instance(p, k, d, seed))
-        assert isinstance(out, Exhausted), (p, k, d, seed)
-        totals.update(out.stats)
+        out, stats = search_tverberg(_minus_instance(p, k, d, seed))
+        assert out is None, (p, k, d, seed)
+        totals.update(stats)
     assert totals == {
         "rainbow_faces": 1345, "box_rows": 1345, "pruned_dim_cap": 0, "pruned_budget": 42025,
         "pruned_box": 9762, "pruned_color": 4817, "pruned_farkas": 137, "lp_calls": 138,
@@ -803,9 +881,9 @@ def test_every_search_one_below_the_tverberg_number_exhausts():
     (2, 51898, 5948, 4230, 133, 29, 348),
 ])
 def test_exhausted_search_counters_at_r_5_in_the_plane(seed, budget, box, color, farkas, lp_calls, pivots):
-    out = search_tverberg(_minus_instance(5, 1, 2, seed))
-    assert isinstance(out, Exhausted)
-    assert out.stats == {
+    out, stats = search_tverberg(_minus_instance(5, 1, 2, seed))
+    assert out is None
+    assert stats == {
         "rainbow_faces": 124, "box_rows": 124, "pruned_dim_cap": 0, "pruned_budget": budget,
         "pruned_box": box, "pruned_color": color, "pruned_farkas": farkas, "lp_calls": lp_calls,
         "lp_feasible": 0, "lp_pivots": pivots, "lp_direct": 0,
@@ -843,7 +921,7 @@ def test_lift_produces_disjoint_faces():
         (("1/2",), 2, 1),
         d=1,
     )
-    sol = search_tverberg(TverbergInstance(config, 4, mode="prime-power-1.3"))
+    sol, _ = search_tverberg(TverbergInstance(config, 4, mode="prime-power-1.3"))
     lifted = lift_to_vertex_disjoint(config, sol, 4)
     assert len(lifted.config.points) == 7  # classes blown up to 3 + 3 + 1 vertices
     assert lifted.solution.witness == sol.witness
@@ -861,7 +939,7 @@ def test_lift_produces_disjoint_faces():
 
 def test_lift_is_identity_for_multiplicity_one():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2))
+    sol, _ = search_tverberg(TverbergInstance(config, 2))
     lifted = lift_to_vertex_disjoint(config, sol, 2)
     assert len(lifted.config.points) == len(config.points)
     assert sorted(lifted.projection.items()) == [(0, 0), (1, 1), (2, 2)]
@@ -869,7 +947,7 @@ def test_lift_is_identity_for_multiplicity_one():
 
 def test_lift_rejects_wrong_class_weights():
     config = pts(((0,), 0, 1), ((1,), 1, 1), (("1/2",), 2, 1), d=1)
-    sol = search_tverberg(TverbergInstance(config, 2))
+    sol, _ = search_tverberg(TverbergInstance(config, 2))
     with pytest.raises(InputError):
         lift_to_vertex_disjoint(config, sol, 3)
 
@@ -878,7 +956,7 @@ def test_random_prime_power_instances_never_exhaust():
     for p, k, d in [(2, 1, 1), (3, 1, 1), (2, 2, 1)]:
         for seed in range(3):
             config = random_prime_power_config(p, k, d, seed)
-            sol = search_tverberg(TverbergInstance(config, p**k, mode="prime-power-1.3"))
+            sol, _ = search_tverberg(TverbergInstance(config, p**k, mode="prime-power-1.3"))
             assert isinstance(sol, TverbergSolution)
             assert verify_solution(config, sol)
 

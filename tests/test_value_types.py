@@ -1,8 +1,8 @@
 """The value types are NamedTuples: equality, hashing and validation.
 
 Every value compares and hashes as the plain tuple of its fields, the
-by-products of a result (search counters, elimination sizes) included; a
-test that means only some fields compares those.  The types that check
+by-products of a result (elimination sizes, unavoidability counters)
+included; a test that means only some fields compares those.  The types that check
 their fields do so in ``__new__``.  ``_replace`` does not call ``__new__``,
 so it is used only to put in a field that its own constructor checked.
 ``Complex`` checks nothing in ``__new__``: the package's builders put its
@@ -20,7 +20,6 @@ from tverrook import (
     ColoredPoint,
     Complex,
     DimCaps,
-    Exhausted,
     FaceAvoidanceVerdict,
     HomologyProfile,
     InputError,
@@ -35,13 +34,12 @@ from tverrook import (
 
 SOLUTION = (((0, 1), (2,)), (Fraction(1),), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)))
 
-# (value, the same value with another by-product, a value that differs before it)
+# (value, the same value with another last field, a value that differs before it)
 RESULTS = [
     (HomologyProfile((0, 1), ((), ())), HomologyProfile((0, 1), ((), ()), ({"q": 0},)),
      HomologyProfile((0, 2), ((), ()))),
-    (TverbergSolution(*SOLUTION), TverbergSolution(*SOLUTION, None, {"lp_calls": 1}),
-     TverbergSolution(*SOLUTION, "literal-k")),
-    (Exhausted(3), Exhausted(3, {"lp_calls": 3}), Exhausted(4)),
+    (TverbergSolution(*SOLUTION), TverbergSolution(*SOLUTION, "literal-k"),
+     TverbergSolution(SOLUTION[0], (Fraction(2),), SOLUTION[2])),
     (UnavoidabilityVerdict(True), UnavoidabilityVerdict(True, None, {"minimal_non_faces": 1}),
      UnavoidabilityVerdict(False)),
     (FaceAvoidanceVerdict(1, True, True), FaceAvoidanceVerdict(1, True, True, None, {"x": 1}),
@@ -84,7 +82,9 @@ def test_checked_types_check_in_their_constructor(make, error):
 
 def test_checked_types_keep_their_defaults_and_methods():
     instance = TverbergInstance(CONFIG, 2)
-    assert (instance.mode, instance.dim_caps, instance.disjointness) == ("free", None, "multiset-proper")
+    assert (instance.mode, instance.dim_caps, instance.disjointness, instance.constraint_count) == (
+        "free", None, "multiset-proper", 0
+    )
     assert DimCaps(1, 0).max_dim == 2 and DimCaps(1, 0, "literal-k").max_dim == 1
     assert instance._replace(dim_caps=DimCaps(1, 0)).dim_caps == DimCaps(1, 0)
     assert type(instance._replace(r=3)) is TverbergInstance
